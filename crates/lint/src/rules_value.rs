@@ -98,9 +98,16 @@ fn diag(rule: &'static str, file: &str, line: u32, col: u32, message: String) ->
 }
 
 /// Std methods that cannot panic and are not already covered by the
-/// allocation vetting: iterator constructors over strings and the
-/// abort-on-OOM `VecDeque` pushes.
-const PANIC_FREE_METHODS: &[&str] = &["chars", "bytes", "char_indices", "push_back", "push_front"];
+/// allocation vetting: iterator constructors over strings, the
+/// abort-on-OOM `VecDeque` pushes, and the collections' `clear`.
+const PANIC_FREE_METHODS: &[&str] = &[
+    "chars",
+    "bytes",
+    "char_indices",
+    "push_back",
+    "push_front",
+    "clear",
+];
 
 /// Infallible std constructors called by path.
 const PANIC_FREE_PATHS: &[&str] = &["String::new", "Vec::new", "VecDeque::new"];

@@ -52,7 +52,7 @@ use sfq_partition::{
 };
 
 use crate::cache::{cache_key, cacheable_outcome, cacheable_request, CachedResult, ResultCache};
-use crate::job::{JobHandle, TerminalKind};
+use crate::job::{ConnJobs, JobHandle, TerminalKind};
 use crate::net::{ConnWriter, LineReader, Listener, ReadLine};
 use crate::ops::OpsRegistry;
 use crate::opslog::OpsLogWriter;
@@ -61,8 +61,6 @@ use crate::sched::{AdmitError, JobQueue};
 
 /// How often blocked connection readers wake to poll the drain flag.
 const CONN_POLL: Duration = Duration::from_millis(50);
-/// Backoff before the single divergence retry.
-const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 /// Seed perturbation for the divergence retry (the 64-bit golden ratio,
 /// the usual splitmix increment): far from any seed a client would pick.
 const RETRY_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -358,7 +356,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
 fn handle_connection(shared: &Arc<Shared>, mut reader: LineReader, writer: ConnWriter) {
     // Jobs admitted on this connection; swept into cancellation if the
     // client vanishes before they settle.
-    let mut owned: Vec<Arc<JobHandle>> = Vec::new();
+    let mut owned = ConnJobs::default();
     loop {
         match reader.next_line() {
             ReadLine::Timeout => {
@@ -392,12 +390,9 @@ fn handle_connection(shared: &Arc<Shared>, mut reader: LineReader, writer: ConnW
     // Disconnect sweep: a client that vanishes takes its unsettled jobs
     // with it. Cancellation wins the race exactly as an explicit frame
     // would; workers observe the token between iterations and stand down.
-    for job in owned {
-        if !job.is_terminal() {
-            job.cancel.cancel();
-            shared.settle_inner(&job, TerminalKind::Cancelled);
-        }
-    }
+    owned.cancel_unsettled(|job| {
+        shared.settle_inner(job, TerminalKind::Cancelled);
+    });
 }
 
 fn cancel_job(shared: &Arc<Shared>, writer: &ConnWriter, id: &str) {
@@ -430,7 +425,7 @@ fn admit(
     shared: &Arc<Shared>,
     writer: &ConnWriter,
     solve: Box<SolveRequest>,
-    owned: &mut Vec<Arc<JobHandle>>,
+    owned: &mut ConnJobs,
 ) {
     let id = solve.id.clone();
     if shared.draining.load(Ordering::SeqCst) {
@@ -476,7 +471,7 @@ fn admit(
         Ok(depth) => {
             shared.ops.record_submitted();
             shared.ops.record_queue_depth(depth as u64);
-            owned.push(job);
+            owned.track(job);
             let frame = Response::Accepted { id };
             writer.send_line(&frame.to_line());
         }
@@ -589,17 +584,17 @@ fn run_job(shared: &Arc<Shared>, queued: QueuedJob) {
 
     let mut outcome = solve_once(request.options.clone());
     if is_divergence(&outcome) {
-        // Transient-failure policy: one retry on a perturbed seed after a
-        // short backoff. Divergence is the one failure class that can be
+        // Transient-failure policy: one immediate retry on a perturbed
+        // seed. Divergence is the one failure class that can be
         // initial-state luck rather than a structural defect of the
-        // request.
+        // request. The solve is deterministic, so waiting before the retry
+        // would change nothing but hold this worker idle.
         shared.ops.record_retry();
         let frame = Response::Retrying {
             id: job.id.clone(),
             attempt: 1,
         };
         conn.send_line(&frame.to_line());
-        thread::sleep(RETRY_BACKOFF);
         if let Some(cause) = interrupt.poll() {
             shared.settle_cause(&job, &conn, cause);
             return;

@@ -18,6 +18,7 @@
 use sfq_partition::budget::Stopwatch;
 use sfq_partition::witness::{self, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use sfq_partition::{CancelToken, Deadline};
 
@@ -177,10 +178,40 @@ impl JobHandle {
     }
 }
 
+/// The jobs one connection has admitted and not yet seen settle.
+///
+/// Settled handles are dropped whenever a new job is tracked, so a
+/// long-lived connection holds only its unsettled jobs — at most what the
+/// queue and the workers can hold at once — rather than every job it ever
+/// submitted.
+#[derive(Debug, Default)]
+pub(crate) struct ConnJobs {
+    jobs: Vec<Arc<JobHandle>>,
+}
+
+impl ConnJobs {
+    /// Records a newly admitted job, first dropping every settled one.
+    pub(crate) fn track(&mut self, job: Arc<JobHandle>) {
+        self.jobs.retain(|j| !j.is_terminal());
+        self.jobs.push(job);
+    }
+
+    /// The disconnect sweep: raises the cancel token of every job that
+    /// has not settled and hands it to `settle`, which races for its
+    /// terminal exactly as a `cancel` frame would.
+    pub(crate) fn cancel_unsettled(self, mut settle: impl FnMut(&Arc<JobHandle>)) {
+        for job in self.jobs {
+            if !job.is_terminal() {
+                job.cancel.cancel();
+                settle(&job);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn exactly_one_finish_wins() {
@@ -254,5 +285,45 @@ mod tests {
         assert_eq!(phases.solve_ns, 0, "never started → no solve time");
         assert!(phases.queue_wait_ns > 0);
         assert!(phases.total_ns >= phases.queue_wait_ns);
+    }
+
+    #[test]
+    fn conn_jobs_hold_only_unsettled_jobs() {
+        let mut owned = ConnJobs::default();
+        let mut live = Vec::new();
+        for i in 0..5000 {
+            let job = Arc::new(JobHandle::new(format!("j{i}"), None));
+            owned.track(Arc::clone(&job));
+            if i % 1000 == 999 {
+                live.push(job);
+            } else {
+                assert!(job.finish(TerminalKind::Done));
+            }
+        }
+        // The last track pruned everything settled before it.
+        assert_eq!(owned.jobs.len(), live.len());
+        let mut swept = Vec::new();
+        owned.cancel_unsettled(|job| {
+            assert!(job.finish(TerminalKind::Cancelled));
+            swept.push(job.id.clone());
+        });
+        let live_ids: Vec<_> = live.iter().map(|j| j.id.clone()).collect();
+        assert_eq!(swept, live_ids);
+        assert!(live.iter().all(|j| j.cancel.is_cancelled()));
+    }
+
+    #[test]
+    fn sweep_skips_jobs_settled_since_the_last_track() {
+        let mut owned = ConnJobs::default();
+        let done = Arc::new(JobHandle::new("done".into(), None));
+        let open = Arc::new(JobHandle::new("open".into(), None));
+        owned.track(Arc::clone(&done));
+        owned.track(Arc::clone(&open));
+        assert!(done.finish(TerminalKind::Done));
+        let mut swept = Vec::new();
+        owned.cancel_unsettled(|job| swept.push(job.id.clone()));
+        assert_eq!(swept, ["open"]);
+        assert!(!done.cancel.is_cancelled(), "a settled job is left alone");
+        assert_eq!(done.terminal(), Some(TerminalKind::Done));
     }
 }

@@ -8,7 +8,7 @@
 //! confinement discipline the core crate applies to its telemetry sinks.
 
 use sfq_partition::witness::{self, Mutex};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,7 +88,11 @@ impl LineReader {
 
 #[derive(Debug)]
 struct WriterState {
-    stream: BufWriter<TcpStream>,
+    stream: TcpStream,
+    /// Reused frame buffer: the line and its newline are assembled here and
+    /// leave in one `write_all`, so a frame never splits into a body write
+    /// and a one-byte newline segment.
+    frame: Vec<u8>,
     /// Sticky: once a write fails the connection is considered gone and
     /// every further send is a silent no-op. Job execution never depends
     /// on a deliverable client — results are simply dropped.
@@ -98,8 +102,8 @@ struct WriterState {
 /// Shared, thread-safe frame writer for one connection.
 ///
 /// Clones share the socket: the connection handler and any number of
-/// worker/progress threads interleave whole frames (the mutex spans one
-/// line + flush, so frames never tear).
+/// worker/progress threads interleave whole frames (the mutex spans the
+/// one write of a frame, so frames never tear).
 #[derive(Debug, Clone)]
 pub struct ConnWriter {
     inner: Arc<Mutex<WriterState>>,
@@ -111,26 +115,26 @@ impl ConnWriter {
             inner: Arc::new(witness::mutex(
                 "serviced:connwriter::inner",
                 WriterState {
-                    stream: BufWriter::new(stream),
+                    stream,
+                    frame: Vec::new(),
                     dead: false,
                 },
             )),
         }
     }
 
-    /// Sends one frame line (newline appended, flushed). Returns whether
-    /// the connection still looked alive.
+    /// Sends one frame line (newline appended) in a single write. Returns
+    /// whether the connection still looked alive.
     pub fn send_line(&self, line: &str) -> bool {
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let state = &mut *guard;
         if state.dead {
             return false;
         }
-        let ok = state
-            .stream
-            .write_all(line.as_bytes())
-            .and_then(|()| state.stream.write_all(b"\n"))
-            .and_then(|()| state.stream.flush())
-            .is_ok();
+        state.frame.clear();
+        state.frame.extend_from_slice(line.as_bytes());
+        state.frame.push(b'\n');
+        let ok = state.stream.write_all(&state.frame).is_ok();
         if !ok {
             state.dead = true;
         }
@@ -182,10 +186,24 @@ impl Listener {
         read_timeout: Option<Duration>,
     ) -> std::io::Result<(LineReader, ConnWriter)> {
         let (stream, _peer) = self.listener.accept()?;
-        stream.set_read_timeout(read_timeout)?;
-        let write_half = stream.try_clone()?;
-        Ok((LineReader::new(stream), ConnWriter::new(write_half)))
+        split(stream, read_timeout)
     }
+}
+
+/// Configures a fresh connection and splits it into its two halves.
+///
+/// Nagle is off (`TCP_NODELAY`): every frame is a whole line leaving in
+/// one write, so coalescing can only delay it. With Nagle on, a small
+/// frame sent while an earlier one is unacknowledged waits for the peer's
+/// delayed ACK (~40 ms on Linux).
+fn split(
+    stream: TcpStream,
+    read_timeout: Option<Duration>,
+) -> std::io::Result<(LineReader, ConnWriter)> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    let write_half = stream.try_clone()?;
+    Ok((LineReader::new(stream), ConnWriter::new(write_half)))
 }
 
 /// Connects a client to a daemon.
@@ -197,10 +215,7 @@ pub fn connect<A: ToSocketAddrs>(
     addr: A,
     read_timeout: Option<Duration>,
 ) -> std::io::Result<(LineReader, ConnWriter)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(read_timeout)?;
-    let write_half = stream.try_clone()?;
-    Ok((LineReader::new(stream), ConnWriter::new(write_half)))
+    split(TcpStream::connect(addr)?, read_timeout)
 }
 
 /// Opens and immediately drops a connection to `addr` — used by drain to
@@ -234,6 +249,42 @@ mod tests {
         drop(reader);
         drop(writer);
         server.join().unwrap();
+    }
+
+    fn nodelay_on_both_halves(reader: &LineReader, writer: &ConnWriter) -> bool {
+        let read_half = reader.reader.get_ref().nodelay().unwrap();
+        let write_half = writer.inner.lock().unwrap().stream.nodelay().unwrap();
+        read_half && write_half
+    }
+
+    #[test]
+    fn nagle_is_off_on_both_ends() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (client_reader, client_writer) = connect(addr, None).unwrap();
+        let (server_reader, server_writer) = listener.accept(None).unwrap();
+        assert!(nodelay_on_both_halves(&client_reader, &client_writer));
+        assert!(nodelay_on_both_halves(&server_reader, &server_writer));
+    }
+
+    #[test]
+    fn large_frames_arrive_whole() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut reader, _writer) = listener.accept(None).unwrap();
+            (reader.next_line(), reader.next_line())
+        });
+        let (_reader, writer) = connect(addr, None).unwrap();
+        // Past 64 KiB, and not a multiple of any buffer size.
+        let big: String = (0..70_001u32)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        assert!(writer.send_line(&big));
+        assert!(writer.send_line("after"));
+        let (first, second) = server.join().unwrap();
+        assert_eq!(first, ReadLine::Line(big));
+        assert_eq!(second, ReadLine::Line("after".into()));
     }
 
     #[test]
