@@ -1,4 +1,4 @@
-//! Criterion bench: relaxed-cost evaluation and gradient computation —
+//! Criterion bench: one evaluation of the relaxed cost and its gradient —
 //! the inner loop of Algorithm 1 — across circuit sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -6,8 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::engine::{CostEngine, EngineOptions};
-use sfq_partition::grad::{Gradient, GradientOptions};
-use sfq_partition::{CostModel, CostWeights, PartitionProblem, WeightMatrix};
+use sfq_partition::{CostWeights, PartitionProblem, WeightMatrix};
 
 fn bench_cost_and_grad(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_inner_loop");
@@ -19,25 +18,9 @@ fn bench_cost_and_grad(c: &mut Criterion) {
     ] {
         let netlist = generate(bench);
         let problem = PartitionProblem::from_netlist(&netlist, 5).unwrap();
-        let model = CostModel::new(&problem, CostWeights::default());
         let mut rng = StdRng::seed_from_u64(1);
         let w = WeightMatrix::random(problem.num_gates(), 5, &mut rng);
-
-        group.bench_with_input(
-            BenchmarkId::new("evaluate", bench.name()),
-            &(&model, &w),
-            |b, (model, w)| b.iter(|| model.evaluate(w)),
-        );
-
-        let mut grad = Gradient::new(GradientOptions::exact());
         let mut out = vec![0.0; w.padded_len()];
-        group.bench_with_input(
-            BenchmarkId::new("gradient", bench.name()),
-            &(&model, &w),
-            |b, (model, w)| b.iter(|| grad.compute(model, w, &mut out)),
-        );
-
-        // The fused engine doing the same work in one pass.
         let mut engine = CostEngine::new(
             &problem,
             CostWeights::default(),
@@ -48,11 +31,6 @@ fn bench_cost_and_grad(c: &mut Criterion) {
             BenchmarkId::new("fused_cost_and_gradient", bench.name()),
             &w,
             |b, w| b.iter(|| engine.evaluate_with_gradient(w, &mut out)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fused_cost_only", bench.name()),
-            &w,
-            |b, w| b.iter(|| engine.evaluate(w)),
         );
     }
     group.finish();

@@ -30,26 +30,9 @@ fn bench_solver(c: &mut Criterion) {
     }
     group.finish();
 
-    // The tentpole comparison: single-restart KSA16@K=5 with the reference
-    // CostModel+Gradient inner loop versus the fused CostEngine.
-    let mut group = c.benchmark_group("fused_vs_reference_ksa16_k5");
-    group.sample_size(10);
+    // Restart scaling of the fused engine (sequential and threaded).
     let netlist = generate(Benchmark::Ksa16);
     let ksa16 = PartitionProblem::from_netlist(&netlist, 5).unwrap();
-    for (label, fused) in [("reference", false), ("fused", true)] {
-        group.bench_with_input(BenchmarkId::new(label, "single_restart"), &ksa16, |b, p| {
-            let opts = SolverOptions {
-                fused,
-                restarts: 1,
-                parallel: false,
-                ..SolverOptions::default()
-            };
-            b.iter(|| Solver::new(opts.clone()).solve(p))
-        });
-    }
-    group.finish();
-
-    // Restart scaling of the fused engine (sequential and threaded).
     let mut group = c.benchmark_group("restart_scaling_ksa16_k5");
     group.sample_size(10);
     for restarts in [1usize, 2, 4] {

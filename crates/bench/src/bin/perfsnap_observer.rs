@@ -12,9 +12,9 @@
 //! metrics columns quantify what *enabling* telemetry costs, for users
 //! deciding whether to trace production sweeps.
 //!
-//! Workloads mirror `perfsnap` (BENCH_1): the Kogge–Stone adder at the
-//! table's `K = 5` and the largest ISCAS row (C1908) at a deep `K = 30`
-//! split. Usage:
+//! Workloads: the Kogge–Stone adder at the table's `K = 5` and the
+//! largest ISCAS row (C1908) at a deep `K = 30` split — the same pair the
+//! exactness suites pin and sfqbench's `c1908_k30` workload times. Usage:
 //!
 //! ```text
 //! cargo run --release -p sfq-bench --bin perfsnap_observer

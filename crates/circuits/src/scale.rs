@@ -230,7 +230,8 @@ pub fn scale_problem_with_library(spec: &ScaleSpec, library: &CellLibrary) -> Sc
     ScaleProblem { bias, area, edges }
 }
 
-/// The four scaling tiers of the gates×K frontier (`BENCH_3.json`).
+/// The four scaling tiers of the gates×K frontier (sfqbench's `s1m_k5`
+/// workload runs the 1M tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ScaleTier {
     /// 1 000 gates — suite-sized anchor point.

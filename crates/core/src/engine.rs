@@ -4,11 +4,13 @@
 //! [`Gradient::compute`](crate::grad::Gradient::compute) — are written for
 //! clarity: the cost does one sweep per term and the gradient re-derives the
 //! labels and plane sums the cost just computed, allocating fresh buffers
-//! along the way. Algorithm 1 calls both every iteration, so a single solve
-//! performs roughly three times the necessary `O(G·K)` work plus thousands
-//! of short-lived allocations.
+//! along the way. Calling both every iteration of Algorithm 1 would cost
+//! roughly three times the necessary `O(G·K)` work plus thousands of
+//! short-lived allocations, so they serve only as the oracle the parity
+//! tests compare against.
 //!
-//! [`CostEngine`] removes that overhead without changing the mathematics:
+//! [`CostEngine`] — the only evaluation a solve runs — removes that
+//! overhead without changing the mathematics:
 //!
 //! * **Fusion** — one gate sweep accumulates labels, row sums, per-plane
 //!   bias/area loads, and the `F₄` pressure together; one edge sweep
@@ -18,10 +20,7 @@
 //! * **Lane kernels on padded rows** — the weight matrix stores rows with
 //!   stride [`lanes::padded`]`(K)` and zero padding, and every K-plane loop
 //!   runs in fixed `[f64; LANE]` blocks with the canonical striped fold
-//!   order (see the [`lanes`](crate::lanes) module). A scalar spelling of
-//!   each kernel is selectable via [`EngineOptions::backend`]; the two
-//!   backends are **bit-identical** by construction, so the scalar path
-//!   serves as the parity baseline for property tests and benchmarks.
+//!   order (see the [`lanes`](crate::lanes) module).
 //! * **CSR edge gather** — the edge list is converted once into a
 //!   compressed adjacency (offsets + packed neighbors), so the edge sweep
 //!   streams each gate's incident edges contiguously and writes its force
@@ -48,17 +47,16 @@
 //!   [`CostEngine::new`], so the zero-allocation guarantee holds for the
 //!   threaded path too.
 //!
-//! Numerical contract: both backends share the striped fold order exactly
-//! (scalar vs lane results are bitwise equal, chunked or not, threaded or
-//! not). Against the sequential-fold *reference* implementations the engine
-//! matches within `1e-12` relative — the stripes and the per-chunk fold
-//! reorder additions, and the power kernels differ in the last ulp — and
-//! the property tests pin that bound.
+//! Numerical contract: on one chunk layout, serial and intra-parallel
+//! evaluations are bitwise equal. Against the sequential-fold *reference*
+//! implementations — the oracle the parity tests compare against — the
+//! engine matches within `1e-12` relative: the stripes and the per-chunk
+//! fold reorder additions, and the power kernels differ in the last ulp.
 
 use crate::cost::{variance, CostBreakdown, CostModel, CostWeights};
 use crate::grad::GradientOptions;
 use crate::kernel;
-use crate::lanes::{self, KernelBackend, LANE};
+use crate::lanes::{self, LANE};
 use crate::pool::{ChunkPool, PoolSpec};
 use crate::problem::PartitionProblem;
 use crate::weights::WeightMatrix;
@@ -69,10 +67,6 @@ pub struct EngineOptions {
     /// Gradient formula selection (exact vs as-printed), shared with the
     /// reference [`Gradient`](crate::grad::Gradient).
     pub gradient: GradientOptions,
-    /// Kernel spelling for the K-plane inner loops. Both backends compute
-    /// bit-identical results; [`KernelBackend::Lanes`] (the default) is the
-    /// fast one.
-    pub backend: KernelBackend,
     /// Run chunked sweeps on scoped threads. Only takes effect on problems
     /// large enough to be chunked; results are bit-identical either way.
     pub intra_parallel: bool,
@@ -89,7 +83,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             gradient: GradientOptions::exact(),
-            backend: KernelBackend::default(),
             intra_parallel: false,
             chunk_min_items: 8192,
             num_chunks: 8,
@@ -211,97 +204,15 @@ fn degree_balanced_bounds(offsets: &[u32], chunks: usize) -> Vec<(usize, usize)>
     bounds
 }
 
-/// Gate sweep over one chunk, dispatching on the kernel backend. Both
-/// spellings accumulate in the canonical striped fold order, so their
-/// results are bitwise equal (the module docs lay out the argument).
-#[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn gate_pass_chunk(
-    backend: KernelBackend,
-    w: &WeightMatrix,
-    plane_coeff: &[f64],
-    bias: &[f64],
-    area: &[f64],
-    start: usize,
-    end: usize,
-    labels: &mut [f64],
-    row_sums: &mut [f64],
-    bias_part: &mut [f64],
-    area_part: &mut [f64],
-    f4_part: &mut f64,
-) {
-    match backend {
-        KernelBackend::Scalar => gate_pass_chunk_scalar(
-            w, bias, area, start, end, labels, row_sums, bias_part, area_part, f4_part,
-        ),
-        KernelBackend::Lanes => gate_pass_chunk_lanes(
-            w,
-            plane_coeff,
-            bias,
-            area,
-            start,
-            end,
-            labels,
-            row_sums,
-            bias_part,
-            area_part,
-            f4_part,
-        ),
-    }
-}
-
-/// Scalar gate kernel: element-at-a-time over each row's `K` real entries,
-/// with striped accumulators (`acc[idx % LANE]`) so the fold order matches
-/// the lane kernel exactly.
+/// Gate sweep over one chunk: fixed `[f64; LANE]` blocks over the padded
+/// row, accumulated in the canonical striped fold order. The zero padding
+/// adds exact `+0.0` terms to every stripe and partial slot.
 ///
 /// `F₄`'s row variance uses the algebraically equivalent
 /// `Σw²/K − (Σw/K)²` so the row is read once; with entries in `[0,1]` the
 /// cancellation error is far below the engine's `1e-12` contract.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn gate_pass_chunk_scalar(
-    w: &WeightMatrix,
-    bias: &[f64],
-    area: &[f64],
-    start: usize,
-    end: usize,
-    labels: &mut [f64],
-    row_sums: &mut [f64],
-    bias_part: &mut [f64],
-    area_part: &mut [f64],
-    f4_part: &mut f64,
-) {
-    let k = w.num_planes();
-    let kf = k as f64;
-    for i in start..end {
-        let row = w.row(i);
-        let bi = bias[i];
-        let ai = area[i];
-        let mut label = [0.0f64; LANE];
-        let mut row_sum = [0.0f64; LANE];
-        let mut sum_sq = [0.0f64; LANE];
-        for idx in 0..k {
-            let wk = row[idx];
-            let j = idx % LANE;
-            label[j] += (idx + 1) as f64 * wk;
-            row_sum[j] += wk;
-            sum_sq[j] += wk * wk;
-            bias_part[idx] += bi * wk;
-            area_part[idx] += ai * wk;
-        }
-        labels[i - start] = lanes::fold(label);
-        let rs = lanes::fold(row_sum);
-        row_sums[i - start] = rs;
-        let mean = rs / kf;
-        let var = lanes::fold(sum_sq) / kf - mean * mean;
-        let dev = rs - 1.0;
-        *f4_part += dev * dev - var;
-    }
-}
-
-/// Lane gate kernel: fixed `[f64; LANE]` blocks over the padded row. The
-/// zero padding adds exact `+0.0` terms to every stripe and partial slot,
-/// so the result is bitwise the scalar kernel's.
-#[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn gate_pass_chunk_lanes(
+pub(crate) fn gate_pass_chunk(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     bias: &[f64],
@@ -349,13 +260,13 @@ pub(crate) fn gate_pass_chunk_lanes(
 }
 
 /// Edge gather over one chunk of gates (`start..end`): accumulates raw `F₁`
-/// and, when `force` is present, writes each gate's interconnect force with
-/// a single store (no scatter).
+/// and writes each gate's interconnect force with a single store (no
+/// scatter).
 ///
 /// The CSR visits each undirected edge from both endpoints with identical
 /// `|Δ|`, so the doubled `F₁` sum is halved at the end — an exact multiply
-/// by `0.5`. There is no K dimension here; the 4-way stripe over each
-/// gate's incident edges *is* the lane spelling, shared by both backends.
+/// by `0.5`. There is no K dimension here; the 4-way stripe runs over each
+/// gate's incident edges.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
 pub(crate) fn edge_gather_chunk(
     offsets: &[u32],
@@ -367,7 +278,7 @@ pub(crate) fn edge_gather_chunk(
     start: usize,
     end: usize,
     f1_part: &mut f64,
-    mut force: Option<&mut [f64]>,
+    force: &mut [f64],
 ) {
     let mut f1_acc = [0.0f64; LANE];
     for u in start..end {
@@ -375,35 +286,27 @@ pub(crate) fn edge_gather_chunk(
         let lo = offsets[u] as usize;
         let hi = offsets[u + 1] as usize;
         let adj = &neighbors[lo..hi];
-        if let Some(force) = force.as_deref_mut() {
-            let mut facc = [0.0f64; LANE];
-            for (t, &nb) in adj.iter().enumerate() {
-                let v = (nb & !SRC_BIT) as usize;
-                let delta = lu - labels[v];
-                let j = t % LANE;
-                f1_acc[j] += kernel::pow_abs(delta, exponent);
-                let magnitude = kernel::pow_grad_abs(delta, exponent) / n1;
-                let s = if paper_f1_sign {
-                    // As printed: + for the edge's source, − for its sink,
-                    // regardless of which label is larger.
-                    if nb & SRC_BIT != 0 {
-                        magnitude
-                    } else {
-                        -magnitude
-                    }
+        let mut facc = [0.0f64; LANE];
+        for (t, &nb) in adj.iter().enumerate() {
+            let v = (nb & !SRC_BIT) as usize;
+            let delta = lu - labels[v];
+            let j = t % LANE;
+            f1_acc[j] += kernel::pow_abs(delta, exponent);
+            let magnitude = kernel::pow_grad_abs(delta, exponent) / n1;
+            let s = if paper_f1_sign {
+                // As printed: + for the edge's source, − for its sink,
+                // regardless of which label is larger.
+                if nb & SRC_BIT != 0 {
+                    magnitude
                 } else {
-                    magnitude * delta.signum()
-                };
-                facc[j] += s;
-            }
-            force[u - start] = lanes::fold(facc);
-        } else {
-            for (t, &nb) in adj.iter().enumerate() {
-                let v = (nb & !SRC_BIT) as usize;
-                let delta = lu - labels[v];
-                f1_acc[t % LANE] += kernel::pow_abs(delta, exponent);
-            }
+                    -magnitude
+                }
+            } else {
+                magnitude * delta.signum()
+            };
+            facc[j] += s;
         }
+        force[u - start] = lanes::fold(facc);
     }
     *f1_part += lanes::fold(f1_acc) * 0.5;
 }
@@ -444,108 +347,14 @@ impl GradConsts {
     }
 }
 
-/// Gradient write sweep over one chunk of gates, dispatching on the kernel
-/// backend; pure writes, no cross-gate accumulation, identical output for
-/// either backend (the lane kernel's padding writes are `±0.0`, which the
-/// descend kernels and `f64 ==` treat as the scalar kernel's `+0.0`).
+/// Gradient write sweep over one chunk of gates: pure writes, no
+/// cross-gate accumulation. Fixed `[f64; LANE]` blocks over the padded row;
+/// each written entry is multiplied by the plane mask so padding slots land
+/// on `±0.0` (`x·1.0` is bit-exact for the real entries). `coeff_bias`/
+/// `coeff_area` carry the per-plane `F₂`/`F₃` coefficients with the term
+/// weights already folded in.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
 pub(crate) fn grad_pass_chunk(
-    backend: KernelBackend,
-    w: &WeightMatrix,
-    plane_coeff: &[f64],
-    mask: &[f64],
-    bias: &[f64],
-    area: &[f64],
-    start: usize,
-    end: usize,
-    row_sums: &[f64],
-    force: &[f64],
-    coeff_bias: &[f64],
-    coeff_area: &[f64],
-    consts: GradConsts,
-    out: &mut [f64],
-) {
-    match backend {
-        KernelBackend::Scalar => grad_pass_chunk_scalar(
-            w,
-            plane_coeff,
-            bias,
-            area,
-            start,
-            end,
-            row_sums,
-            force,
-            coeff_bias,
-            coeff_area,
-            consts,
-            out,
-        ),
-        KernelBackend::Lanes => grad_pass_chunk_lanes(
-            w,
-            plane_coeff,
-            mask,
-            bias,
-            area,
-            start,
-            end,
-            row_sums,
-            force,
-            coeff_bias,
-            coeff_area,
-            consts,
-            out,
-        ),
-    }
-}
-
-/// Scalar gradient kernel: writes the `K` real entries of each padded output
-/// row and zero-fills the padding. `coeff_bias`/`coeff_area` carry the
-/// per-plane `F₂`/`F₃` coefficients with the term weights already folded in,
-/// so the inner loop is four multiplies and three adds per entry.
-#[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn grad_pass_chunk_scalar(
-    w: &WeightMatrix,
-    plane_coeff: &[f64],
-    bias: &[f64],
-    area: &[f64],
-    start: usize,
-    end: usize,
-    row_sums: &[f64],
-    force: &[f64],
-    coeff_bias: &[f64],
-    coeff_area: &[f64],
-    consts: GradConsts,
-    out: &mut [f64],
-) {
-    let k = w.num_planes();
-    let stride = w.stride();
-    for i in start..end {
-        let row = w.row(i);
-        let row_sum = row_sums[i - start];
-        let row_mean = row_sum / consts.kf;
-        let fc1 = consts.c1 * force[i];
-        let bi = bias[i];
-        let ai = area[i];
-        let (f4_base, f4_slope) = consts.f4_affine(row_sum, row_mean);
-        let base = (i - start) * stride;
-        let out_row = &mut out[base..base + stride];
-        for idx in 0..k {
-            out_row[idx] = plane_coeff[idx] * fc1
-                + bi * coeff_bias[idx]
-                + ai * coeff_area[idx]
-                + (f4_base - f4_slope * row[idx]);
-        }
-        for slot in &mut out_row[k..] {
-            *slot = 0.0;
-        }
-    }
-}
-
-/// Lane gradient kernel: fixed `[f64; LANE]` blocks over the padded row,
-/// multiplying each written entry by the plane mask so padding slots land on
-/// `±0.0` (`x·1.0` is bit-exact, so real entries match the scalar kernel).
-#[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn grad_pass_chunk_lanes(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     mask: &[f64],
@@ -666,7 +475,6 @@ impl<'a> CostEngine<'a> {
                 exponent: model.exponent(),
                 n1,
                 paper_f1_sign: options.gradient.paper_f1_sign,
-                backend: options.backend,
                 gate_bounds: gate_bounds.clone(),
                 edge_bounds: edge_bounds.clone(),
                 num_planes: k,
@@ -736,7 +544,6 @@ impl<'a> CostEngine<'a> {
             // buffers, slice splitting, and copies.
             let mut f4_raw = 0.0;
             gate_pass_chunk(
-                self.options.backend,
                 w,
                 &self.plane_coeff,
                 bias,
@@ -769,7 +576,6 @@ impl<'a> CostEngine<'a> {
                 let (bias_part, rest) = partial.split_at_mut(self.stride);
                 let (area_part, f4_part) = rest.split_at_mut(self.stride);
                 gate_pass_chunk(
-                    self.options.backend,
                     w,
                     &self.plane_coeff,
                     bias,
@@ -804,9 +610,9 @@ impl<'a> CostEngine<'a> {
     }
 
     /// Fused edge gather: returns raw `F₁` (double-counted, pre-halved per
-    /// chunk) and, in gradient mode, writes `self.force` — one store per
-    /// gate, no scatter, so forces are identical for any chunk layout.
-    fn edge_pass(&mut self, with_force: bool) -> f64 {
+    /// chunk) and writes `self.force` — one store per gate, no scatter, so
+    /// forces are identical for any chunk layout.
+    fn edge_pass(&mut self) -> f64 {
         let g = self.model.problem().num_gates();
         let exponent = self.model.exponent();
         let (n1, ..) = self.model.normalizations();
@@ -814,11 +620,6 @@ impl<'a> CostEngine<'a> {
 
         if self.edge_bounds.len() == 1 {
             let mut f1_raw = 0.0;
-            let force = if with_force {
-                Some(&mut self.force[..])
-            } else {
-                None
-            };
             edge_gather_chunk(
                 &self.csr_offsets,
                 &self.csr_neighbors,
@@ -829,28 +630,18 @@ impl<'a> CostEngine<'a> {
                 0,
                 g,
                 &mut f1_raw,
-                force,
+                &mut self.force,
             );
             return f1_raw;
         }
 
         if let Some(pool) = &self.pool {
             // Workers overwrite every partial and force slot in full.
-            pool.edge_pass(
-                &self.labels,
-                with_force,
-                &mut self.f1_partials,
-                &mut self.force,
-            );
+            pool.edge_pass(&self.labels, &mut self.f1_partials, &mut self.force);
         } else {
             let labels = &self.labels[..];
             self.f1_partials.fill(0.0);
             for (idx, &(start, end)) in self.edge_bounds.iter().enumerate() {
-                let force = if with_force {
-                    Some(&mut self.force[start..end])
-                } else {
-                    None
-                };
                 edge_gather_chunk(
                     &self.csr_offsets,
                     &self.csr_neighbors,
@@ -861,7 +652,7 @@ impl<'a> CostEngine<'a> {
                     start,
                     end,
                     &mut self.f1_partials[idx],
-                    force,
+                    &mut self.force[start..end],
                 );
             }
         }
@@ -903,28 +694,15 @@ impl<'a> CostEngine<'a> {
         );
     }
 
-    /// Evaluates all four cost terms at `w` in one fused sweep pair.
-    ///
-    /// Equivalent to [`CostModel::evaluate`] (within kernel/fold tolerance,
-    /// see the module docs) at roughly a third of the memory traffic and
-    /// none of the allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w`'s dimensions do not match the problem.
-    pub fn evaluate(&mut self, w: &WeightMatrix) -> CostBreakdown {
-        self.check_dims(w);
-        let f4_raw = self.gate_pass(w);
-        let f1_raw = self.edge_pass(false);
-        self.breakdown(f1_raw, f4_raw)
-    }
-
     /// Evaluates the cost **and** writes the weighted gradient `∂F/∂w` into
     /// `out` (padded row-major, stride [`WeightMatrix::stride`]) in one
     /// fused `O(E + G·K)` pass.
     ///
-    /// Replaces the reference `model.evaluate(w)` + `gradient.compute(...)`
-    /// pair, which between them sweep the gate and edge sets ≈3×.
+    /// This is the only evaluation a solve runs. The reference
+    /// [`CostModel::evaluate`] + [`Gradient::compute`](crate::grad::Gradient::compute)
+    /// pair computes the same numbers (within the module's `1e-12`
+    /// contract) in ≈3× the sweeps and serves as the oracle the parity
+    /// tests compare against.
     ///
     /// # Panics
     ///
@@ -939,7 +717,7 @@ impl<'a> CostEngine<'a> {
         assert_eq!(out.len(), g * stride, "gradient buffer size mismatch");
 
         let f4_raw = self.gate_pass(w);
-        let f1_raw = self.edge_pass(true);
+        let f1_raw = self.edge_pass();
         let cost = self.breakdown(f1_raw, f4_raw);
 
         let kf = k as f64;
@@ -980,7 +758,6 @@ impl<'a> CostEngine<'a> {
         if self.gate_bounds.len() == 1 {
             // Fast path: one write sweep over the whole matrix.
             grad_pass_chunk(
-                self.options.backend,
                 w,
                 &self.plane_coeff,
                 &self.mask,
@@ -1008,7 +785,6 @@ impl<'a> CostEngine<'a> {
                 // documents.
                 debug_assert_eq!((start * stride) % LANE, 0);
                 grad_pass_chunk(
-                    self.options.backend,
                     w,
                     &self.plane_coeff,
                     &self.mask,
@@ -1137,22 +913,30 @@ mod tests {
 
     #[test]
     fn fused_matches_reference_unchunked() {
-        for seed in 0..5u64 {
-            let p = random_problem(30, 4, seed);
-            let mut rng = StdRng::seed_from_u64(seed + 100);
-            let w = WeightMatrix::random(30, 4, &mut rng);
+        // Includes the smallest legal K, K below, at, and above the lane
+        // width, and a single-gate problem, so the padding lanes are
+        // checked against the oracle. (K = 1 is rejected by
+        // `PartitionProblem`.)
+        for (seed, (g, k)) in [(30, 4), (40, 5), (25, 3), (30, 2), (1, 6), (17, 8)]
+            .into_iter()
+            .enumerate()
+        {
+            let p = random_problem(g, k, seed as u64);
+            let mut rng = StdRng::seed_from_u64(seed as u64 + 100);
+            let w = WeightMatrix::random(g, k, &mut rng);
             let mut engine =
                 CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
             let mut grad = vec![0.0; w.padded_len()];
             let cost = engine.evaluate_with_gradient(&w, &mut grad);
             let (expect_cost, expect_grad) = reference_pair(&p, &w, GradientOptions::exact());
-            assert_close(cost.f1, expect_cost.f1, "f1");
-            assert_close(cost.f2, expect_cost.f2, "f2");
-            assert_close(cost.f3, expect_cost.f3, "f3");
-            assert_close(cost.f4, expect_cost.f4, "f4");
-            assert_close(cost.total, expect_cost.total, "total");
+            let at = format!("g={g} k={k}");
+            assert_close(cost.f1, expect_cost.f1, &format!("{at} f1"));
+            assert_close(cost.f2, expect_cost.f2, &format!("{at} f2"));
+            assert_close(cost.f3, expect_cost.f3, &format!("{at} f3"));
+            assert_close(cost.f4, expect_cost.f4, &format!("{at} f4"));
+            assert_close(cost.total, expect_cost.total, &format!("{at} total"));
             for (i, (&a, &b)) in grad.iter().zip(&expect_grad).enumerate() {
-                assert_close(a, b, &format!("grad[{i}]"));
+                assert_close(a, b, &format!("{at} grad[{i}]"));
             }
         }
     }
@@ -1173,88 +957,6 @@ mod tests {
         for (&a, &b) in grad.iter().zip(&expect_grad) {
             assert_close(a, b, "printed-formula gradient entry");
         }
-    }
-
-    #[test]
-    fn scalar_and_lanes_backends_are_bit_identical() {
-        // The tentpole invariant: identical striped fold order makes the two
-        // kernel spellings exactly equal, including the smallest legal K,
-        // K not a multiple of the lane width, and single-gate problems.
-        // (K = 1 is rejected by `PartitionProblem`; the weight-matrix lane
-        // kernels cover it in their own unit tests.)
-        for &(g, k, seed) in &[
-            (40usize, 5usize, 1u64),
-            (25, 3, 2),
-            (30, 2, 3),
-            (1, 6, 4),
-            (17, 8, 5),
-        ] {
-            let p = random_problem(g, k, seed);
-            let mut rng = StdRng::seed_from_u64(seed + 900);
-            let w = WeightMatrix::random(g, k, &mut rng);
-            let mut scalar = CostEngine::new(
-                &p,
-                CostWeights::default(),
-                4.0,
-                EngineOptions {
-                    backend: KernelBackend::Scalar,
-                    ..EngineOptions::default()
-                },
-            );
-            let mut fast = CostEngine::new(
-                &p,
-                CostWeights::default(),
-                4.0,
-                EngineOptions {
-                    backend: KernelBackend::Lanes,
-                    ..EngineOptions::default()
-                },
-            );
-            let mut gs = vec![0.0; w.padded_len()];
-            let mut gl = vec![0.0; w.padded_len()];
-            let cs = scalar.evaluate_with_gradient(&w, &mut gs);
-            let cl = fast.evaluate_with_gradient(&w, &mut gl);
-            assert_eq!(cs, cl, "cost g={g} k={k}");
-            assert_eq!(gs, gl, "gradient g={g} k={k}");
-            assert_eq!(scalar.evaluate(&w), fast.evaluate(&w));
-        }
-    }
-
-    #[test]
-    fn scalar_and_lanes_backends_match_when_chunked() {
-        let p = random_problem(90, 5, 13);
-        let mut rng = StdRng::seed_from_u64(14);
-        let w = WeightMatrix::random(90, 5, &mut rng);
-        let base = EngineOptions {
-            chunk_min_items: 1,
-            num_chunks: 6,
-            ..EngineOptions::default()
-        };
-        let mut scalar = CostEngine::new(
-            &p,
-            CostWeights::default(),
-            4.0,
-            EngineOptions {
-                backend: KernelBackend::Scalar,
-                ..base
-            },
-        );
-        let mut fast = CostEngine::new(
-            &p,
-            CostWeights::default(),
-            4.0,
-            EngineOptions {
-                backend: KernelBackend::Lanes,
-                ..base
-            },
-        );
-        assert!(scalar.is_chunked() && fast.is_chunked());
-        let mut gs = vec![0.0; w.padded_len()];
-        let mut gl = vec![0.0; w.padded_len()];
-        let cs = scalar.evaluate_with_gradient(&w, &mut gs);
-        let cl = fast.evaluate_with_gradient(&w, &mut gl);
-        assert_eq!(cs, cl);
-        assert_eq!(gs, gl);
     }
 
     #[test]
@@ -1309,19 +1011,6 @@ mod tests {
         // Same chunk layout, same fold order: exactly equal, not just close.
         assert_eq!(cs, cp);
         assert_eq!(gs, gp);
-        assert_eq!(sequential.evaluate(&w), parallel.evaluate(&w));
-    }
-
-    #[test]
-    fn evaluate_only_agrees_with_evaluate_with_gradient() {
-        let p = random_problem(40, 3, 21);
-        let mut rng = StdRng::seed_from_u64(22);
-        let w = WeightMatrix::random(40, 3, &mut rng);
-        let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
-        let cost_only = engine.evaluate(&w);
-        let mut grad = vec![0.0; w.padded_len()];
-        let cost_both = engine.evaluate_with_gradient(&w, &mut grad);
-        assert_eq!(cost_only, cost_both);
     }
 
     #[test]
@@ -1347,12 +1036,13 @@ mod tests {
         let p = random_problem(10, 3, 41);
         let w = WeightMatrix::uniform(10, 3);
         let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
-        let base = engine.evaluate(&w);
+        let mut grad = vec![0.0; w.padded_len()];
+        let base = engine.evaluate_with_gradient(&w, &mut grad);
         engine.set_weights(CostWeights {
             c1: 2.0,
             ..CostWeights::default()
         });
-        let doubled = engine.evaluate(&w);
+        let doubled = engine.evaluate_with_gradient(&w, &mut grad);
         assert_close(
             doubled.total - base.total,
             base.f1,
@@ -1367,7 +1057,8 @@ mod tests {
         let w = WeightMatrix::random(20, 4, &mut rng);
         let mut engine = CostEngine::new(&p, CostWeights::default(), 2.0, EngineOptions::default());
         let model = CostModel::with_exponent(&p, CostWeights::default(), 2.0);
-        let fused = engine.evaluate(&w);
+        let mut grad = vec![0.0; w.padded_len()];
+        let fused = engine.evaluate_with_gradient(&w, &mut grad);
         let reference = model.evaluate(&w);
         assert_close(fused.total, reference.total, "p=2 total");
         assert_close(fused.f1, reference.f1, "p=2 f1");
@@ -1412,6 +1103,7 @@ mod tests {
         let p = random_problem(6, 2, 62);
         let w = WeightMatrix::uniform(5, 2);
         let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
-        engine.evaluate(&w);
+        let mut out = vec![0.0; w.padded_len()];
+        engine.evaluate_with_gradient(&w, &mut out);
     }
 }

@@ -14,13 +14,12 @@
 //! * **Canonical striped fold order** — every row reduction accumulates
 //!   element `idx` into stripe accumulator `acc[idx % LANE]` and folds the
 //!   stripes as `((acc[0] + acc[1]) + acc[2]) + acc[3]` ([`fold`]). The
-//!   scalar backend uses the *same* striping element-at-a-time, so the two
-//!   backends are bit-identical: the padding contributes exact `+0.0` terms
-//!   (an IEEE-754 no-op against the `+0.0`-initialized stripes), and the
-//!   fold tree is shared. This is what lets the exactness suites —
-//!   serial == parallel (lint rule D3), observer-on == observer-off, and
-//!   the alloc sanitizer (A1) — keep pinning the arithmetic across both
-//!   backends.
+//!   padding contributes exact `+0.0` terms (an IEEE-754 no-op against the
+//!   `+0.0`-initialized stripes), so the result depends only on the `K`
+//!   real entries. Because the order is fixed per row and per chunk, the
+//!   exactness suites — serial == parallel (lint rule D3),
+//!   observer-on == observer-off, and the alloc sanitizer (A1) — can pin
+//!   the arithmetic bit for bit.
 //! * **Chunk boundaries align to lane blocks** — intra-descent chunking
 //!   splits on *gate* boundaries and every row occupies a full number of
 //!   lane blocks (`stride % LANE == 0`), so a chunk's flat offset
@@ -28,8 +27,8 @@
 //!   debug-asserts this invariant.
 //!
 //! The kernels themselves live next to their callers (`engine.rs`,
-//! `weights.rs`); this module owns the layout constants, the fold, and the
-//! backend selector so the invariants are auditable in one place.
+//! `weights.rs`); this module owns the layout constants and the folds so
+//! the invariants are auditable in one place.
 
 /// Lane width of every K-plane kernel, in `f64` elements.
 ///
@@ -58,31 +57,12 @@ pub const fn padded(k: usize) -> usize {
 
 /// Canonical cross-stripe fold: `((acc[0] + acc[1]) + acc[2]) + acc[3]`.
 ///
-/// Shared by the scalar and lane backends so their reductions are
-/// bit-identical; changing this tree changes results and is a breaking
-/// numerical change.
+/// Shared by every striped reduction; changing this tree changes results
+/// and is a breaking numerical change.
 #[inline]
 #[must_use]
 pub fn fold(acc: [f64; LANE]) -> f64 {
     ((acc[0] + acc[1]) + acc[2]) + acc[3]
-}
-
-/// Which spelling of the K-plane kernels the engine runs.
-///
-/// Both backends compute the identical striped-fold arithmetic (see the
-/// module docs); they differ only in loop shape, i.e. in speed. The scalar
-/// spelling exists as the parity baseline for property tests and as the
-/// reference point for the `BENCH_3.json` scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum KernelBackend {
-    /// Element-at-a-time loops over the `K` real entries of each row, with
-    /// striped accumulators. Representative of the pre-vectorization fused
-    /// engine's memory pattern.
-    Scalar,
-    /// Fixed `[f64; LANE]` blocks over the padded row via `chunks_exact`
-    /// (autovectorization-friendly; the default).
-    #[default]
-    Lanes,
 }
 
 /// Infinity norm (largest absolute component) of a slice, computed in lane
@@ -113,7 +93,7 @@ pub fn max_abs(xs: &[f64]) -> f64 {
 /// [`fold`], then the scalar tail added left to right.
 ///
 /// This is THE reduction order for f64 sums in the numeric crates (lint
-/// rule D4): the serial and intra-parallel backends both evaluate it, so
+/// rule D4): serial and intra-parallel evaluations both use it, so
 /// routing a reduction through here keeps the serial == parallel
 /// bit-identity guarantee. A raw `.iter().sum::<f64>()` evaluates in a
 /// different association order and is a D4 finding outside this module.
@@ -195,11 +175,6 @@ mod tests {
         let expect = xs.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert_eq!(max_abs(&xs), expect);
         assert_eq!(max_abs(&xs), 7.0);
-    }
-
-    #[test]
-    fn backend_default_is_lanes() {
-        assert_eq!(KernelBackend::default(), KernelBackend::Lanes);
     }
 
     #[test]

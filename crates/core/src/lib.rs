@@ -42,10 +42,11 @@
 //! * [`PartitionProblem`] — the `(b_i, a_i, E, K)` instance.
 //! * [`cost`] — `F₁..F₄` with the paper's normalizations (eqs. 4–6, 9).
 //! * [`grad`] — analytic gradients (eq. 10; see the note on the sign erratum).
+//!   With [`cost`], the reference oracle the engine's parity tests use.
 //! * [`engine`] — fused, allocation-free cost+gradient evaluation (the
-//!   solver's default inner loop); [`kernel`] holds the shared
+//!   solver's only inner loop); [`kernel`] holds the shared
 //!   integer-exponent power kernels and [`lanes`] the padded-lane layout
-//!   constants, canonical fold order, and [`KernelBackend`] selector.
+//!   constants and canonical fold order.
 //! * [`solver`] — Algorithm 1 (projected gradient descent) plus restarts.
 //! * [`telemetry`] — zero-cost observer hooks, JSONL traces, solve metrics.
 //! * [`refine`] — optional discrete local-move polish.
@@ -86,7 +87,6 @@ pub use budget::{CancelToken, Deadline, Interrupt, StopCause};
 pub use cost::{CostBreakdown, CostModel, CostWeights};
 pub use engine::{CostEngine, EngineOptions};
 pub use error::SolveError;
-pub use lanes::KernelBackend;
 pub use limit::{BiasLimitOutcome, BiasLimitPlanner};
 pub use metrics::PartitionMetrics;
 pub use pool::{SlotGuard, SlotPool};

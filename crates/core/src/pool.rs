@@ -19,10 +19,9 @@
 //!   test (`crates/core/tests/alloc_sanitizer.rs`) pins this dynamically.
 //! * **Bit-identical to the serial chunked sweep** — workers run the same
 //!   chunk kernels ([`gate_pass_chunk`], [`edge_gather_chunk`],
-//!   [`grad_pass_chunk`]) with the same [`KernelBackend`] over the same
-//!   fixed bounds, and the engine folds the per-chunk partials in chunk
-//!   order after every epoch. Threading changes wall-clock time, never a
-//!   bit of the result.
+//!   [`grad_pass_chunk`]) over the same fixed bounds, and the engine folds
+//!   the per-chunk partials in chunk order after every epoch. Threading
+//!   changes wall-clock time, never a bit of the result.
 //! * **100% safe Rust** — `crates/core` carries `#![forbid(unsafe_code)]`.
 //!   Workers never see a borrow of engine state: inputs are copied into a
 //!   shared [`RwLock`] staging area between epochs, outputs live in
@@ -55,7 +54,6 @@ use std::time::Duration;
 
 use crate::budget::{Interrupt, StopCause};
 use crate::engine::{edge_gather_chunk, gate_pass_chunk, grad_pass_chunk, GradConsts};
-use crate::lanes::KernelBackend;
 use crate::weights::WeightMatrix;
 
 /// Locks a mutex, continuing through poisoning: a panicked worker's payload
@@ -79,9 +77,9 @@ enum PassKind {
 }
 
 /// Everything the workers need that is fixed for the engine's lifetime:
-/// problem data, the CSR adjacency, chunk layout, kernel backend, and the
-/// padded-lane coefficient vectors. Bundled so construction, [`Clone`], and
-/// the worker loop stay in sync by type rather than by argument order.
+/// problem data, the CSR adjacency, chunk layout, and the padded-lane
+/// coefficient vectors. Bundled so construction, [`Clone`], and the worker
+/// loop stay in sync by type rather than by argument order.
 #[derive(Debug, Clone)]
 pub(crate) struct PoolSpec {
     /// Per-gate bias currents (copied from the problem; workers cannot
@@ -99,8 +97,6 @@ pub(crate) struct PoolSpec {
     pub n1: f64,
     /// Use the paper's unsigned `F₁` force convention.
     pub paper_f1_sign: bool,
-    /// Kernel spelling workers run (same as the engine's).
-    pub backend: KernelBackend,
     /// Fixed gate-sweep chunk bounds.
     pub gate_bounds: Vec<(usize, usize)>,
     /// Fixed edge-gather chunk bounds (contiguous gate ranges).
@@ -131,8 +127,6 @@ struct PassInput {
     coeff_area: Vec<f64>,
     /// Per-iteration gradient constants (gradient sweep).
     consts: GradConsts,
-    /// Whether the edge gather writes forces (gradient mode).
-    with_force: bool,
 }
 
 /// Per-chunk output slot for the gate sweep.
@@ -283,7 +277,6 @@ impl ChunkPool {
                 coeff_bias: vec![0.0; stride],
                 coeff_area: vec![0.0; stride],
                 consts: GradConsts::default(),
-                with_force: false,
             },
         );
         let shared = Arc::new(Shared {
@@ -381,15 +374,9 @@ impl ChunkPool {
     }
 
     /// Dispatches the edge gather and writes the per-chunk `F₁` partials and
-    /// (in gradient mode) each chunk's gate-range force values directly into
-    /// the engine's force buffer — no per-chunk scatter, no fold.
-    pub(crate) fn edge_pass(
-        &self,
-        labels: &[f64],
-        with_force: bool,
-        f1_partials: &mut [f64],
-        force: &mut [f64],
-    ) {
+    /// each chunk's gate-range force values directly into the engine's force
+    /// buffer — no per-chunk scatter, no fold.
+    pub(crate) fn edge_pass(&self, labels: &[f64], f1_partials: &mut [f64], force: &mut [f64]) {
         {
             let mut input = self
                 .shared
@@ -397,15 +384,12 @@ impl ChunkPool {
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
             input.labels.copy_from_slice(labels);
-            input.with_force = with_force;
         }
         self.run_epoch(PassKind::Edge);
         for (idx, &(start, end)) in self.shared.spec.edge_bounds.iter().enumerate() {
             let out = lock(&self.shared.edge_out[idx]);
             f1_partials[idx] = out.f1;
-            if with_force {
-                force[start..end].copy_from_slice(&out.force[..end - start]);
-            }
+            force[start..end].copy_from_slice(&out.force[..end - start]);
         }
     }
 
@@ -674,7 +658,6 @@ fn run_chunk(shared: &Shared, idx: usize, kind: PassKind) {
                 f4,
             } = out;
             gate_pass_chunk(
-                spec.backend,
                 &input.w,
                 &spec.plane_coeff,
                 &spec.bias,
@@ -699,11 +682,6 @@ fn run_chunk(shared: &Shared, idx: usize, kind: PassKind) {
             out.f1 = 0.0;
             let EdgeOut { f1, force } = out;
             let len = end - start;
-            let force = if input.with_force {
-                Some(&mut force[..len])
-            } else {
-                None
-            };
             edge_gather_chunk(
                 &spec.csr_offsets,
                 &spec.csr_neighbors,
@@ -714,7 +692,7 @@ fn run_chunk(shared: &Shared, idx: usize, kind: PassKind) {
                 start,
                 end,
                 f1,
-                force,
+                &mut force[..len],
             );
         }
         PassKind::Grad => {
@@ -726,7 +704,6 @@ fn run_chunk(shared: &Shared, idx: usize, kind: PassKind) {
             };
             let out = &mut *lock(slot);
             grad_pass_chunk(
-                spec.backend,
                 &input.w,
                 &spec.plane_coeff,
                 &spec.mask,

@@ -55,12 +55,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::assign::Partition;
 use crate::budget::{Deadline, Interrupt, StopCause};
-use crate::cost::{CostBreakdown, CostModel, CostWeights};
+use crate::cost::{CostBreakdown, CostWeights};
 use crate::engine::{CostEngine, EngineOptions};
 use crate::error::SolveError;
 use crate::float;
-use crate::grad::{Gradient, GradientOptions};
-use crate::lanes::{self, KernelBackend};
+use crate::grad::GradientOptions;
+use crate::lanes;
 use crate::problem::PartitionProblem;
 use crate::refine::{
     discrete_cost, refine_interruptible, refine_with_swaps_interruptible, RefineOptions,
@@ -116,18 +116,21 @@ fn stop_reason_for(cause: StopCause) -> StopReason {
     }
 }
 
-/// Scripted fault plan for the test-only fault-injecting evaluation backend.
+/// Scripted fault plan: poisons chosen engine evaluations with `NaN`/`Inf`.
 ///
-/// When [`SolverOptions::fault_injection`] is set, every descent run wraps
-/// its evaluation backend in a counter that poisons scripted evaluations
-/// with `NaN`/`Inf` — this is how the divergence-recovery machinery is
-/// exercised deterministically from tests. Indices count *backend cost
-/// calls* within one run (recovery retries advance the counter too), so a
-/// one-shot fault at call `n` is rescued by the retry at call `n + 1`.
+/// This is the chaos vocabulary of the `sfqpartd` wire (`options.fault`):
+/// the service chaos suite, the `sfqload` traffic mix and the `sfqbench`
+/// `service_mixed` workload send poison jobs through it to drive the
+/// divergence-recovery and retry paths deterministically, and the solver's
+/// own fault-injection tests reach every recovery branch with it. The
+/// service's result cache never stores a solve that carries a plan.
 ///
-/// Production code should leave this `None`; it exists so that tests can
-/// reach every recovery path without depending on adversarial inputs to
-/// overflow in a particular way.
+/// When [`SolverOptions::fault_injection`] is set, each descent run counts
+/// its engine evaluations and poisons the scripted ones after the engine
+/// returns. Indices count *evaluations* within one run (recovery retries
+/// advance the counter too), so a one-shot fault at call `n` is rescued by
+/// the retry at call `n + 1`. `None` (the default) costs one branch per
+/// evaluation.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultInjection {
     /// Cost calls (0-based) that report `NaN` in place of the true cost.
@@ -206,23 +209,12 @@ pub struct SolverOptions {
     pub swap_refine: bool,
     /// Run restarts on parallel threads.
     pub parallel: bool,
-    /// Evaluate cost and gradient through the fused
-    /// [`CostEngine`](crate::engine::CostEngine) (one `O(E + G·K)` pass,
-    /// allocation-free, integer-exponent kernels). Disable to use the
-    /// reference [`CostModel`]/[`Gradient`] pair — same mathematics, kept
-    /// for ablation and as the benchmark baseline.
-    pub fused: bool,
-    /// Split each fused sweep across scoped threads (in addition to the
+    /// Split each [`CostEngine`](crate::engine::CostEngine) sweep across
+    /// the engine's worker threads (in addition to the
     /// one-thread-per-restart parallelism of [`SolverOptions::parallel`]).
     /// Only engages on problems large enough to chunk, and never changes
-    /// results: chunk layout and fold order are fixed per problem. Ignored
-    /// when `fused` is off.
+    /// results: chunk layout and fold order are fixed per problem.
     pub intra_parallel: bool,
-    /// Kernel spelling for the fused engine's K-plane inner loops
-    /// ([`KernelBackend::Lanes`] by default). Both backends are
-    /// bit-identical; the scalar one exists for parity testing and as the
-    /// scaling-benchmark baseline. Ignored when `fused` is off.
-    pub kernel_backend: KernelBackend,
     /// Wall-clock deadline for the whole solve (all restarts), in
     /// milliseconds. A run that overshoots stops gracefully with
     /// [`StopReason::BudgetExhausted`] and the best result so far wins.
@@ -236,8 +228,8 @@ pub struct SolverOptions {
     /// under truncation. Truncated runs stop with
     /// [`StopReason::BudgetExhausted`].
     pub iteration_budget: Option<usize>,
-    /// Test-only scripted fault plan; see [`FaultInjection`]. Leave `None`
-    /// in production.
+    /// Scripted fault plan for chaos traffic and recovery tests; see
+    /// [`FaultInjection`]. `None` for ordinary solves.
     pub fault_injection: Option<FaultInjection>,
 }
 
@@ -257,9 +249,7 @@ impl Default for SolverOptions {
             refine: true,
             swap_refine: false,
             parallel: false,
-            fused: true,
             intra_parallel: false,
-            kernel_backend: KernelBackend::default(),
             deadline_ms: None,
             iteration_budget: None,
             fault_injection: None,
@@ -560,7 +550,6 @@ impl Solver {
             edges: problem.edges().len(),
             restarts: opts.restarts,
             max_iterations: opts.max_iterations,
-            fused: opts.fused,
             parallel: opts.parallel,
             intra_parallel: opts.intra_parallel,
         });
@@ -715,35 +704,23 @@ impl Solver {
         } else {
             GradientOptions::exact()
         };
-        let mut backend = if opts.fused {
-            EvalBackend::Fused(CostEngine::new(
-                problem,
-                opts.weights,
-                opts.exponent,
-                EngineOptions {
-                    gradient: grad_opts,
-                    backend: opts.kernel_backend,
-                    intra_parallel: opts.intra_parallel,
-                    ..EngineOptions::default()
-                },
-            ))
-        } else {
-            EvalBackend::Reference {
-                model: CostModel::with_exponent(problem, opts.weights, opts.exponent),
-                gradient: Gradient::new(grad_opts),
-            }
-        };
-        if let Some(plan) = &opts.fault_injection {
-            if plan.applies_to(restart) {
-                backend = EvalBackend::FaultInjecting {
-                    inner: Box::new(backend),
-                    plan: plan.clone(),
-                    calls: 0,
-                };
-            }
-        }
+        let mut engine = CostEngine::new(
+            problem,
+            opts.weights,
+            opts.exponent,
+            EngineOptions {
+                gradient: grad_opts,
+                intra_parallel: opts.intra_parallel,
+                ..EngineOptions::default()
+            },
+        );
+        let mut faults = opts
+            .fault_injection
+            .as_ref()
+            .filter(|plan| plan.applies_to(restart))
+            .map(|plan| FaultCounter { plan, calls: 0 });
         // Step/gradient buffers use the matrix's padded lane layout; the
-        // padding slots stay `±0.0` (both backends guarantee it), so the
+        // padding slots stay `±0.0` (the engine guarantees it), so the
         // descend kernels can stream whole padded rows.
         let mut step = vec![0.0; w.padded_len()];
         // Rollback state for divergence recovery: the weights and gradient
@@ -773,18 +750,15 @@ impl Solver {
             // c4 warm-up (continuation).
             if opts.c4_warmup > 0 {
                 let ramp = ((iter as f64) / (opts.c4_warmup as f64)).min(1.0);
-                backend.set_weights(CostWeights {
+                engine.set_weights(CostWeights {
                     c4: opts.weights.c4 * ramp,
                     ..opts.weights
                 });
             }
 
-            // The fused engine produces the gradient together with the cost;
-            // the reference backend fills `step` in `gradient_into`. Both are
-            // evaluated up front so divergence is caught before the step is
-            // applied.
-            let mut breakdown = backend.cost(&w, &mut step);
-            backend.gradient_into(&w, &mut step);
+            // Cost and gradient come out of one engine pass, evaluated up
+            // front so divergence is caught before the step is applied.
+            let mut breakdown = evaluate(&mut engine, faults.as_mut(), &w, &mut step);
 
             // Divergence recovery: on a non-finite cost or gradient, roll
             // back to the last finite iterate and retry its step at half the
@@ -806,8 +780,7 @@ impl Solver {
                         });
                         w.as_mut_slice().copy_from_slice(w_prev.as_slice());
                         w.descend_scaled(&prev_step, learning_rate);
-                        breakdown = backend.cost(&w, &mut step);
-                        backend.gradient_into(&w, &mut step);
+                        breakdown = evaluate(&mut engine, faults.as_mut(), &w, &mut step);
                         if w.all_finite() && eval_is_finite(&breakdown, &step) {
                             recovered = true;
                             break;
@@ -968,68 +941,42 @@ fn eval_is_finite(breakdown: &CostBreakdown, step: &[f64]) -> bool {
     breakdown.is_finite() && step.iter().all(|s| s.is_finite())
 }
 
-/// How one descent run evaluates cost and gradient: the fused engine
-/// (default), the reference `CostModel` + `Gradient` pair (ablation /
-/// benchmark baseline), or either of those wrapped in the test-only fault
-/// injector. All implement the same mathematics; see [`crate::engine`] for
-/// the numerical contract.
-// One stack value per restart, never stored in collections — the size
-// imbalance between the variants is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum EvalBackend<'a> {
-    Reference {
-        model: CostModel<'a>,
-        gradient: Gradient,
-    },
-    Fused(CostEngine<'a>),
-    FaultInjecting {
-        inner: Box<EvalBackend<'a>>,
-        plan: FaultInjection,
-        calls: usize,
-    },
+/// One evaluation of `F` and `∂F/∂w` at `w` — Algorithm 1's per-iteration
+/// work — with the restart's scripted faults, if any, applied to the
+/// engine's output.
+fn evaluate(
+    engine: &mut CostEngine<'_>,
+    faults: Option<&mut FaultCounter<'_>>,
+    w: &WeightMatrix,
+    step: &mut [f64],
+) -> CostBreakdown {
+    let mut breakdown = engine.evaluate_with_gradient(w, step);
+    if let Some(faults) = faults {
+        faults.poison(&mut breakdown, step);
+    }
+    breakdown
 }
 
-impl EvalBackend<'_> {
-    fn set_weights(&mut self, weights: CostWeights) {
-        match self {
-            EvalBackend::Reference { model, .. } => model.set_weights(weights),
-            EvalBackend::Fused(engine) => engine.set_weights(weights),
-            EvalBackend::FaultInjecting { inner, .. } => inner.set_weights(weights),
-        }
-    }
+/// A restart's [`FaultInjection`] plan and the number of evaluations it
+/// has seen.
+struct FaultCounter<'p> {
+    plan: &'p FaultInjection,
+    calls: usize,
+}
 
-    /// Evaluates the cost breakdown at `w`. The fused engine also writes the
-    /// gradient into `step` as a side effect of the same pass.
-    fn cost(&mut self, w: &WeightMatrix, step: &mut [f64]) -> CostBreakdown {
-        match self {
-            EvalBackend::Reference { model, .. } => model.evaluate(w),
-            EvalBackend::Fused(engine) => engine.evaluate_with_gradient(w, step),
-            EvalBackend::FaultInjecting { inner, plan, calls } => {
-                let call = *calls;
-                *calls += 1;
-                let mut breakdown = inner.cost(w, step);
-                if let Some(poison) = plan.cost_poison(call) {
-                    breakdown.f1 = poison;
-                    breakdown.total = poison;
-                }
-                breakdown
-            }
+impl FaultCounter<'_> {
+    /// Poisons the evaluation just made if the plan scripts it, then
+    /// advances the call count.
+    fn poison(&mut self, breakdown: &mut CostBreakdown, step: &mut [f64]) {
+        let call = self.calls;
+        self.calls += 1;
+        if let Some(poison) = self.plan.cost_poison(call) {
+            breakdown.f1 = poison;
+            breakdown.total = poison;
         }
-    }
-
-    /// Ensures `step` holds the gradient at `w` (already true for the fused
-    /// engine after [`EvalBackend::cost`]).
-    fn gradient_into(&mut self, w: &WeightMatrix, step: &mut [f64]) {
-        match self {
-            EvalBackend::Reference { model, gradient } => gradient.compute(model, w, step),
-            EvalBackend::Fused(_) => {}
-            EvalBackend::FaultInjecting { inner, plan, calls } => {
-                inner.gradient_into(w, step);
-                if plan.poisons_gradient(calls.saturating_sub(1)) {
-                    if let Some(first) = step.first_mut() {
-                        *first = f64::NAN;
-                    }
-                }
+        if self.plan.poisons_gradient(call) {
+            if let Some(first) = step.first_mut() {
+                *first = f64::NAN;
             }
         }
     }
@@ -1094,25 +1041,17 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let p = chain(20, 3);
-        // Every backend combination must reproduce itself bit-for-bit:
-        // fused, fused with intra-descent parallelism, and the reference
-        // path.
-        for (fused, intra_parallel) in [(true, false), (true, true), (false, false)] {
+        // Serial and intra-parallel evaluation must each reproduce
+        // themselves bit-for-bit.
+        for intra_parallel in [false, true] {
             let opts = SolverOptions {
-                fused,
                 intra_parallel,
                 ..SolverOptions::default()
             };
             let a = Solver::new(opts.clone()).solve(&p);
             let b = Solver::new(opts).solve(&p);
-            assert_eq!(
-                a.partition, b.partition,
-                "fused={fused} intra={intra_parallel}"
-            );
-            assert_eq!(
-                a.cost_history, b.cost_history,
-                "fused={fused} intra={intra_parallel}"
-            );
+            assert_eq!(a.partition, b.partition, "intra={intra_parallel}");
+            assert_eq!(a.cost_history, b.cost_history, "intra={intra_parallel}");
         }
     }
 
@@ -1120,7 +1059,7 @@ mod tests {
     fn parallel_restarts_match_sequential() {
         let p = chain(20, 3);
         // Restart-level threading must not change the outcome, with and
-        // without the fused engine's intra-descent threading underneath.
+        // without the engine's intra-descent threading underneath.
         for intra_parallel in [false, true] {
             let mut opts = SolverOptions::tuned(3);
             opts.intra_parallel = intra_parallel;
@@ -1135,38 +1074,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_engine_matches_reference_backend() {
-        // The fused engine differs from the reference pair only through the
-        // integer-exponent kernels (last-ulp effects). Over a full descent
-        // the bold-driver rate can amplify those ulps slightly, but the
-        // discrete outcome — and the shape of the descent — must agree.
-        for p in [chain(20, 3), chain(40, 4), two_clusters()] {
-            let reference = Solver::new(SolverOptions {
-                fused: false,
-                ..SolverOptions::default()
-            })
-            .solve(&p);
-            let fused = Solver::new(SolverOptions::default()).solve(&p);
-            assert_eq!(reference.partition, fused.partition);
-            assert_eq!(reference.iterations, fused.iterations);
-            assert_eq!(reference.stop_reason, fused.stop_reason);
-            assert_eq!(reference.cost_history.len(), fused.cost_history.len());
-            for (i, (a, b)) in reference
-                .cost_history
-                .iter()
-                .zip(&fused.cost_history)
-                .enumerate()
-            {
-                let rel = ((a - b) / a.abs().max(1e-12)).abs();
-                assert!(rel < 1e-4, "iteration {i}: {a} vs {b} (rel {rel:.3e})");
-            }
-        }
-    }
-
-    #[test]
     fn intra_parallel_is_bit_identical_on_chunked_problems() {
         // 2048 gates × 4 planes = 8192 entries: exactly at the chunking
-        // threshold, so the fused sweeps split into fixed chunks and (with
+        // threshold, so the engine sweeps split into fixed chunks and (with
         // `intra_parallel`) run on scoped threads. Fold order is fixed per
         // problem, so threading must not change a single bit.
         let p = chain(2048, 4);

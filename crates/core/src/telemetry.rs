@@ -61,8 +61,6 @@ pub struct SolveStartEvent {
     pub restarts: usize,
     /// Per-restart iteration cap.
     pub max_iterations: usize,
-    /// Whether the fused engine evaluates cost+gradient.
-    pub fused: bool,
     /// Whether restarts run on parallel threads.
     pub parallel: bool,
     /// Whether fused sweeps split across intra-descent threads.
@@ -345,7 +343,8 @@ pub enum TraceEvent {
         restarts: u64,
         /// Per-restart iteration cap.
         max_iterations: u64,
-        /// Fused engine in use.
+        /// Always `true` when written: the fused engine is the only
+        /// evaluation path. Kept so v1 readers still find the field.
         fused: bool,
         /// Restart-level threading in use.
         parallel: bool,
@@ -1201,7 +1200,7 @@ fn solve_start_record(event: &SolveStartEvent) -> TraceEvent {
         edges: event.edges as u64,
         restarts: event.restarts as u64,
         max_iterations: event.max_iterations as u64,
-        fused: event.fused,
+        fused: true,
         parallel: event.parallel,
         intra_parallel: event.intra_parallel,
     }

@@ -1,21 +1,26 @@
-//! Scalar and lane kernel backends must be bit-identical.
+//! The engine against its oracle, and serial against intra-parallel.
 //!
-//! The vectorized engine's contract (see `lanes`) is that the explicit-width
-//! lane kernels are a pure re-bracketing of the striped scalar fold: same
-//! additions, same order, padding lanes contribute exact-no-op `+0.0`s.
-//! This suite pins that contract on the paper benchmarks named in the
-//! roadmap — KSA16 at K=5 and C1908 at K=30 — across {serial,
-//! intra-parallel} × {fast-path, chunked}, at both the engine level (every
-//! cost component and every gradient entry compared with `assert_eq`, i.e.
-//! bitwise for non-NaN f64) and the solver level (full multi-restart solves
-//! must emit identical partitions, cost histories, and discrete costs).
+//! [`CostEngine::evaluate_with_gradient`] is the only evaluation a solve
+//! runs. This suite pins it on the paper benchmarks named in the roadmap —
+//! KSA16 at K=5 and C1908 at K=30 — two ways:
+//!
+//! * **Oracle parity** — with forced chunks, serial and intra-parallel,
+//!   every cost term and every gradient entry stays within `1e-12`
+//!   relative of the reference [`CostModel::evaluate`] +
+//!   [`Gradient::compute`] pair, which shares the mathematics but none of
+//!   the fused sweeps, fold order, or power kernels.
+//! * **Threading is invisible** — serial and intra-parallel evaluations
+//!   are bitwise equal (`assert_eq`, i.e. bitwise for non-NaN f64), and so
+//!   are full multi-restart solves: identical partitions, cost histories,
+//!   and discrete costs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::engine::{CostEngine, EngineOptions};
+use sfq_partition::grad::{Gradient, GradientOptions};
 use sfq_partition::{
-    CostWeights, KernelBackend, PartitionProblem, Solver, SolverOptions, WeightMatrix,
+    CostModel, CostWeights, PartitionProblem, Solver, SolverOptions, WeightMatrix,
 };
 
 fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
@@ -23,10 +28,9 @@ fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
     PartitionProblem::from_netlist(&netlist, k).expect("suite circuits are valid")
 }
 
-fn engine(problem: &PartitionProblem, backend: KernelBackend, intra: bool) -> CostEngine<'_> {
+fn engine(problem: &PartitionProblem, intra_parallel: bool) -> CostEngine<'_> {
     let options = EngineOptions {
-        backend,
-        intra_parallel: intra,
+        intra_parallel,
         // Force the chunked path even on these mid-sized circuits so the
         // chunk fold order is part of what the comparison pins.
         chunk_min_items: 1,
@@ -36,69 +40,81 @@ fn engine(problem: &PartitionProblem, backend: KernelBackend, intra: bool) -> Co
     CostEngine::new(problem, CostWeights::default(), 4.0, options)
 }
 
-/// Engine level: evaluate and evaluate_with_gradient agree bitwise between
-/// backends on several random iterates.
-fn assert_engines_bit_identical(problem: &PartitionProblem, seed: u64, tag: &str) {
+fn assert_close(a: f64, b: f64, what: &str) {
+    let scale = a.abs().max(b.abs()).max(1.0);
+    assert!((a - b).abs() / scale < 1e-12, "{what}: {a} vs {b}");
+}
+
+/// Engine level: on several random iterates, the serial and intra-parallel
+/// engines agree bitwise with each other and within `1e-12` with the oracle.
+fn assert_engines_match_oracle(problem: &PartitionProblem, seed: u64, tag: &str) {
     let k = problem.num_planes();
-    for intra in [false, true] {
-        let mut scalar = engine(problem, KernelBackend::Scalar, intra);
-        let mut lanes = engine(problem, KernelBackend::Lanes, intra);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for trial in 0..4 {
-            let w = WeightMatrix::random(problem.num_gates(), k, &mut rng);
-            let mut gs = vec![0.0; w.padded_len()];
-            let mut gl = vec![0.0; w.padded_len()];
-            let cs = scalar.evaluate_with_gradient(&w, &mut gs);
-            let cl = lanes.evaluate_with_gradient(&w, &mut gl);
-            assert_eq!(
-                cs, cl,
-                "{tag} intra={intra} trial={trial}: cost breakdown diverged"
-            );
-            assert_eq!(
-                gs, gl,
-                "{tag} intra={intra} trial={trial}: gradient diverged"
-            );
-            assert_eq!(
-                scalar.evaluate(&w),
-                lanes.evaluate(&w),
-                "{tag} intra={intra} trial={trial}: evaluate-only diverged"
-            );
+    let model = CostModel::new(problem, CostWeights::default());
+    let mut oracle = Gradient::new(GradientOptions::exact());
+    let mut serial = engine(problem, false);
+    let mut threaded = engine(problem, true);
+    assert!(serial.is_chunked(), "{tag}: chunking must be forced");
+    let mut rng = StdRng::seed_from_u64(seed);
+    for trial in 0..4 {
+        let w = WeightMatrix::random(problem.num_gates(), k, &mut rng);
+        let expect_cost = model.evaluate(&w);
+        let mut expect_grad = vec![0.0; w.padded_len()];
+        oracle.compute(&model, &w, &mut expect_grad);
+
+        let mut gs = vec![0.0; w.padded_len()];
+        let mut gp = vec![0.0; w.padded_len()];
+        let cs = serial.evaluate_with_gradient(&w, &mut gs);
+        let cp = threaded.evaluate_with_gradient(&w, &mut gp);
+        assert_eq!(
+            cs, cp,
+            "{tag} trial={trial}: serial and intra-parallel costs diverged"
+        );
+        assert_eq!(
+            gs, gp,
+            "{tag} trial={trial}: serial and intra-parallel gradients diverged"
+        );
+
+        let at = format!("{tag} trial={trial}");
+        assert_close(cs.f1, expect_cost.f1, &format!("{at} f1"));
+        assert_close(cs.f2, expect_cost.f2, &format!("{at} f2"));
+        assert_close(cs.f3, expect_cost.f3, &format!("{at} f3"));
+        assert_close(cs.f4, expect_cost.f4, &format!("{at} f4"));
+        assert_close(cs.total, expect_cost.total, &format!("{at} total"));
+        for (i, (&a, &b)) in gs.iter().zip(&expect_grad).enumerate() {
+            assert_close(a, b, &format!("{at} grad[{i}]"));
         }
     }
 }
 
-/// Solver level: end-to-end solves differ only in the kernel backend and
-/// must produce identical results — labels, history, and discrete cost.
+/// Solver level: end-to-end solves that differ only in intra-descent
+/// threading must produce identical results — labels, history, and
+/// discrete cost.
 fn assert_solves_bit_identical(problem: &PartitionProblem, max_iterations: usize, tag: &str) {
-    for intra in [false, true] {
-        let opts = |backend| SolverOptions {
-            fused: true,
-            kernel_backend: backend,
-            intra_parallel: intra,
-            max_iterations,
-            restarts: 2,
-            parallel: true,
-            ..SolverOptions::default()
-        };
-        let scalar = Solver::new(opts(KernelBackend::Scalar)).solve(problem);
-        let lanes = Solver::new(opts(KernelBackend::Lanes)).solve(problem);
-        assert_eq!(
-            scalar, lanes,
-            "{tag} intra={intra}: solver backends diverged (partition/history/cost)"
-        );
-    }
+    let opts = |intra_parallel| SolverOptions {
+        intra_parallel,
+        max_iterations,
+        restarts: 2,
+        parallel: true,
+        ..SolverOptions::default()
+    };
+    let serial = Solver::new(opts(false)).solve(problem);
+    let threaded = Solver::new(opts(true)).solve(problem);
+    assert_eq!(
+        serial, threaded,
+        "{tag}: serial and intra-parallel solves diverged (partition/history/cost)"
+    );
 }
 
 #[test]
-fn ksa16_k5_backends_are_bit_identical() {
+fn ksa16_k5_engine_matches_oracle_and_threading_is_exact() {
     let p = problem(Benchmark::Ksa16, 5);
-    assert_engines_bit_identical(&p, 11, "KSA16@5");
+    assert_engines_match_oracle(&p, 11, "KSA16@5");
     assert_solves_bit_identical(&p, 300, "KSA16@5");
 }
 
 #[test]
-fn c1908_k30_backends_are_bit_identical() {
+fn c1908_k30_engine_matches_oracle_and_threading_is_exact() {
     let p = problem(Benchmark::C1908, 30);
-    assert_engines_bit_identical(&p, 13, "C1908@30");
+    assert_engines_match_oracle(&p, 13, "C1908@30");
     assert_solves_bit_identical(&p, 220, "C1908@30");
 }

@@ -1,13 +1,11 @@
 //! Divergence-recovery matrix: injected NaN/Inf at scripted evaluations
-//! must be rescued (or cleanly abandoned) on every backend combination —
-//! {fused, reference} × {scalar, lanes} × {serial, intra-parallel} — and
-//! the solver must never return a partition derived from non-finite
-//! weights. The scalar and lanes kernels are bit-identical by contract, so
-//! recovery must also be *identical* between them, not merely equivalent.
+//! must be rescued (or cleanly abandoned) with serial and with
+//! intra-parallel evaluation, and the solver must never return a partition
+//! derived from non-finite weights. Serial and intra-parallel sweeps are
+//! bit-identical by contract, so recovery must also be *identical* between
+//! them, not merely equivalent.
 
-use sfq_partition::{
-    FaultInjection, KernelBackend, PartitionProblem, Solver, SolverOptions, StopReason,
-};
+use sfq_partition::{FaultInjection, PartitionProblem, Solver, SolverOptions, StopReason};
 
 fn chain(n: u32, k: usize) -> PartitionProblem {
     PartitionProblem::new(
@@ -19,24 +17,12 @@ fn chain(n: u32, k: usize) -> PartitionProblem {
     .unwrap()
 }
 
-/// The backend matrix: `(fused, intra_parallel, kernel_backend)`.
-/// `intra_parallel` is a no-op for the reference backend but must still be
-/// accepted and produce identical results; `kernel_backend` is ignored by
-/// the reference backend, so one reference row per threading mode suffices.
-const MATRIX: [(bool, bool, KernelBackend); 6] = [
-    (true, false, KernelBackend::Lanes),
-    (true, true, KernelBackend::Lanes),
-    (true, false, KernelBackend::Scalar),
-    (true, true, KernelBackend::Scalar),
-    (false, false, KernelBackend::Lanes),
-    (false, true, KernelBackend::Lanes),
-];
+/// The backend axis: serial and intra-parallel sweeps.
+const MATRIX: [bool; 2] = [false, true];
 
-fn base_options(fused: bool, intra_parallel: bool, backend: KernelBackend) -> SolverOptions {
+fn base_options(intra_parallel: bool) -> SolverOptions {
     SolverOptions {
-        fused,
         intra_parallel,
-        kernel_backend: backend,
         margin: -1.0, // never stop early: every injection point is reached
         max_iterations: 260,
         refine: false,
@@ -58,20 +44,20 @@ fn assert_finite_and_valid(result: &sfq_partition::SolveResult, gates: usize, k:
 #[test]
 fn single_nan_recovers_at_any_iteration_on_every_backend() {
     let p = chain(30, 3);
-    for (fused, intra, backend) in MATRIX {
+    for intra in MATRIX {
         for inject_at in [1usize, 5, 50, 230] {
             let opts = SolverOptions {
                 fault_injection: Some(FaultInjection {
                     nan_cost_at: vec![inject_at],
                     ..FaultInjection::default()
                 }),
-                ..base_options(fused, intra, backend)
+                ..base_options(intra)
             };
             let result = Solver::new(opts).try_solve(&p).expect("recovers");
             assert_ne!(
                 result.stop_reason,
                 StopReason::NonFinite,
-                "fused={fused} intra={intra} backend={backend:?} inject_at={inject_at}"
+                "intra={intra} inject_at={inject_at}"
             );
             assert_finite_and_valid(&result, 30, 3);
         }
@@ -81,7 +67,7 @@ fn single_nan_recovers_at_any_iteration_on_every_backend() {
 #[test]
 fn single_inf_and_nan_gradient_recover_too() {
     let p = chain(30, 3);
-    for (fused, intra, backend) in MATRIX {
+    for intra in MATRIX {
         for plan in [
             FaultInjection {
                 inf_cost_at: vec![7],
@@ -94,13 +80,13 @@ fn single_inf_and_nan_gradient_recover_too() {
         ] {
             let opts = SolverOptions {
                 fault_injection: Some(plan.clone()),
-                ..base_options(fused, intra, backend)
+                ..base_options(intra)
             };
             let result = Solver::new(opts).try_solve(&p).expect("recovers");
             assert_ne!(
                 result.stop_reason,
                 StopReason::NonFinite,
-                "fused={fused} intra={intra} backend={backend:?} plan={plan:?}"
+                "intra={intra} plan={plan:?}"
             );
             assert_finite_and_valid(&result, 30, 3);
         }
@@ -112,13 +98,13 @@ fn injection_at_iteration_zero_is_terminal_but_still_finite() {
     // No finite iterate exists to retry from, so the run is abandoned — but
     // the snapped initial weights are still a valid, finite partition.
     let p = chain(30, 3);
-    for (fused, intra, backend) in MATRIX {
+    for intra in MATRIX {
         let opts = SolverOptions {
             fault_injection: Some(FaultInjection {
                 nan_cost_at: vec![0],
                 ..FaultInjection::default()
             }),
-            ..base_options(fused, intra, backend)
+            ..base_options(intra)
         };
         let result = Solver::new(opts).try_solve(&p).expect("fallback exists");
         assert_eq!(result.stop_reason, StopReason::NonFinite);
@@ -130,27 +116,28 @@ fn injection_at_iteration_zero_is_terminal_but_still_finite() {
 #[test]
 fn recovery_is_deterministic_per_backend() {
     let p = chain(30, 3);
-    for (fused, intra, backend) in MATRIX {
+    for intra in MATRIX {
         let opts = SolverOptions {
             fault_injection: Some(FaultInjection {
                 nan_cost_at: vec![20],
                 ..FaultInjection::default()
             }),
-            ..base_options(fused, intra, backend)
+            ..base_options(intra)
         };
         let a = Solver::new(opts.clone()).try_solve(&p).unwrap();
         let b = Solver::new(opts).try_solve(&p).unwrap();
-        assert_eq!(a, b, "fused={fused} intra={intra} backend={backend:?}");
+        assert_eq!(a, b, "intra={intra}");
     }
 }
 
 #[test]
-fn scalar_and_lanes_recovery_is_bit_identical() {
-    // PR 6's contract: the scalar and lanes kernels agree bit-for-bit. That
-    // must extend through the recovery machinery — same rollback points,
-    // same halved-step retries, same final partition — on every fault
-    // shape, in both threading modes.
-    let p = chain(30, 3);
+fn intra_parallel_recovery_is_bit_identical_on_chunked_problems() {
+    // 2048×4 = 8192 weight entries: at the engine's chunking threshold, so
+    // the intra-parallel sweeps genuinely run on the worker pool. Every
+    // fault shape — and its rollback points, halved-step retries, and final
+    // partition — must not change a single bit between serial and threaded
+    // sweeps.
+    let p = chain(2048, 4);
     let plans = [
         FaultInjection {
             nan_cost_at: vec![10],
@@ -169,78 +156,21 @@ fn scalar_and_lanes_recovery_is_bit_identical() {
             ..FaultInjection::default()
         },
     ];
-    for intra in [false, true] {
-        for plan in &plans {
-            let opts = |backend| SolverOptions {
-                fault_injection: Some(plan.clone()),
-                ..base_options(true, intra, backend)
-            };
-            let scalar = Solver::new(opts(KernelBackend::Scalar)).try_solve(&p);
-            let lanes = Solver::new(opts(KernelBackend::Lanes)).try_solve(&p);
-            match (scalar, lanes) {
-                (Ok(s), Ok(l)) => assert_eq!(s, l, "intra={intra} plan={plan:?}"),
-                (s, l) => panic!("outcome mismatch intra={intra} plan={plan:?}: {s:?} vs {l:?}"),
-            }
-        }
-    }
-}
-
-#[test]
-fn scalar_and_lanes_recovery_is_bit_identical_on_chunked_problems() {
-    // 2048×4 = 8192 weight entries: at the chunking threshold, so the
-    // lanes/scalar comparison also covers the chunked sweep layout that
-    // `intra_parallel` threads over.
-    let p = chain(2048, 4);
-    for intra in [false, true] {
-        let opts = |backend| SolverOptions {
+    for plan in &plans {
+        let opts = |intra_parallel| SolverOptions {
             max_iterations: 40,
             refine: false,
-            intra_parallel: intra,
-            kernel_backend: backend,
-            fault_injection: Some(FaultInjection {
-                nan_cost_at: vec![10],
-                ..FaultInjection::default()
-            }),
+            intra_parallel,
+            fault_injection: Some(plan.clone()),
             ..SolverOptions::default()
         };
-        let scalar = Solver::new(opts(KernelBackend::Scalar))
-            .try_solve(&p)
-            .unwrap();
-        let lanes = Solver::new(opts(KernelBackend::Lanes))
-            .try_solve(&p)
-            .unwrap();
-        assert_eq!(scalar.partition, lanes.partition, "intra={intra}");
-        assert_eq!(scalar.cost_history, lanes.cost_history, "intra={intra}");
-        assert_eq!(scalar.discrete_cost, lanes.discrete_cost, "intra={intra}");
+        let seq = Solver::new(opts(false)).try_solve(&p);
+        let par = Solver::new(opts(true)).try_solve(&p);
+        match (seq, par) {
+            (Ok(s), Ok(t)) => assert_eq!(s, t, "plan={plan:?}"),
+            (s, t) => panic!("outcome mismatch plan={plan:?}: {s:?} vs {t:?}"),
+        }
     }
-}
-
-#[test]
-fn intra_parallel_recovery_is_bit_identical_on_chunked_problems() {
-    // 2048×4 = 8192 weight entries: at the fused engine's chunking
-    // threshold, so the intra-parallel sweeps genuinely run on threads.
-    // Injected divergence and its recovery must not change a single bit
-    // between serial and threaded sweeps.
-    let p = chain(2048, 4);
-    let base = SolverOptions {
-        max_iterations: 40,
-        refine: false,
-        fault_injection: Some(FaultInjection {
-            nan_cost_at: vec![10],
-            ..FaultInjection::default()
-        }),
-        ..SolverOptions::default()
-    };
-    let seq = Solver::new(base.clone()).try_solve(&p).unwrap();
-    let par = Solver::new(SolverOptions {
-        intra_parallel: true,
-        ..base
-    })
-    .try_solve(&p)
-    .unwrap();
-    assert_eq!(seq.partition, par.partition);
-    assert_eq!(seq.cost_history, par.cost_history);
-    assert_eq!(seq.discrete_cost, par.discrete_cost);
 }
 
 #[test]

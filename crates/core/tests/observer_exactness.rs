@@ -5,9 +5,9 @@
 //! gated on `RestartObserver::ENABLED`, but the weight updates themselves
 //! must stay character-for-character the detached arithmetic. This suite
 //! pins that on the paper benchmarks named in the roadmap — KSA16 at K=5
-//! and C1908 at K=30 — across the {fused, reference} × {serial,
-//! intra-parallel} backend matrix, plus the serial-vs-parallel restart
-//! merge order of the trace stream itself.
+//! and C1908 at K=30 — with serial and with intra-parallel evaluation,
+//! plus the serial-vs-parallel restart merge order of the trace stream
+//! itself.
 
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::telemetry::{SolveMetrics, TraceCollector, TraceEvent};
@@ -20,9 +20,8 @@ fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
 
 /// A configuration small enough to run the full matrix quickly but large
 /// enough to exercise warm-up, margin stops, refinement, and restarts.
-fn options(fused: bool, intra_parallel: bool, max_iterations: usize) -> SolverOptions {
+fn options(intra_parallel: bool, max_iterations: usize) -> SolverOptions {
     SolverOptions {
-        fused,
         intra_parallel,
         max_iterations,
         restarts: 2,
@@ -128,11 +127,11 @@ fn assert_observed_matches_detached(problem: &PartitionProblem, opts: SolverOpti
 #[test]
 fn ksa16_k5_matrix_observer_is_bit_neutral() {
     let p = problem(Benchmark::Ksa16, 5);
-    for (fused, intra_parallel) in [(true, false), (true, true), (false, false), (false, true)] {
+    for intra_parallel in [false, true] {
         assert_observed_matches_detached(
             &p,
-            options(fused, intra_parallel, 300),
-            &format!("KSA16@5 fused={fused} intra={intra_parallel}"),
+            options(intra_parallel, 300),
+            &format!("KSA16@5 intra={intra_parallel}"),
         );
     }
 }
@@ -140,11 +139,11 @@ fn ksa16_k5_matrix_observer_is_bit_neutral() {
 #[test]
 fn c1908_k30_matrix_observer_is_bit_neutral() {
     let p = problem(Benchmark::C1908, 30);
-    for (fused, intra_parallel) in [(true, false), (true, true), (false, false), (false, true)] {
+    for intra_parallel in [false, true] {
         assert_observed_matches_detached(
             &p,
-            options(fused, intra_parallel, 220),
-            &format!("C1908@30 fused={fused} intra={intra_parallel}"),
+            options(intra_parallel, 220),
+            &format!("C1908@30 intra={intra_parallel}"),
         );
     }
 }
@@ -152,7 +151,7 @@ fn c1908_k30_matrix_observer_is_bit_neutral() {
 #[test]
 fn parallel_and_serial_restarts_emit_identical_traces() {
     let p = problem(Benchmark::Ksa16, 5);
-    let mut opts = options(true, false, 300);
+    let mut opts = options(false, 300);
     opts.restarts = 3;
 
     opts.parallel = false;

@@ -11,7 +11,7 @@
 //! ```
 
 use sfq_circuits::scale::{scale_problem, ScaleTier};
-use sfq_partition::{KernelBackend, PartitionProblem, Solver, SolverOptions};
+use sfq_partition::{PartitionProblem, Solver, SolverOptions};
 
 #[test]
 #[ignore = "100k-gate release-mode smoke; run explicitly (CI does)"]
@@ -22,8 +22,6 @@ fn hundred_k_gate_solve_completes_under_budget() {
     assert_eq!(problem.num_gates(), 100_000);
 
     let options = SolverOptions {
-        fused: true,
-        kernel_backend: KernelBackend::Lanes,
         restarts: 1,
         parallel: false,
         max_iterations: 10_000,

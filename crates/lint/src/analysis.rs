@@ -119,10 +119,45 @@ pub fn analyze_targets(
     out
 }
 
-/// Cross-file phase: builds the library graph once (shared by A1/I1/O1
-/// and P2/N1/D4) and the library+binary graph once (L1/L2/S1), then
-/// merges all diagnostics into the canonical sorted order.
-pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Vec<Diagnostic> {
+/// A configured `[rules.A1]`/`[rules.P2]` root that names no non-test
+/// library function in the linted set. The rule then covers less than the
+/// config says — a renamed or deleted kernel drops out of A1/P2 without a
+/// finding — so the CLI reports these next to the stale allowlist entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnresolvedRoot {
+    /// `"A1"` or `"P2"`.
+    pub rule: &'static str,
+    /// The root exactly as configured.
+    pub root: String,
+}
+
+/// What the cross-file phase reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Report {
+    /// Every finding, in canonical (file, line, col, rule) order.
+    pub diags: Vec<Diagnostic>,
+    /// A1 roots, then P2 roots, that resolve to nothing, in config order.
+    pub unresolved_roots: Vec<UnresolvedRoot>,
+}
+
+/// The configured A1 and P2 roots that name no function in `graph`.
+fn unresolved_roots(graph: &Graph, cfg: &Config) -> Vec<UnresolvedRoot> {
+    let a1 = cfg.a1_roots.iter().map(|root| ("A1", root));
+    let p2 = cfg.p2_roots.iter().map(|root| ("P2", root));
+    a1.chain(p2)
+        .filter(|(_, root)| graph.lookup_qname(root).is_empty())
+        .map(|(rule, root)| UnresolvedRoot {
+            rule,
+            root: root.clone(),
+        })
+        .collect()
+}
+
+/// Cross-file phase: builds the library graph once (shared by A1/I1/O1,
+/// P2/N1/D4 and the root resolution check) and the library+binary graph
+/// once (L1/L2/S1), then merges all diagnostics into the canonical sorted
+/// order.
+pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
     let mut diags: Vec<Diagnostic> = Vec::new();
     for f in files {
         diags.extend(f.diags.iter().cloned());
@@ -142,6 +177,7 @@ pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Vec<Diagnostic> {
     let lib_graph = Graph::build(lib_parsed);
     diags.extend(check_workspace_graph(&lib_graph, cfg, &explicit_paths));
     diags.extend(check_values_graph(&lib_graph, cfg, &explicit_paths));
+    let unresolved_roots = unresolved_roots(&lib_graph, cfg);
 
     let conc_parsed: Vec<(String, FileItems)> = files
         .iter()
@@ -157,18 +193,17 @@ pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Vec<Diagnostic> {
     diags.extend(check_concurrency_graph(&conc_graph, cfg, &census));
 
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-    diags
+    Report {
+        diags,
+        unresolved_roots,
+    }
 }
 
 /// Full pipeline: analyze (with optional cache) + cross-file lint.
 /// Equivalent to running `check_file` per file plus `check_workspace`,
 /// `check_values`, and `check_concurrency`, but each file is lexed at
 /// most once and each graph is built exactly once.
-pub fn lint_targets(
-    targets: &[FileTarget<'_>],
-    cfg: &Config,
-    cache: Option<&mut Cache>,
-) -> Vec<Diagnostic> {
+pub fn lint_targets(targets: &[FileTarget<'_>], cfg: &Config, cache: Option<&mut Cache>) -> Report {
     let analyzed = analyze_targets(targets, cfg, cache);
     lint_analyzed(&analyzed, cfg)
 }
@@ -226,7 +261,7 @@ mod tests {
     fn pipeline_matches_the_per_family_entry_points() {
         let cfg = Config::default();
         let t = targets();
-        let pipeline = lint_targets(&t, &cfg, None);
+        let pipeline = lint_targets(&t, &cfg, None).diags;
         assert!(!pipeline.is_empty());
         assert_eq!(pipeline, legacy(&t, &cfg));
     }
@@ -256,5 +291,28 @@ mod tests {
         cache.misses = 0;
         lint_targets(&edited, &cfg, Some(&mut cache));
         assert_eq!((cache.hits, cache.misses), (1, 1));
+    }
+
+    #[test]
+    fn unresolved_roots_are_reported_in_config_order() {
+        let cfg = Config {
+            a1_roots: vec!["metrics::stray".into(), "metrics::straay".into()],
+            p2_roots: vec!["Shared::settle".into(), "engine::gate_pass_chunk".into()],
+            ..Config::default()
+        };
+        let report = lint_targets(&targets(), &cfg, None);
+        assert_eq!(
+            report.unresolved_roots,
+            vec![
+                UnresolvedRoot {
+                    rule: "A1",
+                    root: "metrics::straay".into(),
+                },
+                UnresolvedRoot {
+                    rule: "P2",
+                    root: "engine::gate_pass_chunk".into(),
+                },
+            ]
+        );
     }
 }

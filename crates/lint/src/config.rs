@@ -146,7 +146,6 @@ impl Default for Config {
                 "bench".into(),
             ],
             a1_roots: vec![
-                "CostEngine::evaluate".into(),
                 "CostEngine::evaluate_with_gradient".into(),
                 "WeightMatrix::descend".into(),
                 "WeightMatrix::descend_scaled".into(),
@@ -255,12 +254,8 @@ impl Default for Config {
             ],
             p2_roots: vec![
                 "engine::gate_pass_chunk".into(),
-                "engine::gate_pass_chunk_scalar".into(),
-                "engine::gate_pass_chunk_lanes".into(),
                 "engine::edge_gather_chunk".into(),
                 "engine::grad_pass_chunk".into(),
-                "engine::grad_pass_chunk_scalar".into(),
-                "engine::grad_pass_chunk_lanes".into(),
                 "lanes::fold".into(),
                 "lanes::max_abs".into(),
                 "lanes::sum".into(),

@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::UnresolvedRoot;
 use crate::config::{AllowEntry, Config};
 
 /// One lint finding.
@@ -121,14 +122,15 @@ fn json_escape(s: &str) -> String {
 /// Renders the machine-readable report.
 ///
 /// Shape: `{"version":2,"findings":[{rule,file,line,col,message,
-/// allow_key}…],"total":N,"suppressed":M,"unused_allows":[{rule,path}…]}`
-/// — findings are already sorted by (file, line, col). `allow_key` is the
-/// stable `RULE@file:line` handle for writing a `[[allow]]` entry straight
-/// from the report.
+/// allow_key}…],"total":N,"suppressed":M,"unused_allows":[{rule,path}…],
+/// "unresolved_roots":[{rule,root}…]}` — findings are already sorted by
+/// (file, line, col). `allow_key` is the stable `RULE@file:line` handle for
+/// writing a `[[allow]]` entry straight from the report.
 pub fn render_json(
     findings: &[Diagnostic],
     suppressed: usize,
     unused_allows: &[AllowEntry],
+    unresolved_roots: &[UnresolvedRoot],
 ) -> String {
     let mut out = String::from("{\"version\":2,\"findings\":[");
     for (i, d) in findings.iter().enumerate() {
@@ -162,6 +164,18 @@ pub fn render_json(
             "{{\"rule\":\"{}\",\"path\":\"{}\"}}",
             json_escape(&e.rule),
             json_escape(&e.path)
+        );
+    }
+    out.push_str("],\"unresolved_roots\":[");
+    for (i, r) in unresolved_roots.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"rule\":\"{}\",\"root\":\"{}\"}}",
+            r.rule,
+            json_escape(&r.root)
         );
     }
     out.push_str("]}");
@@ -222,7 +236,7 @@ mod tests {
     #[test]
     fn json_is_escaped() {
         let d = diag("U1", "a\"b.rs", 1, "tab\there");
-        let json = render_json(&[d], 0, &[]);
+        let json = render_json(&[d], 0, &[], &[]);
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("tab\\there"));
     }

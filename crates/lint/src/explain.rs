@@ -23,7 +23,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "D1 — deterministic containers. Numeric crates must not iterate \
              `HashMap`/`HashSet`: their iteration order depends on `RandomState` \
              hashing, so any fold over them can reorder floating-point reductions and \
-             break the bit-identical-partitions guarantee across backends. Use \
+             break the bit-identical-partitions guarantee (serial == parallel). Use \
              `BTreeMap`/`BTreeSet` or index-keyed `Vec`s, which iterate in a fixed \
              order."
         }
@@ -108,8 +108,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "O1 — observer purity. Progress/telemetry observers are called from inside \
              the solve loop; their implementations must not mutate solver state, \
              allocate unboundedly, or perform I/O beyond their declared sink. An \
-             impure observer invalidates the fused-vs-reference equivalence tests that \
-             run with observers attached."
+             impure observer invalidates the observer-on == observer-off exactness \
+             tests."
         }
         "P1" => {
             "P1 — panic discipline. Library crates must not `panic!`/`unwrap`/`expect` \
@@ -133,8 +133,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              root→…→site witness chain, every allow entry requires a written \
              invariant, and the static rule is cross-checked at runtime by the \
              panic-census harness (`crates/core/tests/panic_census.rs`), which runs \
-             proptest-generated problems through {fused, reference} × {serial, \
-             intra-parallel} under `catch_unwind` and requires zero panics."
+             proptest-generated problems through serial and intra-parallel \
+             evaluation under `catch_unwind` and requires zero panics."
         }
         "S1" => {
             "S1 — async-signal-safety and the unsafe registry. A registered signal \

@@ -1,8 +1,8 @@
 //! `sfqlint` — in-repo static analysis for the current-recycling workspace.
 //!
-//! The reproduction's central guarantee is *bit-identical partitions across
-//! every backend combination* ({fused, reference} × {serial,
-//! intra-parallel}). That guarantee is runtime behavior, but it is protected
+//! The reproduction's central guarantee is *bit-identical partitions whether
+//! the engine's sweeps run serially or intra-parallel*. That guarantee is
+//! runtime behavior, but it is protected
 //! by structural invariants that plain `rustc`/`clippy` cannot express:
 //! nothing may iterate an order-nondeterministic container in a numeric
 //! crate, read a wall clock outside the budget module, or create a thread
@@ -75,7 +75,9 @@ pub mod rules_graph;
 pub mod rules_value;
 pub mod walk;
 
-pub use analysis::{analyze_targets, lint_analyzed, lint_targets, AnalyzedFile};
+pub use analysis::{
+    analyze_targets, lint_analyzed, lint_targets, AnalyzedFile, Report, UnresolvedRoot,
+};
 pub use cache::{fnv1a64, Cache, CacheEntry};
 pub use config::{AllowEntry, Config, ConfigError};
 pub use diag::{apply_allowlist, render_json, Diagnostic};

@@ -13,7 +13,13 @@
 //! a cold run. The cache is an accelerator, never an input — a corrupt or
 //! stale cache file is silently discarded and rebuilt.
 //!
-//! Exit codes: `0` clean, `1` findings (or stale allows under
+//! Every run also reports stale `lint.toml` entries: allowlist entries
+//! that matched nothing and, in a `--workspace` run, `[rules.A1]`/
+//! `[rules.P2]` roots that name no function (a renamed kernel would
+//! otherwise drop out of those rules silently). Both are notes by default
+//! and failures under `--strict-allow`, which CI sets.
+//!
+//! Exit codes: `0` clean, `1` findings (or stale entries under
 //! `--strict-allow`), `2` usage error, `3` I/O or configuration error.
 //! Explicitly named files are linted with every rule active (crate/class
 //! scoping bypassed) and form their own mini-workspace for the graph rules
@@ -184,7 +190,7 @@ fn run() -> Result<ExitCode, (u8, String)> {
         .cache
         .as_deref()
         .map(|p| sfqlint::Cache::load(p, config_hash));
-    let diags = lint_targets(&targets, &cfg, cache.as_mut());
+    let report = lint_targets(&targets, &cfg, cache.as_mut());
     if let (Some(path), Some(cache)) = (args.cache.as_deref(), cache.as_ref()) {
         cache
             .save(path)
@@ -197,11 +203,26 @@ fn run() -> Result<ExitCode, (u8, String)> {
             path.display()
         );
     }
-    let (kept, suppressed, unused) = apply_allowlist(diags, &cfg);
-    let stale = args.strict_allow && !unused.is_empty();
+    let (kept, suppressed, unused) = apply_allowlist(report.diags, &cfg);
+    // Named files form a mini-workspace that is not expected to contain the
+    // configured roots; only a workspace run can tell a root is gone.
+    let unresolved = if args.workspace {
+        report.unresolved_roots
+    } else {
+        Vec::new()
+    };
+    let stale = args.strict_allow && !(unused.is_empty() && unresolved.is_empty());
+    let level = if args.strict_allow {
+        "error"
+    } else {
+        "warning"
+    };
 
     match args.format {
-        Format::Json => println!("{}", render_json(&kept, suppressed.len(), &unused)),
+        Format::Json => println!(
+            "{}",
+            render_json(&kept, suppressed.len(), &unused, &unresolved)
+        ),
         Format::Github => {
             for d in &kept {
                 println!("{}", d.render_github());
@@ -218,15 +239,17 @@ fn run() -> Result<ExitCode, (u8, String)> {
                 );
             }
             for entry in &unused {
-                let level = if args.strict_allow {
-                    "error"
-                } else {
-                    "warning"
-                };
                 println!(
                     "::{level} title=sfqlint stale allow::unused allowlist entry {} at `{}` — \
                      remove it from lint.toml",
                     entry.rule, entry.path
+                );
+            }
+            for r in &unresolved {
+                println!(
+                    "::{level} title=sfqlint unresolved root::[rules.{}] root `{}` names no \
+                     function in the workspace — fix or remove it in lint.toml",
+                    r.rule, r.root
                 );
             }
         }
@@ -240,6 +263,13 @@ fn run() -> Result<ExitCode, (u8, String)> {
                     entry.rule, entry.path
                 );
             }
+            for r in &unresolved {
+                eprintln!(
+                    "note: [rules.{}] root `{}` names no function in the workspace — \
+                     fix or remove it in lint.toml",
+                    r.rule, r.root
+                );
+            }
             if kept.is_empty() && !stale {
                 eprintln!(
                     "sfqlint: clean ({} finding(s) suppressed by lint.toml)",
@@ -251,7 +281,7 @@ fn run() -> Result<ExitCode, (u8, String)> {
                     kept.len(),
                     suppressed.len(),
                     if stale {
-                        ", stale allowlist entries (--strict-allow)"
+                        ", stale lint.toml entries (--strict-allow)"
                     } else {
                         ""
                     }

@@ -483,7 +483,7 @@ mod tests {
         assert_eq!(classify("crates/core/src/solver.rs"), FileClass::Lib);
         assert_eq!(classify("crates/core/tests/x.rs"), FileClass::Test);
         assert_eq!(classify("crates/bench/benches/b.rs"), FileClass::Bench);
-        assert_eq!(classify("crates/bench/src/bin/perfsnap.rs"), FileClass::Bin);
+        assert_eq!(classify("crates/bench/src/bin/table1.rs"), FileClass::Bin);
         assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);
         assert_eq!(classify("src/bin/sfqpart.rs"), FileClass::Bin);
         assert_eq!(classify("src/lib.rs"), FileClass::Lib);

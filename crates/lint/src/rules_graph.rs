@@ -360,7 +360,7 @@ mod tests {
                 "crates/core/src/engine.rs",
                 "struct CostEngine;\n\
                  impl CostEngine {\n\
-                 pub fn evaluate(&mut self) { self.helper(); }\n\
+                 pub fn evaluate_with_gradient(&mut self) { self.helper(); }\n\
                  fn helper(&mut self) { self.scratch.push(1.0); }\n\
                  }\n",
             )],
@@ -371,7 +371,7 @@ mod tests {
         assert!(d[0].message.contains(".push()"));
         assert!(d[0]
             .message
-            .contains("CostEngine::evaluate → CostEngine::helper"));
+            .contains("CostEngine::evaluate_with_gradient → CostEngine::helper"));
     }
 
     #[test]
@@ -381,7 +381,7 @@ mod tests {
                 "crates/core/src/engine.rs",
                 "struct CostEngine;\n\
                  impl CostEngine {\n\
-                 pub fn evaluate(&mut self) { mystery_function(); }\n\
+                 pub fn evaluate_with_gradient(&mut self) { mystery_function(); }\n\
                  }\n",
             )],
             false,
@@ -397,7 +397,7 @@ mod tests {
                 "crates/core/src/engine.rs",
                 "struct CostEngine;\n\
                  impl CostEngine {\n\
-                 pub fn evaluate(&mut self) { self.buf.fill(0.0); self.buf.iter().sum::<f64>(); }\n\
+                 pub fn evaluate_with_gradient(&mut self) { self.buf.fill(0.0); self.buf.iter().sum::<f64>(); }\n\
                  pub fn cold_setup(&mut self) { self.buf.push(1.0); }\n\
                  }\n",
             )],

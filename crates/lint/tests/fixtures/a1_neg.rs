@@ -6,7 +6,7 @@ pub struct CostEngine {
 }
 
 impl CostEngine {
-    pub fn evaluate(&mut self, x: f64) -> f64 {
+    pub fn evaluate_with_gradient(&mut self, x: f64) -> f64 {
         self.scratch.fill(x);
         self.scratch.iter().sum()
     }

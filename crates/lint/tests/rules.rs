@@ -139,7 +139,7 @@ fn a1_fixture_reports_constructs_and_top_calls() {
     assert!(
         a1[0]
             .message
-            .contains("CostEngine::evaluate → CostEngine::accumulate"),
+            .contains("CostEngine::evaluate_with_gradient → CostEngine::accumulate"),
         "witness chain missing: {:?}",
         a1[0]
     );
@@ -228,6 +228,65 @@ fn cli_workspace_gate_is_clean() {
     assert!(stdout.contains("\"findings\":[]"), "{stdout}");
     // Stale allowlist entries would be reported here — keep lint.toml tight.
     assert!(stdout.contains("\"unused_allows\":[]"), "{stdout}");
+    // Every configured A1/P2 root must still name a function.
+    assert!(stdout.contains("\"unresolved_roots\":[]"), "{stdout}");
+}
+
+/// A misspelt `[rules.P2]` root used to drop out of the rule without a
+/// word. A workspace run now names it: a note by default, a failure under
+/// `--strict-allow`.
+#[test]
+fn cli_workspace_reports_unresolved_roots() {
+    let dir = std::env::temp_dir().join("sfqlint-unresolved-root-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let src = dir.join("crates/core/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("engine.rs"),
+        "pub fn gate_pass_chunk(x: f64) -> f64 {\n    x + 1.0\n}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("lint.toml"),
+        "[rules.A1]\nroots = [\"engine::gate_pass_chunk\"]\n\n\
+         [rules.P2]\nroots = [\"engine::gate_pass_chnuk\"]\n\n\
+         [rules.S1]\nunsafe_blocks = []\n",
+    )
+    .unwrap();
+    let strict = sfqlint()
+        .args([
+            "--workspace",
+            "--format",
+            "json",
+            "--strict-allow",
+            "--root",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&strict.stdout);
+    assert_eq!(strict.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("\"findings\":[]"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "\"unresolved_roots\":[{\"rule\":\"P2\",\"root\":\"engine::gate_pass_chnuk\"}]"
+        ),
+        "{stdout}"
+    );
+
+    let lenient = sfqlint()
+        .args(["--workspace", "--root"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&lenient.stderr);
+    assert_eq!(lenient.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("note: [rules.P2] root `engine::gate_pass_chnuk` names no function"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("gate_pass_chunk`"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -28,7 +28,7 @@
 //! `--gate 1` instead runs the **overhead gate**: alternating rounds of
 //! identical healthy-only load against two in-process daemons — ops
 //! registry enabled vs disabled — and asserts the registry costs ≤ 1%
-//! wall time. Noise discipline follows the perfsnap benches: the gate
+//! wall time. Noise discipline follows the perfsnap_observer bench: the gate
 //! metric is the *minimum* of the median per-round ratio and the
 //! ratio-of-minimums, so a single noisy round cannot fail the gate.
 //!

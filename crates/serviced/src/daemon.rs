@@ -795,7 +795,7 @@ impl SolveObserver for ProgressStream {
             edges: event.edges as u64,
             restarts: event.restarts as u64,
             max_iterations: event.max_iterations as u64,
-            fused: event.fused,
+            fused: true,
             parallel: event.parallel,
             intra_parallel: event.intra_parallel,
         };

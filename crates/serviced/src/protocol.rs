@@ -13,7 +13,7 @@
 use std::fmt;
 
 use sfq_partition::telemetry::{parse_stop_reason, stop_reason_str, LogHistogram};
-use sfq_partition::{FaultInjection, KernelBackend, SolverOptions, StopReason};
+use sfq_partition::{FaultInjection, SolverOptions, StopReason};
 
 use crate::json::{self, write_escaped, Json};
 
@@ -246,18 +246,6 @@ fn parse_options(overrides: Option<&Json>) -> Result<SolverOptions, String> {
                     .as_bool()
                     .ok_or("options: `intra_parallel` must be a bool")?;
             }
-            "fused" => options.fused = v.as_bool().ok_or("options: `fused` must be a bool")?,
-            "kernel_backend" => {
-                options.kernel_backend = match v.as_str() {
-                    Some("scalar") => KernelBackend::Scalar,
-                    Some("lanes") => KernelBackend::Lanes,
-                    _ => {
-                        return Err(
-                            "options: `kernel_backend` must be \"scalar\" or \"lanes\"".into()
-                        )
-                    }
-                };
-            }
             "fault" => options.fault_injection = Some(parse_fault(v)?),
             other => return Err(format!("options: unknown key `{other}`")),
         }
@@ -381,16 +369,6 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
     }
     if o.intra_parallel != defaults.intra_parallel {
         push(format!("\"intra_parallel\":{}", o.intra_parallel));
-    }
-    if o.fused != defaults.fused {
-        push(format!("\"fused\":{}", o.fused));
-    }
-    if o.kernel_backend != defaults.kernel_backend {
-        let name = match o.kernel_backend {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Lanes => "lanes",
-        };
-        push(format!("\"kernel_backend\":\"{name}\""));
     }
     if let Some(plan) = &o.fault_injection {
         let mut fault = String::new();
@@ -997,7 +975,8 @@ mod tests {
         solve.options.seed = 7;
         solve.options.restarts = 3;
         solve.options.margin = -1.0;
-        solve.options.kernel_backend = KernelBackend::Scalar;
+        solve.options.swap_refine = true;
+        solve.options.intra_parallel = true;
         solve.options.fault_injection = Some(FaultInjection {
             nan_cost_at: vec![3, 9],
             poison_from: Some(4),
@@ -1040,9 +1019,20 @@ mod tests {
 
     #[test]
     fn unknown_option_keys_are_rejected() {
-        let line = "{\"op\":\"solve\",\"id\":\"x\",\"problem\":{\"bias\":[1],\"area\":[1],\"planes\":1},\"options\":{\"warp\":1}}";
-        let err = parse_request(line).unwrap_err();
-        assert!(err.reason.contains("unknown key `warp`"), "{}", err.reason);
+        // `fused` and `kernel_backend` chose between evaluators that no
+        // longer exist, so they are refused like any other unknown key.
+        for (key, value) in [
+            ("warp", "1"),
+            ("fused", "true"),
+            ("kernel_backend", "\"scalar\""),
+        ] {
+            let line = format!(
+                "{{\"op\":\"solve\",\"id\":\"x\",\"problem\":{{\"bias\":[1],\"area\":[1],\"planes\":1}},\"options\":{{\"{key}\":{value}}}}}"
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err.id.as_deref(), Some("x"));
+            assert_eq!(err.reason, format!("options: unknown key `{key}`"));
+        }
     }
 
     #[test]

@@ -127,8 +127,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The fused engine must reproduce the reference CostModel + Gradient
-        // pair within 1e-12 relative — in its plain layout, and in the
-        // chunked layout used for intra-descent parallelism.
+        // oracle within 1e-12 relative — in its plain layout, and in the
+        // chunked layout, serial and intra-parallel.
         let g = problem.num_gates();
         let k = problem.num_planes();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -141,10 +141,12 @@ proptest! {
         reference.compute(&model, &w, &mut expect_grad);
 
         let close = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0) < 1e-12;
+        // Forced chunking exercises the fixed-fold partial sums.
+        let chunked = EngineOptions { chunk_min_items: 1, num_chunks: 5, ..EngineOptions::default() };
         let layouts = [
             EngineOptions::default(),
-            // Forced chunking exercises the fixed-fold partial sums.
-            EngineOptions { chunk_min_items: 1, num_chunks: 5, ..EngineOptions::default() },
+            chunked,
+            EngineOptions { intra_parallel: true, ..chunked },
         ];
         for options in layouts {
             let mut engine =
@@ -194,75 +196,31 @@ proptest! {
     }
 
     #[test]
-    fn kernel_backends_are_bit_identical(
-        problem in arb_problem(),
-        seed in any::<u64>(),
-        chunked in any::<bool>(),
-        threaded in any::<bool>(),
-    ) {
-        // The scalar and lane kernel spellings share the striped fold order,
-        // so cost and gradient must be *exactly* equal — across plain,
-        // chunked, and intra-parallel layouts, and for every K in the
-        // strategy (including K not a multiple of the lane width).
-        use current_recycling::partition::KernelBackend;
-        let g = problem.num_gates();
-        let k = problem.num_planes();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = WeightMatrix::random(g, k, &mut rng);
-        let base = if chunked {
-            EngineOptions {
-                chunk_min_items: 1,
-                num_chunks: 4,
-                intra_parallel: threaded,
-                ..EngineOptions::default()
-            }
-        } else {
-            EngineOptions::default()
-        };
-        let mut scalar = CostEngine::new(
-            &problem,
-            CostWeights::default(),
-            4.0,
-            EngineOptions { backend: KernelBackend::Scalar, ..base },
-        );
-        let mut lanes = CostEngine::new(
-            &problem,
-            CostWeights::default(),
-            4.0,
-            EngineOptions { backend: KernelBackend::Lanes, ..base },
-        );
-        let mut gs = vec![0.0; w.padded_len()];
-        let mut gl = vec![0.0; w.padded_len()];
-        let cs = scalar.evaluate_with_gradient(&w, &mut gs);
-        let cl = lanes.evaluate_with_gradient(&w, &mut gl);
-        prop_assert_eq!(cs, cl);
-        prop_assert_eq!(gs, gl);
-        prop_assert_eq!(scalar.evaluate(&w), lanes.evaluate(&w));
-    }
-
-    #[test]
     fn solver_backends_agree_end_to_end(problem in arb_problem()) {
-        // Whole solves (descent, snap, refine) must not depend on the kernel
-        // spelling: identical partitions and cost histories, bit for bit.
-        use current_recycling::partition::KernelBackend;
+        // Whole solves (descent, snap, refine) must not depend on how the
+        // work is threaded: serial restarts with serial sweeps and parallel
+        // restarts with intra-parallel sweeps give identical partitions and
+        // cost histories, bit for bit.
         let opts = SolverOptions {
             max_iterations: 120,
             restarts: 2,
             ..SolverOptions::default()
         };
-        let scalar = Solver::new(SolverOptions {
-            kernel_backend: KernelBackend::Scalar,
+        let serial = Solver::new(SolverOptions {
+            parallel: false,
+            intra_parallel: false,
             ..opts.clone()
         })
         .solve(&problem);
-        let lanes = Solver::new(SolverOptions {
-            kernel_backend: KernelBackend::Lanes,
+        let threaded = Solver::new(SolverOptions {
+            parallel: true,
+            intra_parallel: true,
             ..opts
         })
         .solve(&problem);
-        prop_assert_eq!(scalar.partition.labels(), lanes.partition.labels());
-        prop_assert_eq!(scalar.cost_history, lanes.cost_history);
-        prop_assert_eq!(scalar.discrete_cost, lanes.discrete_cost);
+        prop_assert_eq!(serial.partition.labels(), threaded.partition.labels());
+        prop_assert_eq!(serial.cost_history, threaded.cost_history);
+        prop_assert_eq!(serial.discrete_cost, threaded.discrete_cost);
     }
 
     #[test]
