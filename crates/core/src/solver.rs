@@ -119,10 +119,10 @@ fn stop_reason_for(cause: StopCause) -> StopReason {
 /// Scripted fault plan: poisons chosen engine evaluations with `NaN`/`Inf`.
 ///
 /// This is the chaos vocabulary of the `sfqpartd` wire (`options.fault`):
-/// the service chaos suite, the `sfqload` traffic mix and the `sfqbench`
-/// `service_mixed` workload send poison jobs through it to drive the
-/// divergence-recovery and retry paths deterministically, and the solver's
-/// own fault-injection tests reach every recovery branch with it. The
+/// the service chaos suite and the `sfqbench` `service_mixed` workload
+/// send poison jobs through it to drive the divergence-recovery and retry
+/// paths deterministically, and the solver's own fault-injection tests
+/// reach every recovery branch with it. The
 /// service's result cache never stores a solve that carries a plan.
 ///
 /// When [`SolverOptions::fault_injection`] is set, each descent run counts
@@ -527,9 +527,9 @@ impl Solver {
     /// `inline(never)` pins one compiled copy per observer instantiation:
     /// without it, every call site (detached `solve`, `solve_observed`,
     /// benches timing both) can inline its own copy of the whole descent
-    /// loop, and the copies optimize differently — the observer-overhead
-    /// A/B in `perfsnap_observer` then compares codegen luck instead of
-    /// observer cost.
+    /// loop, and the copies optimize differently — sfqbench's
+    /// `trace.overhead_pct` (traced over untraced flow time) would then
+    /// compare codegen luck instead of observer cost.
     #[inline(never)]
     fn run_restarts<O: SolveObserver>(
         &self,

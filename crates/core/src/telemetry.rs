@@ -10,8 +10,9 @@
 //!   descent iteration, divergence recovery, refinement pass, multilevel
 //!   coarsening/uncoarsening). All methods default to no-ops and the solver
 //!   is monomorphized over the observer type, so the detached path
-//!   ([`NoopObserver`], `ENABLED == false`) compiles to nothing — the
-//!   `perfsnap_observer` bench records the A/B in `BENCH_2.json`.
+//!   ([`NoopObserver`], `ENABLED == false`) compiles to nothing:
+//!   [`Solver::solve`](crate::Solver::solve) *is*
+//!   `solve_observed(problem, &mut NoopObserver)`, one compiled copy.
 //! * Observers only ever *read*. Work that exists purely for telemetry
 //!   (projection clip counting, pre-refine discrete cost) is gated on
 //!   [`RestartObserver::ENABLED`] and proven bit-neutral by the

@@ -484,9 +484,10 @@ fn drive(args: &[String]) -> i32 {
         print_stats("daemon ledger", &stats);
         // The terminal-ledger invariant, checked on the daemon's own
         // `stats` frame — the same accounting every other consumer
-        // (serve's drain summary, sfqload, the chaos suite) uses. All our
-        // jobs have settled, but a shared daemon (`--addr`) may have other
-        // clients' jobs in flight, so only require balance when idle.
+        // (serve's drain summary, the chaos suite, sfqbench's
+        // `service_mixed`) uses. All our jobs have settled, but a shared
+        // daemon (`--addr`) may have other clients' jobs in flight, so
+        // only require balance when idle.
         if stats.queued == 0 && stats.running == 0 {
             match stats.accounting_violation() {
                 Some(violation) => check.expect(false, &violation),

@@ -78,9 +78,6 @@ pub struct DaemonConfig {
     pub queue_capacity: usize,
     /// Result-cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
-    /// Whether the ops registry records (`false` is the overhead-gate
-    /// baseline: every record path no-ops and `stats` reports zeros).
-    pub ops_enabled: bool,
     /// Append periodic `stats` snapshots (JSONL, same schema as the wire
     /// frame) to this file; `None` disables the sink.
     pub ops_log: Option<PathBuf>,
@@ -96,7 +93,6 @@ impl Default for DaemonConfig {
             slots: 4,
             queue_capacity: 16,
             cache_capacity: 64,
-            ops_enabled: true,
             ops_log: None,
             ops_log_every: Duration::from_secs(1),
         }
@@ -230,7 +226,7 @@ impl Daemon {
             queue: JobQueue::new(config.queue_capacity),
             slots: SlotPool::new(config.slots.max(1)),
             jobs: witness::mutex("serviced:shared::jobs", BTreeMap::new()),
-            ops: OpsRegistry::new(config.ops_enabled),
+            ops: OpsRegistry::new(),
             cache: ResultCache::new(config.cache_capacity),
             draining: AtomicBool::new(false),
             running: AtomicU64::new(0),
@@ -286,7 +282,8 @@ impl Daemon {
     /// Graceful shutdown: stops admitting, lets queued and running jobs
     /// finish (or deadline-out / get cancelled), joins the pool, and
     /// returns the final counters. Jobs admitted before the drain always
-    /// reach their terminal state.
+    /// reach their terminal state, and a client still connected receives
+    /// each one's terminal frame before its connection closes.
     pub fn drain(mut self) -> StatsSnapshot {
         self.shared.begin_drain();
         for worker in self.workers.drain(..) {
@@ -341,7 +338,8 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>) {
                 }
                 let shared = Arc::clone(shared);
                 // Connection handlers are detached: they exit on client
-                // EOF or within one poll interval of a drain.
+                // EOF, or during a drain within one poll interval of
+                // their last admitted job settling.
                 thread::spawn(move || handle_connection(&shared, reader, writer));
             }
             Err(_) => {
@@ -360,7 +358,12 @@ fn handle_connection(shared: &Arc<Shared>, mut reader: LineReader, writer: ConnW
     loop {
         match reader.next_line() {
             ReadLine::Timeout => {
-                if shared.draining.load(Ordering::SeqCst) || writer.is_dead() {
+                // A drain lets admitted jobs finish, and their terminal
+                // frames go out on this connection: keep it open (new
+                // solves are refused with `draining`) until they settle.
+                if writer.is_dead()
+                    || (shared.draining.load(Ordering::SeqCst) && owned.all_settled())
+                {
                     break;
                 }
             }

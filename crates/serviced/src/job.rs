@@ -196,6 +196,11 @@ impl ConnJobs {
         self.jobs.push(job);
     }
 
+    /// Whether every tracked job has reached its terminal state.
+    pub(crate) fn all_settled(&self) -> bool {
+        self.jobs.iter().all(|j| j.is_terminal())
+    }
+
     /// The disconnect sweep: raises the cancel token of every job that
     /// has not settled and hands it to `settle`, which races for its
     /// terminal exactly as a `cancel` frame would.

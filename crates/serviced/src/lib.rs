@@ -29,8 +29,7 @@
 //!   (received → admitted → started → settled, [`job::JobSpan`]); an
 //!   allocation-free atomic registry ([`ops`]) tracks counters, high-water
 //!   gauges, and per-phase latency histograms, reported over the `stats`
-//!   frame, a periodic `--ops-log` JSONL sink ([`opslog`]), and the
-//!   `sfqload` load-generator bench (BENCH_4).
+//!   frame and a periodic `--ops-log` JSONL sink ([`opslog`]).
 //!
 //! The service invariant, pinned by the chaos suite
 //! (`tests/chaos.rs`): every admitted job ends in **exactly one** of

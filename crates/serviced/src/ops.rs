@@ -8,7 +8,9 @@
 //! (`done + cancelled + deadline_exceeded + failed == submitted`) exact —
 //! the same books the chaos suite balances — where sampling would only
 //! approximate it, and the cost is a handful of relaxed atomic RMWs per
-//! job, far below the solve itself.
+//! job, far below the solve itself. The registry has no off switch: every
+//! daemon counts, so sfqbench's `service_mixed` workload times the service
+//! with it on.
 //!
 //! Memory ordering is `Relaxed` throughout: each counter is independently
 //! monotonic and nothing ever branches on one (the registry is advisory
@@ -82,23 +84,16 @@ pub struct SlotOccupancy<'a> {
 
 impl Drop for SlotOccupancy<'_> {
     fn drop(&mut self) {
-        if self.slots > 0 {
-            self.registry
-                .slots_in_use
-                .fetch_sub(self.slots, Ordering::Relaxed);
-        }
+        self.registry
+            .slots_in_use
+            .fetch_sub(self.slots, Ordering::Relaxed);
     }
 }
 
 /// The registry: monotonic counters, high-water gauges, and per-phase
 /// latency histograms for one daemon.
-///
-/// Constructed disabled for A/B overhead measurement (`sfqload --gate`):
-/// a disabled registry's record paths return immediately and its snapshot
-/// reports zeros (live scheduler state aside).
 #[derive(Debug)]
 pub struct OpsRegistry {
-    enabled: bool,
     started: Stopwatch,
     submitted: AtomicU64,
     done: AtomicU64,
@@ -121,17 +116,15 @@ pub struct OpsRegistry {
 
 impl Default for OpsRegistry {
     fn default() -> Self {
-        OpsRegistry::new(true)
+        OpsRegistry::new()
     }
 }
 
 impl OpsRegistry {
-    /// A fresh registry; `enabled = false` turns every record path into a
-    /// no-op (the overhead-gate baseline).
+    /// A fresh registry with every counter at zero.
     #[must_use]
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         OpsRegistry {
-            enabled,
             started: Stopwatch::start(),
             submitted: AtomicU64::new(0),
             done: AtomicU64::new(0),
@@ -155,18 +148,13 @@ impl OpsRegistry {
 
     /// Records an admission.
     pub fn record_submitted(&self) {
-        if self.enabled {
-            self.submitted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.submitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a terminal transition (the [`JobHandle::finish`]
     /// (crate::job::JobHandle::finish) winner calls this, exactly once per
     /// job).
     pub fn record_terminal(&self, kind: TerminalKind) {
-        if !self.enabled {
-            return;
-        }
         let counter = match kind {
             TerminalKind::Done => &self.done,
             TerminalKind::Cancelled => &self.cancelled,
@@ -180,9 +168,6 @@ impl OpsRegistry {
     /// Records a settled job's phase durations into the latency
     /// histograms.
     pub fn record_phases(&self, phases: &PhaseDurations) {
-        if !self.enabled {
-            return;
-        }
         self.queue_wait_ns.record(phases.queue_wait_ns);
         self.solve_ns.record(phases.solve_ns);
         self.total_ns.record(phases.total_ns);
@@ -190,56 +175,38 @@ impl OpsRegistry {
 
     /// Records a `done` served from the result cache.
     pub fn record_cache_hit(&self) {
-        if self.enabled {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cacheable request that missed the cache and solved fresh.
     pub fn record_cache_miss(&self) {
-        if self.enabled {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a divergence retry.
     pub fn record_retry(&self) {
-        if self.enabled {
-            self.retries.fetch_add(1, Ordering::Relaxed);
-        }
+        self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a contained worker panic.
     pub fn record_panic(&self) {
-        if self.enabled {
-            self.panics.fetch_add(1, Ordering::Relaxed);
-        }
+        self.panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds an observed queue depth into the high-water gauge.
     pub fn record_queue_depth(&self, depth: u64) {
-        if self.enabled {
-            self.queue_depth_hw.fetch_max(depth, Ordering::Relaxed);
-        }
+        self.queue_depth_hw.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Folds an observed concurrently-running count into its high-water
     /// gauge.
     pub fn record_running(&self, running: u64) {
-        if self.enabled {
-            self.running_hw.fetch_max(running, Ordering::Relaxed);
-        }
+        self.running_hw.fetch_max(running, Ordering::Relaxed);
     }
 
     /// Marks `slots` restart slots occupied until the returned marker
     /// drops, folding the new occupancy into the high-water gauge.
     pub fn occupy_slots(&self, slots: u64) -> SlotOccupancy<'_> {
-        if !self.enabled {
-            return SlotOccupancy {
-                registry: self,
-                slots: 0,
-            };
-        }
         let now = self.slots_in_use.fetch_add(slots, Ordering::Relaxed) + slots;
         self.slots_hw.fetch_max(now, Ordering::Relaxed);
         SlotOccupancy {
@@ -289,7 +256,7 @@ mod tests {
 
     #[test]
     fn registry_snapshot_reflects_counts() {
-        let ops = OpsRegistry::new(true);
+        let ops = OpsRegistry::new();
         ops.record_submitted();
         ops.record_submitted();
         ops.record_terminal(TerminalKind::Done);
@@ -321,7 +288,7 @@ mod tests {
 
     #[test]
     fn high_water_gauges_keep_the_peak() {
-        let ops = OpsRegistry::new(true);
+        let ops = OpsRegistry::new();
         ops.record_queue_depth(3);
         ops.record_queue_depth(7);
         ops.record_queue_depth(2);
@@ -335,7 +302,7 @@ mod tests {
 
     #[test]
     fn slot_occupancy_is_raii() {
-        let ops = OpsRegistry::new(true);
+        let ops = OpsRegistry::new();
         {
             let _a = ops.occupy_slots(3);
             let _b = ops.occupy_slots(2);
@@ -346,27 +313,6 @@ mod tests {
         let s = ops.snapshot(0, 0);
         assert_eq!(s.slots_in_use, 0);
         assert_eq!(s.slots_hw, 5, "high water survives release");
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let ops = OpsRegistry::new(false);
-        ops.record_submitted();
-        ops.record_terminal(TerminalKind::Done);
-        ops.record_queue_depth(9);
-        let _occ = ops.occupy_slots(4);
-        ops.record_phases(&PhaseDurations {
-            queue_wait_ns: 1,
-            solve_ns: 1,
-            total_ns: 2,
-        });
-        let s = ops.snapshot(1, 1);
-        assert_eq!(s.submitted, 0);
-        assert_eq!(s.done, 0);
-        assert_eq!(s.queue_depth_hw, 0);
-        assert_eq!(s.slots_in_use, 0);
-        assert_eq!(s.total_ns.count(), 0);
-        assert_eq!(s.queued, 1, "live scheduler state still reports");
     }
 
     #[test]

@@ -518,10 +518,11 @@ impl StatsSnapshot {
 
     /// The terminal-ledger check, delegated to
     /// [`sfq_report::service::terminal_accounting`] so the `drive`
-    /// subcommand, the chaos suite, and `sfqload` all share one
-    /// implementation: once the service is idle, every admitted job must
-    /// have settled in exactly one terminal state. Returns `None` when
-    /// the books balance, or a human-readable discrepancy.
+    /// subcommand, the drain summary, the chaos suite, and sfqbench's
+    /// `service_mixed` all share one implementation: once the service is
+    /// idle, every admitted job must have settled in exactly one terminal
+    /// state. Returns `None` when the books balance, or a human-readable
+    /// discrepancy.
     #[must_use]
     pub fn accounting_violation(&self) -> Option<String> {
         sfq_report::service::terminal_accounting(

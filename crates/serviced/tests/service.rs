@@ -258,6 +258,47 @@ fn drain_refuses_new_jobs_and_finishes_admitted_ones() {
 }
 
 #[test]
+fn drain_delivers_terminal_frames_to_connected_clients() {
+    let (daemon, mut client) = boot(DaemonConfig::default());
+    // An unreachable margin under an iteration budget: the job runs for
+    // far longer than one connection poll interval, then ends `done`.
+    client.send(&Request::Solve(Box::new(SolveRequest {
+        id: "long".into(),
+        problem: spec(),
+        options: SolverOptions {
+            margin: -1.0,
+            max_iterations: 50_000_000,
+            iteration_budget: Some(20_000),
+            ..SolverOptions::default()
+        },
+        deadline_ms: None,
+        progress_every: Some(1_000),
+        panic_in_worker: false,
+    })));
+    loop {
+        match client.read() {
+            ClientRead::Frame(Response::Progress { .. }) => break,
+            ClientRead::Frame(Response::Accepted { .. }) | ClientRead::Timeout => {}
+            other => panic!("expected the job to start, got {other:?}"),
+        }
+    }
+    // Drain from a second connection while the job is running.
+    let mut control = Client::connect(daemon.addr(), Some(Duration::from_millis(100)))
+        .expect("connect to daemon");
+    control.send(&Request::Drain);
+    let terminal = client
+        .wait_terminal_quiet("long")
+        .expect("terminal frame before the connection closes");
+    assert!(
+        matches!(terminal, Response::Done { .. }),
+        "expected done, got {terminal:?}"
+    );
+    let stats = daemon.drain();
+    assert_eq!(stats.done, 1, "{stats:?}");
+    assert_eq!(stats.cancelled, 0, "{stats:?}");
+}
+
+#[test]
 fn progress_frames_stream_schema_v1_trace_records() {
     let (daemon, mut client) = boot(DaemonConfig::default());
     client.send(&Request::Solve(Box::new(SolveRequest {

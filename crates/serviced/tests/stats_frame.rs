@@ -1,8 +1,9 @@
 //! Property and tolerance tests for the `stats` wire frame.
 //!
 //! The frame is the one observability surface every consumer shares —
-//! `sfqpartd stats`, the `--ops-log` JSONL sink, `sfqload`'s ledger
-//! cross-check — so its serialization contract is pinned three ways:
+//! `sfqpartd stats` and `drive`, the `--ops-log` JSONL sink, sfqbench's
+//! `service_mixed` ledger cross-check — so its serialization contract is
+//! pinned three ways:
 //!
 //! 1. **Round-trip**: any snapshot survives `to_line` → `parse_response`
 //!    field-for-field, histograms included (property test over random
