@@ -158,8 +158,9 @@ pub fn simulated_annealing(
     let mut rng = StdRng::seed_from_u64(seed);
     let k = problem.num_planes();
     let start = round_robin_levelized(problem);
+    let csr = crate::engine::Csr::new(problem);
     let mut state =
-        crate::refine::MoveState::new(problem, &start, options.weights, options.exponent);
+        crate::refine::MoveState::new(problem, &csr, &start, options.weights, options.exponent);
     let mut best_cost = state.total_cost();
     let mut best = start;
 

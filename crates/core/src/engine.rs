@@ -96,6 +96,64 @@ impl Default for EngineOptions {
 /// `G < 2³¹`, so the bit never collides with a gate index.
 pub(crate) const SRC_BIT: u32 = 1 << 31;
 
+/// CSR edge adjacency of a problem: every gate's incident edges, stored
+/// contiguously. The engine's edge gather and refine's move evaluation both
+/// read it.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    /// `G + 1` prefix sums of gate degree: gate `i`'s entries are
+    /// `neighbors[offsets[i]..offsets[i + 1]]`.
+    pub(crate) offsets: Vec<u32>,
+    /// `2·E` packed words: the neighbor's gate index, plus [`SRC_BIT`] when
+    /// this gate is the edge's source. Each undirected edge appears once
+    /// from each endpoint; a gate's entries follow edge-list order, so a
+    /// parallel edge appears once per copy.
+    pub(crate) neighbors: Vec<u32>,
+}
+
+impl Csr {
+    /// Builds the adjacency: offsets by counting degrees, then packed
+    /// neighbors in edge-list order with the source bit on the `u` side.
+    ///
+    /// # Panics
+    ///
+    /// Panics on problems beyond the packing range (`G ≥ 2³¹` or
+    /// `2·E > u32::MAX`).
+    pub(crate) fn new(problem: &PartitionProblem) -> Self {
+        let g = problem.num_gates();
+        let e = problem.num_edges();
+        assert!(g < (1usize << 31), "CSR packing requires G < 2^31");
+        assert!(
+            2 * e <= u32::MAX as usize,
+            "CSR offsets require 2·E ≤ u32::MAX"
+        );
+        let mut offsets = vec![0u32; g + 1];
+        for &(u, v) in problem.edges() {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..g {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u32> = offsets[..g].to_vec();
+        let mut neighbors = vec![0u32; 2 * e];
+        for &(u, v) in problem.edges() {
+            neighbors[cursor[u as usize] as usize] = v | SRC_BIT;
+            cursor[u as usize] += 1;
+            neighbors[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+        Csr { offsets, neighbors }
+    }
+
+    /// Gate `gate`'s packed neighbor words (mask [`SRC_BIT`] to get the
+    /// gate index).
+    #[inline]
+    pub(crate) fn neighbors_of(&self, gate: usize) -> &[u32] {
+        &self.neighbors[self.offsets[gate] as usize..self.offsets[gate + 1] as usize]
+    }
+}
+
 /// Fused, allocation-free cost + gradient evaluator over a fixed problem.
 ///
 /// # Example
@@ -136,10 +194,8 @@ pub struct CostEngine<'a> {
     /// Fixed edge-gather chunk boundaries: contiguous *gate* ranges covering
     /// `0..G`, balanced by incident half-edge count.
     edge_bounds: Vec<(usize, usize)>,
-    /// CSR adjacency offsets (`G + 1` entries into `csr_neighbors`).
-    csr_offsets: Vec<u32>,
-    /// Packed CSR neighbors (`2·E` entries): gate index plus [`SRC_BIT`].
-    csr_neighbors: Vec<u32>,
+    /// CSR edge adjacency for the edge gather.
+    csr: Csr,
     labels: Vec<f64>,
     row_sums: Vec<f64>,
     force: Vec<f64>,
@@ -423,30 +479,7 @@ impl<'a> CostEngine<'a> {
         let e = problem.num_edges();
         let stride = lanes::padded(k);
         debug_assert_eq!(stride % LANE, 0);
-        assert!(g < (1usize << 31), "CSR packing requires G < 2^31");
-        assert!(
-            2 * e <= u32::MAX as usize,
-            "CSR offsets require 2·E ≤ u32::MAX"
-        );
-
-        // Build the CSR adjacency: offsets by counting degrees, then packed
-        // neighbors in edge-list order with the source bit on the `u` side.
-        let mut csr_offsets = vec![0u32; g + 1];
-        for &(u, v) in problem.edges() {
-            csr_offsets[u as usize + 1] += 1;
-            csr_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..g {
-            csr_offsets[i + 1] += csr_offsets[i];
-        }
-        let mut cursor: Vec<u32> = csr_offsets[..g].to_vec();
-        let mut csr_neighbors = vec![0u32; 2 * e];
-        for &(u, v) in problem.edges() {
-            csr_neighbors[cursor[u as usize] as usize] = v | SRC_BIT;
-            cursor[u as usize] += 1;
-            csr_neighbors[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
+        let csr = Csr::new(problem);
 
         let gate_chunks = if g * k >= options.chunk_min_items {
             options.num_chunks.max(1)
@@ -459,7 +492,7 @@ impl<'a> CostEngine<'a> {
             1
         };
         let gate_bounds = chunk_bounds(g, gate_chunks);
-        let edge_bounds = degree_balanced_bounds(&csr_offsets, edge_chunks);
+        let edge_bounds = degree_balanced_bounds(&csr.offsets, edge_chunks);
         let plane_coeff: Vec<f64> = (0..stride).map(|j| (j + 1) as f64).collect();
         let mask: Vec<f64> = (0..stride).map(|j| if j < k { 1.0 } else { 0.0 }).collect();
         // The pool is built eagerly (not on first use) so that the descent
@@ -470,8 +503,8 @@ impl<'a> CostEngine<'a> {
             Some(ChunkPool::new(PoolSpec {
                 bias: problem.bias().to_vec(),
                 area: problem.area().to_vec(),
-                csr_offsets: csr_offsets.clone(),
-                csr_neighbors: csr_neighbors.clone(),
+                csr_offsets: csr.offsets.clone(),
+                csr_neighbors: csr.neighbors.clone(),
                 exponent: model.exponent(),
                 n1,
                 paper_f1_sign: options.gradient.paper_f1_sign,
@@ -499,8 +532,7 @@ impl<'a> CostEngine<'a> {
             coeff_area: vec![0.0; stride],
             plane_coeff,
             mask,
-            csr_offsets,
-            csr_neighbors,
+            csr,
             gate_bounds,
             edge_bounds,
             pool,
@@ -621,8 +653,8 @@ impl<'a> CostEngine<'a> {
         if self.edge_bounds.len() == 1 {
             let mut f1_raw = 0.0;
             edge_gather_chunk(
-                &self.csr_offsets,
-                &self.csr_neighbors,
+                &self.csr.offsets,
+                &self.csr.neighbors,
                 &self.labels,
                 exponent,
                 n1,
@@ -643,8 +675,8 @@ impl<'a> CostEngine<'a> {
             self.f1_partials.fill(0.0);
             for (idx, &(start, end)) in self.edge_bounds.iter().enumerate() {
                 edge_gather_chunk(
-                    &self.csr_offsets,
-                    &self.csr_neighbors,
+                    &self.csr.offsets,
+                    &self.csr.neighbors,
                     labels,
                     exponent,
                     n1,

@@ -10,16 +10,22 @@
 //! ```
 //!
 //! (`F₄` is identically minimal for any hard assignment and drops out).
-//! Moves are evaluated incrementally in `O(deg(i) + 1)` and applied
-//! best-improvement-first per gate, sweeping until a full pass makes no
-//! improving move or `max_passes` is reached. This is the classic
-//! Fiduccia–Mattheyses-style polish adapted to the paper's ordered-plane,
-//! distance-weighted objective; the solver enables it by default and the
-//! `ablations` bench quantifies its contribution.
+//! Moves are evaluated incrementally and applied best-improvement-first per
+//! gate, sweeping until a full pass makes no improving move or
+//! `max_passes` is reached. This is the classic Fiduccia–Mattheyses-style
+//! polish adapted to the paper's ordered-plane, distance-weighted
+//! objective; the solver enables it by default and the `ablations` bench
+//! quantifies its contribution.
+//!
+//! A gate's best move costs `O(deg(i)·K)`: neighbors come from the engine's
+//! CSR adjacency (one contiguous slice per gate, built once per call), and
+//! edge distances from a K×K table of `|a − b|^p`, so the sweep reads each
+//! neighbor's label once and prices all `K − 1` targets from it.
 
 use crate::assign::Partition;
 use crate::budget::{Interrupt, StopCause};
 use crate::cost::CostWeights;
+use crate::engine::{Csr, SRC_BIT};
 use crate::problem::PartitionProblem;
 
 /// How many gate moves are evaluated between [`Interrupt`] polls inside a
@@ -52,6 +58,9 @@ impl Default for RefineOptions {
 /// Computes the discrete objective `F_d` of a hard partition (see module
 /// docs). Lower is better; 0 is a perfectly balanced, cut-free partition.
 ///
+/// One `O(G + E + K²)` pass: plane loads over the gates, `F₁` over the edge
+/// list. No adjacency is built.
+///
 /// # Panics
 ///
 /// Panics if the partition does not match the problem's dimensions.
@@ -61,8 +70,14 @@ pub fn discrete_cost(
     weights: CostWeights,
     exponent: f64,
 ) -> f64 {
-    let state = MoveState::new(problem, partition, weights, exponent);
-    state.total_cost()
+    check_dims(problem, partition);
+    let labels = partition.labels();
+    Objective::new(problem, labels, weights, exponent).total_cost(problem, labels)
+}
+
+fn check_dims(problem: &PartitionProblem, partition: &Partition) {
+    assert_eq!(problem.num_gates(), partition.num_gates());
+    assert_eq!(problem.num_planes(), partition.num_planes());
 }
 
 /// Greedily improves `partition` by single-gate moves; returns the refined
@@ -96,20 +111,30 @@ pub fn refine_interruptible(
     options: &RefineOptions,
     interrupt: &Interrupt,
 ) -> (Partition, usize, Option<StopCause>) {
-    let mut state = MoveState::new(problem, partition, options.weights, options.exponent);
+    let csr = Csr::new(problem);
+    let mut state = MoveState::new(problem, &csr, partition, options.weights, options.exponent);
+    let (moves, stopped) = single_moves(&mut state, options.max_passes, interrupt);
+    (state.into_partition(), moves, stopped)
+}
+
+/// The single-move sweeps of [`refine_interruptible`] over `state`: up to
+/// `max_passes` passes, each offering every gate its best move. Returns the
+/// number of applied moves and the interrupt cause, if one fired.
+fn single_moves(
+    state: &mut MoveState<'_>,
+    max_passes: usize,
+    interrupt: &Interrupt,
+) -> (usize, Option<StopCause>) {
     let mut moves = 0usize;
-    let mut stopped = None;
-    'passes: for _ in 0..options.max_passes {
+    for _ in 0..max_passes {
         if let Some(cause) = interrupt.poll() {
-            stopped = Some(cause);
-            break;
+            return (moves, Some(cause));
         }
         let mut improved = false;
-        for gate in 0..problem.num_gates() {
+        for gate in 0..state.num_gates() {
             if gate % POLL_STRIDE == 0 && gate > 0 {
                 if let Some(cause) = interrupt.poll() {
-                    stopped = Some(cause);
-                    break 'passes;
+                    return (moves, Some(cause));
                 }
             }
             if let Some((target, gain)) = state.best_move(gate) {
@@ -124,7 +149,7 @@ pub fn refine_interruptible(
             break;
         }
     }
-    (state.into_partition(), moves, stopped)
+    (moves, None)
 }
 
 /// Like [`refine`] but additionally attempting *pair swaps* across every cut
@@ -147,9 +172,12 @@ pub fn refine_with_swaps(
     (partition, moves)
 }
 
-/// Like [`refine_with_swaps`] but polling `interrupt` between passes (and,
-/// through [`refine_interruptible`], inside every single-move sweep). See
+/// Like [`refine_with_swaps`] but polling `interrupt` between passes (and
+/// inside every single-move sweep, as [`refine_interruptible`] does). See
 /// [`refine_interruptible`] for the truncation contract.
+///
+/// The adjacency is built once per call; each pass re-derives only the
+/// `O(G + K)` labels and plane loads of its move states.
 ///
 /// # Panics
 ///
@@ -160,8 +188,13 @@ pub fn refine_with_swaps_interruptible(
     options: &RefineOptions,
     interrupt: &Interrupt,
 ) -> (Partition, usize, Option<StopCause>) {
-    let (mut current, mut moves, mut stopped) =
-        refine_interruptible(problem, partition, options, interrupt);
+    let csr = Csr::new(problem);
+    let new_state = |partition: &Partition, weights: CostWeights| {
+        MoveState::new(problem, &csr, partition, weights, options.exponent)
+    };
+    let mut state = new_state(partition, options.weights);
+    let (mut moves, mut stopped) = single_moves(&mut state, options.max_passes, interrupt);
+    let mut current = state.into_partition();
     if stopped.is_some() {
         return (current, moves, stopped);
     }
@@ -178,7 +211,7 @@ pub fn refine_with_swaps_interruptible(
         // Candidate generation: where would each gate go if only
         // connectivity mattered? Gates wishing to cross the same boundary
         // in opposite directions are swap partners.
-        let f1_view = MoveState::new(problem, &current, connectivity_only, options.exponent);
+        let mut f1_view = new_state(&current, connectivity_only);
         // BTreeMap, not HashMap: `pairs` below is built by iterating this
         // map, and swap order decides which trades win — hash order would
         // make the refined partition differ run to run (rule D1).
@@ -195,7 +228,7 @@ pub fn refine_with_swaps_interruptible(
             }
         }
 
-        let mut state = MoveState::new(problem, &current, options.weights, options.exponent);
+        let mut state = new_state(&current, options.weights);
         let mut improved = false;
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for (&(p, q), forward) in &wishes {
@@ -237,10 +270,11 @@ pub fn refine_with_swaps_interruptible(
             current = state.into_partition();
             break;
         }
-        // Swaps may open new single-move improvements.
-        let (next, more, cause) =
-            refine_interruptible(problem, &state.into_partition(), options, interrupt);
-        current = next;
+        // Swaps may open new single-move improvements. The polish starts
+        // from freshly summed plane loads, as a fresh refine would.
+        let mut polish = new_state(&state.into_partition(), options.weights);
+        let (more, cause) = single_moves(&mut polish, options.max_passes, interrupt);
+        current = polish.into_partition();
         moves += more;
         if cause.is_some() {
             stopped = cause;
@@ -250,16 +284,16 @@ pub fn refine_with_swaps_interruptible(
     (current, moves, stopped)
 }
 
-/// Incremental move evaluation state (shared with the annealing baseline).
-pub(crate) struct MoveState<'a> {
-    problem: &'a PartitionProblem,
+/// The discrete objective's bookkeeping for one labelling: per-plane loads,
+/// normalizations and the distance-power table. Everything a move's gain
+/// needs except the labels and the adjacency.
+struct Objective {
     weights: CostWeights,
-    exponent: f64,
-    labels: Vec<u32>,
     k: usize,
-    /// Incident neighbor labels are looked up through this adjacency;
-    /// parallel edges appear multiple times, matching their cost.
-    adjacency: Vec<Vec<u32>>,
+    /// `dist[a·K + b] = kernel::pow_abs(|a − b|, p)`: the `F₁` term of an
+    /// edge between planes `a` and `b`. The table is symmetric, so row `a`
+    /// prices an edge to a gate on plane `a` from every plane.
+    dist: Vec<f64>,
     plane_bias: Vec<f64>,
     plane_area: Vec<f64>,
     n1: f64,
@@ -269,40 +303,37 @@ pub(crate) struct MoveState<'a> {
     a_mean: f64,
 }
 
-impl<'a> MoveState<'a> {
-    pub(crate) fn new(
-        problem: &'a PartitionProblem,
-        partition: &Partition,
+impl Objective {
+    fn new(
+        problem: &PartitionProblem,
+        labels: &[u32],
         weights: CostWeights,
         exponent: f64,
     ) -> Self {
-        assert_eq!(problem.num_gates(), partition.num_gates());
-        assert_eq!(problem.num_planes(), partition.num_planes());
-        let g = problem.num_gates();
         let k = problem.num_planes();
-        let mut adjacency = vec![Vec::new(); g];
-        for &(u, v) in problem.edges() {
-            adjacency[u as usize].push(v);
-            adjacency[v as usize].push(u);
+        let mut dist = Vec::with_capacity(k * k);
+        for a in 0..k as i64 {
+            for b in 0..k as i64 {
+                dist.push(crate::kernel::pow_abs(
+                    (a - b).unsigned_abs() as f64,
+                    exponent,
+                ));
+            }
         }
         let mut plane_bias = vec![0.0; k];
         let mut plane_area = vec![0.0; k];
-        for i in 0..g {
-            let p = partition.plane_of(i);
-            plane_bias[p] += problem.bias()[i];
-            plane_area[p] += problem.area()[i];
+        for ((&p, &b), &a) in labels.iter().zip(problem.bias()).zip(problem.area()) {
+            plane_bias[p as usize] += b;
+            plane_area[p as usize] += a;
         }
         let kf = k as f64;
         let b_mean = problem.total_bias() / kf;
         let a_mean = problem.total_area() / kf;
         let nz = |x: f64| if x > 0.0 { x } else { 1.0 };
-        MoveState {
-            problem,
+        Objective {
             weights,
-            exponent,
-            labels: partition.labels().to_vec(),
             k,
-            adjacency,
+            dist,
             plane_bias,
             plane_area,
             n1: nz(problem.num_edges() as f64 * (kf - 1.0).powf(exponent)),
@@ -313,15 +344,20 @@ impl<'a> MoveState<'a> {
         }
     }
 
-    fn dist_pow(&self, a: u32, b: u32) -> f64 {
-        let d = (a as i64 - b as i64).unsigned_abs() as f64;
-        crate::kernel::pow_abs(d, self.exponent)
+    /// Row `plane` of the distance table: the `F₁` term of an edge from a
+    /// gate on `plane` to a gate on each plane `0..K`.
+    #[inline]
+    fn dist_row(&self, plane: u32) -> &[f64] {
+        let at = plane as usize * self.k;
+        &self.dist[at..at + self.k]
     }
 
-    pub(crate) fn total_cost(&self) -> f64 {
+    /// `F_d` of `labels`, whose plane loads this objective holds. `F₁`
+    /// accumulates in edge-list order.
+    fn total_cost(&self, problem: &PartitionProblem, labels: &[u32]) -> f64 {
         let mut f1 = 0.0;
-        for &(u, v) in self.problem.edges() {
-            f1 += self.dist_pow(self.labels[u as usize], self.labels[v as usize]);
+        for &(u, v) in problem.edges() {
+            f1 += self.dist_row(labels[u as usize])[labels[v as usize] as usize];
         }
         f1 /= self.n1;
         let kf = self.k as f64;
@@ -340,75 +376,186 @@ impl<'a> MoveState<'a> {
         self.weights.c1 * f1 + self.weights.c2 * f2 + self.weights.c3 * f3
     }
 
+    /// The target-independent half of moving `gate` off plane `from`.
+    #[inline]
+    fn leaving(&self, problem: &PartitionProblem, gate: usize, from: usize) -> Leaving {
+        let b = problem.bias()[gate];
+        let a = problem.area()[gate];
+        let bp = self.plane_bias[from];
+        let ap = self.plane_area[from];
+        Leaving {
+            b,
+            a,
+            bias_after: (bp - b - self.b_mean).powi(2),
+            bias_before: (bp - self.b_mean).powi(2),
+            area_after: (ap - a - self.a_mean).powi(2),
+            area_before: (ap - self.a_mean).powi(2),
+        }
+    }
+
+    /// Cost delta of moving the gate `leaving` describes to `target`, given
+    /// the raw (unnormalized) `F₁` delta of its incident edges.
+    #[inline]
+    fn gain(&self, leaving: &Leaving, target: usize, d_f1: f64) -> f64 {
+        let d_f1 = d_f1 / self.n1;
+        let kf = self.k as f64;
+        let bq = self.plane_bias[target];
+        let d_f2 = (leaving.bias_after + (bq + leaving.b - self.b_mean).powi(2)
+            - leaving.bias_before
+            - (bq - self.b_mean).powi(2))
+            / (kf * self.n2);
+        let aq = self.plane_area[target];
+        let d_f3 = (leaving.area_after + (aq + leaving.a - self.a_mean).powi(2)
+            - leaving.area_before
+            - (aq - self.a_mean).powi(2))
+            / (kf * self.n3);
+        self.weights.c1 * d_f1 + self.weights.c2 * d_f2 + self.weights.c3 * d_f3
+    }
+
+    /// Moves `gate`'s bias and area from plane `from` to `target`.
+    fn apply(&mut self, problem: &PartitionProblem, gate: usize, from: usize, target: usize) {
+        let b = problem.bias()[gate];
+        let a = problem.area()[gate];
+        self.plane_bias[from] -= b;
+        self.plane_area[from] -= a;
+        self.plane_bias[target] += b;
+        self.plane_area[target] += a;
+    }
+}
+
+/// What a gate's move gain needs from the plane it leaves, whatever the
+/// target: its bias `b` and area `a`, and the squared deviations of that
+/// plane's loads from their means after and before the move.
+struct Leaving {
+    b: f64,
+    a: f64,
+    /// `(B_from − b − B̄)²`.
+    bias_after: f64,
+    /// `(B_from − B̄)²`.
+    bias_before: f64,
+    /// `(A_from − a − Ā)²`.
+    area_after: f64,
+    /// `(A_from − Ā)²`.
+    area_before: f64,
+}
+
+/// Incremental move evaluation state (shared with the annealing baseline).
+pub(crate) struct MoveState<'a> {
+    problem: &'a PartitionProblem,
+    /// Incident neighbors; parallel edges appear once per copy, matching
+    /// their cost.
+    csr: &'a Csr,
+    labels: Vec<u32>,
+    objective: Objective,
+    /// Scratch for [`MoveState::best_move`]: the raw `F₁` delta of moving
+    /// the current gate to each plane (`K` entries).
+    f1_delta: Vec<f64>,
+}
+
+impl<'a> MoveState<'a> {
+    /// A move state for `partition`; `csr` must be `Csr::new(problem)`.
+    pub(crate) fn new(
+        problem: &'a PartitionProblem,
+        csr: &'a Csr,
+        partition: &Partition,
+        weights: CostWeights,
+        exponent: f64,
+    ) -> Self {
+        check_dims(problem, partition);
+        debug_assert_eq!(csr.offsets.len(), problem.num_gates() + 1);
+        let labels = partition.labels().to_vec();
+        let objective = Objective::new(problem, &labels, weights, exponent);
+        MoveState {
+            problem,
+            csr,
+            labels,
+            objective,
+            f1_delta: vec![0.0; problem.num_planes()],
+        }
+    }
+
+    fn num_gates(&self) -> usize {
+        self.labels.len()
+    }
+
+    pub(crate) fn total_cost(&self) -> f64 {
+        self.objective.total_cost(self.problem, &self.labels)
+    }
+
     /// Cost delta of moving `gate` to plane `target`.
     pub(crate) fn move_gain(&self, gate: usize, target: u32) -> f64 {
         let from = self.labels[gate];
         if from == target {
             return 0.0;
         }
+        let (from, target) = (from as usize, target as usize);
         let mut d_f1 = 0.0;
-        for &nbr in &self.adjacency[gate] {
-            let nl = self.labels[nbr as usize];
-            d_f1 += self.dist_pow(target, nl) - self.dist_pow(from, nl);
+        for &nbr in self.csr.neighbors_of(gate) {
+            let row = self
+                .objective
+                .dist_row(self.labels[(nbr & !SRC_BIT) as usize]);
+            d_f1 += row[target] - row[from];
         }
-        d_f1 /= self.n1;
-
-        let kf = self.k as f64;
-        let b = self.problem.bias()[gate];
-        let bp = self.plane_bias[from as usize];
-        let bq = self.plane_bias[target as usize];
-        let d_f2 = ((bp - b - self.b_mean).powi(2) + (bq + b - self.b_mean).powi(2)
-            - (bp - self.b_mean).powi(2)
-            - (bq - self.b_mean).powi(2))
-            / (kf * self.n2);
-
-        let a = self.problem.area()[gate];
-        let ap = self.plane_area[from as usize];
-        let aq = self.plane_area[target as usize];
-        let d_f3 = ((ap - a - self.a_mean).powi(2) + (aq + a - self.a_mean).powi(2)
-            - (ap - self.a_mean).powi(2)
-            - (aq - self.a_mean).powi(2))
-            / (kf * self.n3);
-
-        self.weights.c1 * d_f1 + self.weights.c2 * d_f2 + self.weights.c3 * d_f3
+        let leaving = self.objective.leaving(self.problem, gate, from);
+        self.objective.gain(&leaving, target, d_f1)
     }
 
-    /// Best (most negative gain) target plane for `gate`, if any differs.
-    pub(crate) fn best_move(&self, gate: usize) -> Option<(u32, f64)> {
-        let from = self.labels[gate];
-        let mut best: Option<(u32, f64)> = None;
-        for target in 0..self.k as u32 {
-            if target == from {
-                continue;
-            }
-            let gain = self.move_gain(gate, target);
-            if best.is_none_or(|(_, g)| gain < g) {
-                best = Some((target, gain));
+    /// Best (most negative gain) target plane for `gate`, if any differs;
+    /// ties go to the lowest plane.
+    ///
+    /// One sweep over the neighbors reads each label once and accumulates
+    /// every target's raw `F₁` delta side by side. Each target's delta sees
+    /// the same additions in the same neighbor order as in
+    /// [`Self::move_gain`], so the returned gain equals
+    /// `move_gain(gate, target)` bit for bit. The running minimum is kept
+    /// with selects rather than branches: which target wins varies from
+    /// gate to gate, so a branch on it would mispredict.
+    pub(crate) fn best_move(&mut self, gate: usize) -> Option<(u32, f64)> {
+        let from = self.labels[gate] as usize;
+        self.f1_delta.fill(0.0);
+        for &nbr in self.csr.neighbors_of(gate) {
+            let row = self
+                .objective
+                .dist_row(self.labels[(nbr & !SRC_BIT) as usize]);
+            let here = row[from];
+            for (delta, &there) in self.f1_delta.iter_mut().zip(row) {
+                *delta += there - here;
             }
         }
-        best
+        let leaving = self.objective.leaving(self.problem, gate, from);
+        let mut best_target = usize::MAX;
+        let mut best_gain = f64::INFINITY;
+        for (target, &d_f1) in self.f1_delta.iter().enumerate() {
+            let gain = self.objective.gain(&leaving, target, d_f1);
+            // The first target other than `from` always takes the lead; a
+            // later one only on a strictly smaller gain.
+            let better = target != from && (best_target == usize::MAX || gain < best_gain);
+            best_target = if better { target } else { best_target };
+            best_gain = if better { gain } else { best_gain };
+        }
+        if best_target == usize::MAX {
+            None
+        } else {
+            Some((best_target as u32, best_gain))
+        }
     }
 
     pub(crate) fn apply(&mut self, gate: usize, target: u32) {
         let from = self.labels[gate] as usize;
-        let b = self.problem.bias()[gate];
-        let a = self.problem.area()[gate];
-        self.plane_bias[from] -= b;
-        self.plane_area[from] -= a;
-        self.plane_bias[target as usize] += b;
-        self.plane_area[target as usize] += a;
+        self.objective
+            .apply(self.problem, gate, from, target as usize);
         self.labels[gate] = target;
     }
 
     /// Clones the current labels into a [`Partition`] without consuming the
     /// state (used by the annealing baseline's best-so-far snapshots).
     pub(crate) fn snapshot_partition(&self) -> Partition {
-        Partition::from_labels(self.labels.clone(), self.k)
+        Partition::from_labels(self.labels.clone(), self.objective.k)
             .unwrap_or_else(|_| unreachable!("labels stay in range"))
     }
 
     pub(crate) fn into_partition(self) -> Partition {
-        Partition::from_labels(self.labels, self.k)
+        Partition::from_labels(self.labels, self.objective.k)
             .unwrap_or_else(|_| unreachable!("labels stay in range"))
     }
 }
@@ -496,7 +643,8 @@ mod tests {
     fn move_gain_matches_recomputation() {
         let p = chain(6, 3);
         let part = Partition::from_labels(vec![0, 1, 2, 0, 1, 2], 3).unwrap();
-        let state = MoveState::new(&p, &part, CostWeights::default(), 4.0);
+        let csr = Csr::new(&p);
+        let state = MoveState::new(&p, &csr, &part, CostWeights::default(), 4.0);
         let base = state.total_cost();
         for gate in 0..6usize {
             for target in 0..3u32 {
@@ -508,6 +656,68 @@ mod tests {
                     (expect - got).abs() < 1e-10,
                     "gate {gate} -> {target}: {expect} vs {got}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn best_move_gain_is_move_gain_bit_for_bit() {
+        use rand::Rng;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        for trial in 0..12 {
+            let n = rng.random_range(6..50) as u32;
+            let k = rng.random_range(2..9);
+            let mut edges = Vec::new();
+            for i in 1..n {
+                let j = rng.random_range(0..i);
+                edges.push((j, i));
+                // Parallel edges (same pair, either direction) and extra
+                // fan-in, so neighbor lists repeat gates.
+                if rng.random_bool(0.3) {
+                    edges.push((i, j));
+                }
+                if rng.random_bool(0.3) {
+                    edges.push((rng.random_range(0..i), i));
+                }
+            }
+            let p = PartitionProblem::new(
+                (0..n).map(|_| rng.random_range(0.2..2.0)).collect(),
+                (0..n).map(|_| rng.random_range(1.0..9.0)).collect(),
+                edges,
+                k,
+            )
+            .unwrap();
+            let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
+            let part = Partition::from_labels(labels, k).unwrap();
+            let csr = Csr::new(&p);
+            for weights in [
+                CostWeights::default(),
+                CostWeights {
+                    c2: 0.0,
+                    c3: 0.0,
+                    ..CostWeights::default()
+                },
+            ] {
+                let mut state = MoveState::new(&p, &csr, &part, weights, 4.0);
+                for gate in 0..n as usize {
+                    let (target, gain) = state.best_move(gate).expect("K >= 2");
+                    let expect = state.move_gain(gate, target);
+                    assert_eq!(
+                        gain.to_bits(),
+                        expect.to_bits(),
+                        "trial {trial} gate {gate} -> {target}: {gain} vs {expect}"
+                    );
+                    // And it is the first of the smallest gains.
+                    for other in 0..k as u32 {
+                        if other != state.labels[gate] {
+                            let g = state.move_gain(gate, other);
+                            assert!(
+                                g > gain || (crate::float::exactly(g, gain) && other >= target)
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -672,7 +672,8 @@ impl Solver {
         // earlier restart ran) skips engine construction, descent, and
         // refinement entirely — it snaps its random init and returns, so a
         // fired interrupt costs at most one O(G·K) snap per remaining
-        // restart instead of a CSR build plus a full refinement sweep.
+        // restart (plus the snap's O(G + E) discrete cost, which builds no
+        // adjacency) instead of a CSR build plus a full refinement sweep.
         if let Some(cause) = interrupt.poll() {
             let stop_reason = stop_reason_for(cause);
             let snapped = Partition::from_weights(&w);
@@ -719,14 +720,20 @@ impl Solver {
             .as_ref()
             .filter(|plan| plan.applies_to(restart))
             .map(|plan| FaultCounter { plan, calls: 0 });
-        // Step/gradient buffers use the matrix's padded lane layout; the
-        // padding slots stay `±0.0` (the engine guarantees it), so the
-        // descend kernels can stream whole padded rows.
+        // Four G·stride buffers, swapped and never copied. `w` and `step`
+        // are the current iterate and its gradient; `w_prev` and
+        // `prev_step` are the last finite iterate and the gradient the
+        // step into `w` was taken along — the rollback state for divergence
+        // recovery (the clamp is not invertible, so the pre-step weights
+        // must be kept). Each stepped iteration swaps the pairs and writes
+        // `w = clamp(w_prev − rate·prev_step)` from the swapped-out source,
+        // so every entry of the stale `w` is overwritten and the next
+        // evaluation overwrites the stale `step`. A recovery retry re-steps
+        // `w` from the same pair at the halved rate; a terminal divergence
+        // swaps `w_prev` back into `w`. All four use the matrix's padded
+        // lane layout; the engine keeps the step padding at `±0.0`, so the
+        // descend kernels stream whole padded rows.
         let mut step = vec![0.0; w.padded_len()];
-        // Rollback state for divergence recovery: the weights and gradient
-        // step of the last completed (finite) iteration. The clamp in
-        // `descend_scaled` is not invertible, so the pre-descent weights
-        // must be kept explicitly.
         let mut w_prev = w.clone();
         let mut prev_step = vec![0.0; w.padded_len()];
 
@@ -778,8 +785,7 @@ impl Solver {
                             attempt: attempt + 1,
                             learning_rate,
                         });
-                        w.as_mut_slice().copy_from_slice(w_prev.as_slice());
-                        w.descend_scaled(&prev_step, learning_rate);
+                        w.descend_from(&w_prev, &prev_step, learning_rate);
                         breakdown = evaluate(&mut engine, faults.as_mut(), &w, &mut step);
                         if w.all_finite() && eval_is_finite(&breakdown, &step) {
                             recovered = true;
@@ -792,7 +798,7 @@ impl Solver {
                     if iter > 0 {
                         // Snap from the last finite weights, not the
                         // diverged ones.
-                        w.as_mut_slice().copy_from_slice(w_prev.as_slice());
+                        std::mem::swap(&mut w, &mut w_prev);
                     }
                     break;
                 }
@@ -858,23 +864,25 @@ impl Solver {
                 break;
             }
 
-            w_prev.as_mut_slice().copy_from_slice(w.as_slice());
-            prev_step.copy_from_slice(&step);
+            // The finite iterate becomes the rollback state, and the step
+            // is taken from it into the stale buffer.
+            std::mem::swap(&mut w, &mut w_prev);
+            std::mem::swap(&mut step, &mut prev_step);
             // The counting variant applies the bit-identical update (see
-            // `WeightMatrix::descend_scaled_counting`); the count and the
+            // `WeightMatrix::descend_from_counting`); the count and the
             // fused infinity norm are telemetry-only work, so the disabled
             // path keeps the plain call.
             let (clipped, gradient_norm) = if R::ENABLED {
-                w.descend_scaled_counting(&step, learning_rate)
+                w.descend_from_counting(&w_prev, &prev_step, learning_rate)
             } else {
-                w.descend_scaled(&step, learning_rate);
+                w.descend_from(&w_prev, &prev_step, learning_rate);
                 (0, f64::NAN)
             };
             observer.on_iteration(&IterationEvent {
                 iteration: iter,
                 cost: breakdown,
                 learning_rate,
-                gradient: &step,
+                gradient: &prev_step,
                 gradient_norm,
                 clipped,
                 recovered,
@@ -884,6 +892,10 @@ impl Solver {
 
         debug_assert!(w.all_finite(), "descent loop leaked non-finite weights");
         let snapped = Partition::from_weights(&w);
+        // The descent's four buffers and its engine are dead from here on:
+        // free them before refine builds its own state, so a restart's peak
+        // memory is the descent's alone.
+        drop((w, w_prev, step, prev_step, engine));
         let refine_options = RefineOptions {
             weights: opts.weights,
             exponent: opts.exponent,
@@ -938,7 +950,7 @@ impl Solver {
 
 /// True when the cost breakdown and every gradient component are finite.
 fn eval_is_finite(breakdown: &CostBreakdown, step: &[f64]) -> bool {
-    breakdown.is_finite() && step.iter().all(|s| s.is_finite())
+    breakdown.is_finite() && lanes::all_finite(step)
 }
 
 /// One evaluation of `F` and `∂F/∂w` at `w` — Algorithm 1's per-iteration

@@ -84,7 +84,7 @@ pub struct IterationEvent<'a> {
     pub gradient: &'a [f64],
     /// Infinity norm (largest absolute component) of [`Self::gradient`].
     /// Folded into the descent sweep while the step buffer is hot (see
-    /// [`WeightMatrix::descend_scaled_counting`](crate::WeightMatrix::descend_scaled_counting))
+    /// [`WeightMatrix::descend_from_counting`](crate::WeightMatrix::descend_from_counting))
     /// so enabled trace sinks don't pay a second O(G·stride) pass per
     /// iteration; max is order-free, so the value equals
     /// [`crate::lanes::max_abs`] of the slice bit for bit. NaN when no

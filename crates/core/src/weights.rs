@@ -295,8 +295,9 @@ impl WeightMatrix {
 
     /// True when every entry is a finite number — the invariant the solver's
     /// divergence-recovery path maintains before snapping to a partition.
+    /// Scans the padded buffer with the branch-free [`lanes::all_finite`].
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|w| w.is_finite())
+        lanes::all_finite(&self.data)
     }
 
     /// Clamps every entry to `[0,1]` (Algorithm 1 lines 21–23).
@@ -306,10 +307,16 @@ impl WeightMatrix {
         }
     }
 
-    /// Debug-build check that a step buffer keeps the padding invariant:
-    /// padding entries must be `±0.0` so `w − rate·s` leaves the matrix
-    /// padding at exactly `+0.0`. The gradient kernels guarantee this.
-    fn debug_assert_step_padding(&self, step: &[f64]) {
+    /// Checks the operands of a descent step: `src` has this matrix's shape
+    /// and `step` its padded length. In debug builds it also checks the
+    /// padding invariant: padding entries of `step` must be `±0.0` so
+    /// `src − rate·step` leaves the matrix padding at exactly `+0.0`. The
+    /// gradient kernels guarantee this.
+    fn check_descent_operands(&self, src: &WeightMatrix, step: &[f64]) {
+        assert_eq!(src.stride, self.stride);
+        assert_eq!(src.data.len(), self.data.len());
+        assert_eq!(step.len(), self.data.len());
+        debug_assert_eq!(src.num_planes, self.num_planes);
         if cfg!(debug_assertions) && self.stride != self.num_planes {
             for (i, row) in step.chunks_exact(self.stride).enumerate() {
                 for &s in &row[self.num_planes..] {
@@ -322,55 +329,44 @@ impl WeightMatrix {
         }
     }
 
-    /// Applies `w ← w − step` element-wise with clamping to `[0,1]`.
+    /// Overwrites this matrix with `src − rate·step`, element-wise clamped
+    /// to `[0, 1]` — one projected gradient step taken *from* `src`.
+    ///
+    /// The solver keeps the pre-step weights in a second matrix and swaps
+    /// the two each iteration instead of copying: after the swap `src`
+    /// holds the current iterate and `self` the stale one, which this call
+    /// overwrites in full. Each entry is `(s − rate·g).clamp(0, 1)`, the
+    /// same expression an in-place update applies, so results are
+    /// bit-identical to stepping a copy of `src`.
     ///
     /// `step` is a padded buffer of [`Self::padded_len`] elements whose
     /// padding entries are `±0.0` (as the gradient kernels produce); the
-    /// update runs over full `[f64; LANE]` blocks and leaves the matrix
-    /// padding at exactly `+0.0` (`0.0 − ±0.0` clamps to `+0.0`).
+    /// update runs over full `[f64; LANE]` blocks and leaves the padding at
+    /// exactly `+0.0` (`0.0 − ±0.0` clamps to `+0.0`).
     ///
     /// # Panics
     ///
-    /// Panics if `step.len()` differs from [`Self::padded_len`].
-    pub fn descend(&mut self, step: &[f64]) {
-        assert_eq!(step.len(), self.data.len());
-        self.debug_assert_step_padding(step);
-        for (wb, sb) in self
+    /// Panics if `src` has a different shape or `step.len()` differs from
+    /// [`Self::padded_len`].
+    pub fn descend_from(&mut self, src: &WeightMatrix, step: &[f64], rate: f64) {
+        self.check_descent_operands(src, step);
+        for ((wb, ob), sb) in self
             .data
             .chunks_exact_mut(LANE)
+            .zip(src.data.chunks_exact(LANE))
             .zip(step.chunks_exact(LANE))
         {
             for j in 0..LANE {
-                wb[j] = (wb[j] - sb[j]).clamp(0.0, 1.0);
+                wb[j] = (ob[j] - rate * sb[j]).clamp(0.0, 1.0);
             }
         }
     }
 
-    /// Applies `w ← w − rate·step` element-wise, clamping to `[0, 1]`.
-    ///
-    /// Equivalent to scaling `step` by `rate` in place and then calling
-    /// [`Self::descend`], without the extra sweep over the step buffer —
-    /// and bit-identical to it, since `rate·s` is rounded once either way.
-    /// Same padded-buffer contract as [`Self::descend`].
-    pub fn descend_scaled(&mut self, step: &[f64], rate: f64) {
-        assert_eq!(step.len(), self.data.len());
-        self.debug_assert_step_padding(step);
-        for (wb, sb) in self
-            .data
-            .chunks_exact_mut(LANE)
-            .zip(step.chunks_exact(LANE))
-        {
-            for j in 0..LANE {
-                wb[j] = (wb[j] - rate * sb[j]).clamp(0.0, 1.0);
-            }
-        }
-    }
-
-    /// [`Self::descend_scaled`] plus a count of the entries the `[0, 1]`
+    /// [`Self::descend_from`] plus a count of the entries the `[0, 1]`
     /// projection actually clipped and the infinity norm of `step`.
     ///
     /// The update expression is character-for-character the one in
-    /// [`Self::descend_scaled`], so the resulting matrix is bit-identical —
+    /// [`Self::descend_from`], so the resulting matrix is bit-identical —
     /// the telemetry layer relies on this to keep observer-on and
     /// observer-off solves exactly equal (see `solver::tests` and the
     /// `observer_exactness` suite). Only the count and the norm are extra
@@ -382,37 +378,46 @@ impl WeightMatrix {
     /// equals [`crate::lanes::max_abs`] bit for bit. Padding entries never
     /// clip (`0.0 − ±0.0` is `+0.0`, which the clamp leaves untouched) and
     /// contribute `0.0` to the norm.
-    pub fn descend_scaled_counting(&mut self, step: &[f64], rate: f64) -> (usize, f64) {
-        assert_eq!(step.len(), self.data.len());
-        self.debug_assert_step_padding(step);
-        let mut clipped = 0usize;
-        // Lane-striped accumulators, folded once at the end: a single scalar
-        // running max would be a loop-carried dependency that blocks the
-        // autovectorizer for the whole update loop. Max is order-free, so
-        // the striped fold equals `lanes::max_abs` (and a sequential fold)
-        // bit for bit.
-        let mut norm = [0.0f64; LANE];
-        for (wb, sb) in self
-            .data
-            .chunks_exact_mut(LANE)
-            .zip(step.chunks_exact(LANE))
-        {
-            for j in 0..LANE {
-                let raw = wb[j] - rate * sb[j];
-                let projected = raw.clamp(0.0, 1.0);
-                // Exact comparison on purpose: a clip is precisely "clamp
-                // changed the value" (NaN never reaches here — the solver
-                // checks finiteness before stepping).
-                if !crate::float::exactly(raw, projected) {
-                    clipped += 1;
-                }
-                norm[j] = norm[j].max(sb[j].abs());
-                wb[j] = projected;
-            }
-        }
-        let norm = lanes::max_abs(&norm);
-        (clipped, norm)
+    pub fn descend_from_counting(
+        &mut self,
+        src: &WeightMatrix,
+        step: &[f64],
+        rate: f64,
+    ) -> (usize, f64) {
+        self.check_descent_operands(src, step);
+        step_counting(&mut self.data, &src.data, step, rate)
     }
+}
+
+/// The loop of [`WeightMatrix::descend_from_counting`], over plain slices:
+/// as separate arguments the compiler knows `dst` aliases neither `src` nor
+/// `step`, which it cannot see through three `Vec`s, and vectorizes the
+/// counting loop.
+fn step_counting(dst: &mut [f64], src: &[f64], step: &[f64], rate: f64) -> (usize, f64) {
+    // Lane-striped accumulators, folded once at the end: a single scalar
+    // running max or count would be a loop-carried dependency that blocks
+    // the autovectorizer for the whole update loop, and a branch on each
+    // clip would mispredict. Max is order-free, so the striped fold equals
+    // `lanes::max_abs` (and a sequential fold) bit for bit.
+    let mut clipped = [0usize; LANE];
+    let mut norm = [0.0f64; LANE];
+    for ((wb, ob), sb) in dst
+        .chunks_exact_mut(LANE)
+        .zip(src.chunks_exact(LANE))
+        .zip(step.chunks_exact(LANE))
+    {
+        for j in 0..LANE {
+            let raw = ob[j] - rate * sb[j];
+            let projected = raw.clamp(0.0, 1.0);
+            // Exact comparison on purpose: a clip is precisely "clamp
+            // changed the value" (NaN never reaches here — the solver
+            // checks finiteness before stepping).
+            clipped[j] += (!crate::float::exactly(raw, projected)) as usize;
+            norm[j] = norm[j].max(sb[j].abs());
+            wb[j] = projected;
+        }
+    }
+    (clipped.iter().sum::<usize>(), lanes::max_abs(&norm))
 }
 
 #[cfg(test)]
@@ -505,12 +510,22 @@ mod tests {
         assert_eq!(w.argmax_plane(0), 1);
     }
 
+    /// A padded step for `g` gates over `k` planes: real entries from
+    /// `value(i)`, padding entries `pad`.
+    fn padded_step(g: usize, k: usize, pad: f64, value: impl Fn(usize) -> f64) -> Vec<f64> {
+        let stride = lanes::padded(k);
+        (0..g * stride)
+            .map(|i| if i % stride < k { value(i) } else { pad })
+            .collect()
+    }
+
     #[test]
-    fn descend_clamps() {
-        let mut w = WeightMatrix::from_labels(&[0], 2);
+    fn descend_from_clamps() {
+        let src = WeightMatrix::from_labels(&[0], 2);
+        let mut w = WeightMatrix::uniform(1, 2);
         // Step pushes entry 0 above 1 and entry 1 below 0 — both clamp.
         // (Padded step: stride is 4 for K=2.)
-        w.descend(&[-0.5, 0.5, 0.0, 0.0]);
+        w.descend_from(&src, &[-0.5, 0.5, 0.0, 0.0], 1.0);
         assert_eq!(w.row(0), &[1.0, 0.0]);
         assert!(w.padded_row(0)[2..]
             .iter()
@@ -518,22 +533,33 @@ mod tests {
     }
 
     #[test]
-    fn descend_preserves_zero_padding() {
+    fn descend_from_overwrites_with_the_clamped_step_from_the_source() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let src = WeightMatrix::random(12, 5, &mut rng);
+        // The destination's old contents must not leak into the result.
+        let mut w = WeightMatrix::random(12, 5, &mut rng);
+        let step = padded_step(12, 5, 0.0, |i| ((i % 9) as f64 - 4.0) * 0.15);
+        w.descend_from(&src, &step, 0.8);
+        for (i, (&got, (&s, &g))) in w
+            .as_slice()
+            .iter()
+            .zip(src.as_slice().iter().zip(&step))
+            .enumerate()
+        {
+            let expect = (s - 0.8 * g).clamp(0.0, 1.0);
+            assert_eq!(got.to_bits(), expect.to_bits(), "entry {i}");
+        }
+    }
+
+    #[test]
+    fn descend_from_preserves_zero_padding() {
         let mut rng = StdRng::seed_from_u64(23);
-        let mut w = WeightMatrix::random(8, 5, &mut rng);
-        let stride = w.stride();
+        let src = WeightMatrix::random(8, 5, &mut rng);
+        let mut w = src.clone();
         // Negative-zero padding in the step (as a masked gradient kernel can
         // produce) must leave the matrix padding at exactly +0.0.
-        let step: Vec<f64> = (0..8 * stride)
-            .map(|i| {
-                if i % stride < 5 {
-                    0.3 - (i % 3) as f64 * 0.3
-                } else {
-                    -0.0
-                }
-            })
-            .collect();
-        w.descend_scaled(&step, 0.7);
+        let step = padded_step(8, 5, -0.0, |i| 0.3 - (i % 3) as f64 * 0.3);
+        w.descend_from(&src, &step, 0.7);
         for i in 0..8 {
             assert!(w.padded_row(i)[5..]
                 .iter()
@@ -542,22 +568,24 @@ mod tests {
     }
 
     #[test]
-    fn descend_scaled_counting_is_bit_identical_and_counts() {
+    #[should_panic]
+    fn descend_from_rejects_a_source_of_another_shape() {
+        let src = WeightMatrix::uniform(4, 5);
+        let mut w = WeightMatrix::uniform(8, 2);
+        // Same padded length (4·8 == 8·4), different layout.
+        let step = vec![0.0; w.padded_len()];
+        w.descend_from(&src, &step, 1.0);
+    }
+
+    #[test]
+    fn descend_from_counting_is_bit_identical_and_counts() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut a = WeightMatrix::random(30, 5, &mut rng);
-        let mut b = a.clone();
-        let stride = a.stride();
-        let step: Vec<f64> = (0..30 * stride)
-            .map(|i| {
-                if i % stride < 5 {
-                    ((i % 7) as f64 - 3.0) * 0.4
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        a.descend_scaled(&step, 0.9);
-        let (clipped, norm) = b.descend_scaled_counting(&step, 0.9);
+        let src = WeightMatrix::random(30, 5, &mut rng);
+        let mut a = WeightMatrix::uniform(30, 5);
+        let mut b = WeightMatrix::uniform(30, 5);
+        let step = padded_step(30, 5, 0.0, |i| ((i % 7) as f64 - 3.0) * 0.4);
+        a.descend_from(&src, &step, 0.9);
+        let (clipped, norm) = b.descend_from_counting(&src, &step, 0.9);
         assert_eq!(a, b, "counting variant must not perturb the update");
         // The fused norm must match the lane-blocked kernel bit for bit.
         assert!(crate::float::exactly(norm, crate::lanes::max_abs(&step)));
@@ -571,6 +599,18 @@ mod tests {
             clipped <= expected,
             "clipped {clipped} vs boundary {expected}"
         );
+    }
+
+    #[test]
+    fn all_finite_checks_every_real_entry() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut w = WeightMatrix::random(7, 5, &mut rng);
+        assert!(w.all_finite());
+        w.set(6, 4, f64::INFINITY);
+        assert!(!w.all_finite());
+        w.set(6, 4, 0.5);
+        w.set(0, 0, f64::NAN);
+        assert!(!w.all_finite());
     }
 
     #[test]

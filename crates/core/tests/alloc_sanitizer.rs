@@ -1,7 +1,11 @@
 //! Dynamic cross-check of sfqlint's A1 rule: a counting global allocator
 //! proves that one full fused descent iteration — `evaluate_with_gradient`
-//! plus the weight update — performs **zero** allocations after warm-up, on
-//! the roadmap benchmarks, with serial and with intra-parallel sweeps.
+//! plus the weight update, in the swapped-buffer shape `Solver` runs —
+//! performs **zero** allocations after warm-up, on the roadmap benchmarks,
+//! with serial and with intra-parallel sweeps. It also proves that a
+//! refine pass allocates nothing: `refine::refine` allocates the same
+//! number of times whether it may run one pass or forty, which is the
+//! runtime side of the `MoveState::*` A1 roots.
 //!
 //! A1 establishes allocation-freedom statically through the workspace call
 //! graph; this test is the runtime tripwire if the graph approximation ever
@@ -26,7 +30,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::engine::{CostEngine, EngineOptions};
-use sfq_partition::{CostWeights, PartitionProblem, WeightMatrix};
+use sfq_partition::refine::{refine, RefineOptions};
+use sfq_partition::{CostWeights, PartitionProblem, Solver, SolverOptions, WeightMatrix};
 
 /// Counts every allocator entry point, then defers to [`System`].
 struct CountingAlloc;
@@ -104,22 +109,31 @@ fn main() {
             let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, options);
             let mut rng = StdRng::seed_from_u64(7);
             let mut w = WeightMatrix::random(g, k, &mut rng);
+            let mut w_prev = w.clone();
             let mut step = vec![0.0; w.padded_len()];
+            let mut prev_step = vec![0.0; w.padded_len()];
+            // One iteration as `Solver` runs it: evaluate at `w`, swap the
+            // iterate and its step into the rollback buffers, then step from
+            // them into the stale pair.
+            let mut iterate = |w: &mut WeightMatrix, w_prev: &mut WeightMatrix| {
+                let cost = engine.evaluate_with_gradient(w, &mut step);
+                std::mem::swap(w, w_prev);
+                std::mem::swap(&mut step, &mut prev_step);
+                w.descend_from(w_prev, &prev_step, 0.05);
+                cost.total
+            };
 
             // Warm-up: any lazy first-touch work (thread-local init in the
             // pool workers, allocator arenas) happens here, outside the
             // measured window.
             for _ in 0..3 {
-                engine.evaluate_with_gradient(&w, &mut step);
-                w.descend_scaled(&step, 0.05);
+                iterate(&mut w, &mut w_prev);
             }
 
             let (a0, d0) = checkpoint();
             let mut total = 0.0;
             for _ in 0..iters {
-                let cost = engine.evaluate_with_gradient(&w, &mut step);
-                w.descend_scaled(&step, 0.05);
-                total += cost.total;
+                total += iterate(&mut w, &mut w_prev);
             }
             let (a1, d1) = checkpoint();
 
@@ -137,5 +151,46 @@ fn main() {
             println!("alloc sanitizer: {tag}: 0 allocations over {iters} iterations");
         }
     }
+
+    // Refine: set-up (adjacency, move state, output partition) allocates a
+    // fixed number of times; the passes allocate nothing, so a refine that
+    // may run forty passes allocates exactly as often as one that may run
+    // one. The start is a short descent's snap, far enough from a local
+    // optimum that the second and later passes still move gates.
+    let p = problem(Benchmark::C1908, 30);
+    let snapped = Solver::new(SolverOptions {
+        max_iterations: 20,
+        refine: false,
+        ..SolverOptions::default()
+    })
+    .solve(&p)
+    .partition;
+    let refine_allocs = |max_passes: usize| {
+        let options = RefineOptions {
+            max_passes,
+            ..RefineOptions::default()
+        };
+        let (a0, _) = checkpoint();
+        let (refined, moves) = refine(&p, &snapped, &options);
+        let (a1, _) = checkpoint();
+        drop(refined);
+        (a1 - a0, moves)
+    };
+    let (one_pass, one_pass_moves) = refine_allocs(1);
+    let (many_passes, many_passes_moves) = refine_allocs(40);
+    assert!(
+        many_passes_moves > one_pass_moves,
+        "later passes must move gates for this check to cover them \
+         ({one_pass_moves} vs {many_passes_moves} moves)"
+    );
+    assert_eq!(
+        one_pass, many_passes,
+        "C1908 k=30 refine: {one_pass} allocations with max_passes 1, \
+         {many_passes} with max_passes 40 ({many_passes_moves} moves)"
+    );
+    println!(
+        "alloc sanitizer: C1908 k=30 refine: {one_pass} allocations for 1 pass \
+         ({one_pass_moves} moves) and for up to 40 passes ({many_passes_moves} moves)"
+    );
     println!("alloc sanitizer: ok");
 }

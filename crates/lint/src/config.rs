@@ -147,9 +147,8 @@ impl Default for Config {
             ],
             a1_roots: vec![
                 "CostEngine::evaluate_with_gradient".into(),
-                "WeightMatrix::descend".into(),
-                "WeightMatrix::descend_scaled".into(),
-                "WeightMatrix::descend_scaled_counting".into(),
+                "WeightMatrix::descend_from".into(),
+                "WeightMatrix::descend_from_counting".into(),
                 "MoveState::best_move".into(),
                 "MoveState::move_gain".into(),
                 "MoveState::apply".into(),
@@ -258,6 +257,7 @@ impl Default for Config {
                 "engine::grad_pass_chunk".into(),
                 "lanes::fold".into(),
                 "lanes::max_abs".into(),
+                "lanes::all_finite".into(),
                 "lanes::sum".into(),
                 "lanes::sum_with".into(),
                 "Shared::settle".into(),

@@ -1,0 +1,95 @@
+//! Bit-identity pins for the solve path at scale-tier shape.
+//!
+//! A budgeted solve of the 10⁴-gate `ScaleTier::S10k` circuit at K = 5 is
+//! the shape of sfqbench's `s1m_k5` workload at 1% of its size: eight
+//! descent iterations, then many refine passes over a poorly converged
+//! snap. Each test folds the winning labels, the discrete cost's bits, the
+//! iteration count and the refine move count into one FNV-1a digest and
+//! compares it with the value pinned here. A change that alters a single
+//! move, a single label or a single bit of the cost fails these tests; a
+//! change that only makes the solve faster leaves them green.
+//!
+//! The plain and the `swap_refine` polish are pinned separately. At the
+//! default weights the swap phase runs but finds no improving pair, so the
+//! two digests are equal; with `c₂ = c₃ = 10` swaps fire (17 143 moves
+//! against 15 869 without them), and that solve is pinned as well.
+
+use current_recycling::circuits::scale::{scale_problem, ScaleTier};
+use current_recycling::partition::{
+    CostWeights, PartitionProblem, SolveResult, Solver, SolverOptions,
+};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// FNV-1a over the labels (little-endian `u32`s), then
+/// `discrete_cost.to_bits()`, `iterations` and `refine_moves` (little-endian
+/// `u64`s).
+fn digest(result: &SolveResult) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for &label in result.partition.labels() {
+        hash = fnv1a(hash, &label.to_le_bytes());
+    }
+    hash = fnv1a(hash, &result.discrete_cost.to_bits().to_le_bytes());
+    hash = fnv1a(hash, &(result.iterations as u64).to_le_bytes());
+    fnv1a(hash, &(result.refine_moves as u64).to_le_bytes())
+}
+
+fn solve_s10k_k5(weights: CostWeights, swap_refine: bool) -> SolveResult {
+    let generated = scale_problem(&ScaleTier::S10k.spec());
+    let problem = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5)
+        .expect("scale problems are valid");
+    Solver::new(SolverOptions {
+        weights,
+        iteration_budget: Some(8),
+        swap_refine,
+        ..SolverOptions::default()
+    })
+    .solve(&problem)
+}
+
+fn assert_pinned(result: &SolveResult, expected: u64) {
+    let got = digest(result);
+    assert_eq!(
+        got,
+        expected,
+        "solve digest {got:#018x} != pinned {expected:#018x} \
+         (iterations {}, refine_moves {}, discrete_cost bits {:#018x})",
+        result.iterations,
+        result.refine_moves,
+        result.discrete_cost.to_bits()
+    );
+}
+
+#[test]
+fn s10k_k5_budgeted_solve_is_pinned() {
+    let result = solve_s10k_k5(CostWeights::default(), false);
+    assert_eq!(result.iterations, 8);
+    assert_pinned(&result, 0x18c2_8398_cb09_608a);
+}
+
+#[test]
+fn s10k_k5_budgeted_swap_refine_solve_is_pinned() {
+    let result = solve_s10k_k5(CostWeights::default(), true);
+    assert_eq!(result.iterations, 8);
+    assert_pinned(&result, 0x18c2_8398_cb09_608a);
+}
+
+#[test]
+fn s10k_k5_heavy_balance_swap_refine_solve_is_pinned() {
+    let heavy = CostWeights {
+        c2: 10.0,
+        c3: 10.0,
+        ..CostWeights::default()
+    };
+    let result = solve_s10k_k5(heavy, true);
+    assert_eq!(result.refine_moves, 17_143);
+    assert_pinned(&result, 0x9f9d_41d4_7d3e_bdb8);
+}
