@@ -539,6 +539,12 @@ impl<'a> CostEngine<'a> {
         }
     }
 
+    /// Consumes the engine, keeping only its CSR adjacency: refine reads the
+    /// same one, so the solver hands it over instead of building it again.
+    pub(crate) fn into_csr(self) -> Csr {
+        self.csr
+    }
+
     /// The underlying cost model (normalizations, means, weights).
     pub fn model(&self) -> &CostModel<'a> {
         &self.model

@@ -17,10 +17,21 @@
 //! objective; the solver enables it by default and the `ablations` bench
 //! quantifies its contribution.
 //!
-//! A gate's best move costs `O(deg(i)·K)`: neighbors come from the engine's
-//! CSR adjacency (one contiguous slice per gate, built once per call), and
-//! edge distances from a K×K table of `|a − b|^p`, so the sweep reads each
-//! neighbor's label once and prices all `K − 1` targets from it.
+//! Pricing a gate's best move costs `O(deg(i)·K)`: neighbors come from the
+//! engine's CSR adjacency (one contiguous slice per gate, built once per
+//! call, or handed over by the solver's engine), and edge distances from a
+//! K×K table of `|a − b|^p`, so the sweep reads each neighbor's label once
+//! and prices all `K − 1` targets from it.
+//!
+//! Most visits after the first pass skip that sweep in `O(K)`. A gate is
+//! *clean* while neither it nor any neighbor has moved since it was last
+//! priced; its raw `F₁` deltas then repeat bit for bit, so the smallest
+//! weighted `F₁` term recorded at that pricing (its *floor*) plus each
+//! target's balance terms at the current plane loads bounds each target's
+//! gain from below, exactly, since rounded addition is monotone. A clean
+//! gate whose every bound clears the improvement threshold cannot move and
+//! is not priced. The visiting order, the threshold and every move are the
+//! same as with every gate priced on every pass.
 
 use crate::assign::Partition;
 use crate::budget::{Interrupt, StopCause};
@@ -33,6 +44,9 @@ use crate::problem::PartitionProblem;
 /// microseconds even on million-gate instances; large enough that the poll
 /// (one atomic load, maybe one clock read) is invisible in profile.
 const POLL_STRIDE: usize = 128;
+
+/// A move (or a swap) is applied only when its gain is below this.
+const IMPROVING_GAIN: f64 = -1e-15;
 
 /// Options for [`refine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,36 +125,78 @@ pub fn refine_interruptible(
     options: &RefineOptions,
     interrupt: &Interrupt,
 ) -> (Partition, usize, Option<StopCause>) {
-    let csr = Csr::new(problem);
-    let mut state = MoveState::new(problem, &csr, partition, options.weights, options.exponent);
-    let (moves, stopped) = single_moves(&mut state, options.max_passes, interrupt);
-    (state.into_partition(), moves, stopped)
+    refine_on(problem, &Csr::new(problem), partition, options, interrupt)
+}
+
+/// [`refine_interruptible`] over a prebuilt adjacency; `csr` must be
+/// `Csr::new(problem)`.
+pub(crate) fn refine_on(
+    problem: &PartitionProblem,
+    csr: &Csr,
+    partition: &Partition,
+    options: &RefineOptions,
+    interrupt: &Interrupt,
+) -> (Partition, usize, Option<StopCause>) {
+    let mut state = MoveState::new(problem, csr, partition, options.weights, options.exponent);
+    let (tally, stopped) = single_moves(&mut state, options.max_passes, interrupt);
+    (state.into_partition(), tally.moves, stopped)
+}
+
+/// What one [`single_moves`] call did: the moves it applied, the passes it
+/// began and the gate visits it priced with [`MoveState::best_move_and_floor`]
+/// (the other visits were clean gates that could not move).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) moves: usize,
+    pub(crate) passes: usize,
+    pub(crate) priced: usize,
 }
 
 /// The single-move sweeps of [`refine_interruptible`] over `state`: up to
-/// `max_passes` passes, each offering every gate its best move. Returns the
-/// number of applied moves and the interrupt cause, if one fired.
+/// `max_passes` passes, each offering every gate, in index order, its best
+/// move. Returns the tally and the interrupt cause, if one fired.
+///
+/// A clean gate (see the module docs) is first tested with
+/// [`MoveState::cannot_improve`] and skipped when the test holds; every
+/// other visit prices the gate in full. Applying a move dirties the mover
+/// and each of its neighbors. The per-gate state (a clean bit and an `F₁`
+/// floor, 9 bytes) is allocated once per call.
 fn single_moves(
     state: &mut MoveState<'_>,
     max_passes: usize,
     interrupt: &Interrupt,
-) -> (usize, Option<StopCause>) {
-    let mut moves = 0usize;
+) -> (Tally, Option<StopCause>) {
+    let num_gates = state.num_gates();
+    let mut clean = vec![false; num_gates];
+    let mut floor = vec![0.0; num_gates];
+    let mut tally = Tally::default();
     for _ in 0..max_passes {
         if let Some(cause) = interrupt.poll() {
-            return (moves, Some(cause));
+            return (tally, Some(cause));
         }
+        tally.passes += 1;
         let mut improved = false;
-        for gate in 0..state.num_gates() {
+        for gate in 0..num_gates {
             if gate % POLL_STRIDE == 0 && gate > 0 {
                 if let Some(cause) = interrupt.poll() {
-                    return (moves, Some(cause));
+                    return (tally, Some(cause));
                 }
             }
-            if let Some((target, gain)) = state.best_move(gate) {
-                if gain < -1e-15 {
+            if clean[gate] && state.cannot_improve(gate, floor[gate]) {
+                continue;
+            }
+            tally.priced += 1;
+            let (best, f1_floor) = state.best_move_and_floor(gate);
+            clean[gate] = true;
+            floor[gate] = f1_floor;
+            if let Some((target, gain)) = best {
+                if gain < IMPROVING_GAIN {
                     state.apply(gate, target);
-                    moves += 1;
+                    clean[gate] = false;
+                    for &nbr in state.csr.neighbors_of(gate) {
+                        clean[(nbr & !SRC_BIT) as usize] = false;
+                    }
+                    tally.moves += 1;
                     improved = true;
                 }
             }
@@ -149,7 +205,7 @@ fn single_moves(
             break;
         }
     }
-    (moves, None)
+    (tally, None)
 }
 
 /// Like [`refine`] but additionally attempting *pair swaps* across every cut
@@ -188,12 +244,24 @@ pub fn refine_with_swaps_interruptible(
     options: &RefineOptions,
     interrupt: &Interrupt,
 ) -> (Partition, usize, Option<StopCause>) {
-    let csr = Csr::new(problem);
+    refine_with_swaps_on(problem, &Csr::new(problem), partition, options, interrupt)
+}
+
+/// [`refine_with_swaps_interruptible`] over a prebuilt adjacency; `csr` must
+/// be `Csr::new(problem)`.
+pub(crate) fn refine_with_swaps_on(
+    problem: &PartitionProblem,
+    csr: &Csr,
+    partition: &Partition,
+    options: &RefineOptions,
+    interrupt: &Interrupt,
+) -> (Partition, usize, Option<StopCause>) {
     let new_state = |partition: &Partition, weights: CostWeights| {
-        MoveState::new(problem, &csr, partition, weights, options.exponent)
+        MoveState::new(problem, csr, partition, weights, options.exponent)
     };
     let mut state = new_state(partition, options.weights);
-    let (mut moves, mut stopped) = single_moves(&mut state, options.max_passes, interrupt);
+    let (tally, mut stopped) = single_moves(&mut state, options.max_passes, interrupt);
+    let mut moves = tally.moves;
     let mut current = state.into_partition();
     if stopped.is_some() {
         return (current, moves, stopped);
@@ -219,7 +287,7 @@ pub fn refine_with_swaps_interruptible(
             std::collections::BTreeMap::new();
         for gate in 0..problem.num_gates() {
             if let Some((target, gain)) = f1_view.best_move(gate) {
-                if gain < -1e-15 {
+                if gain < IMPROVING_GAIN {
                     wishes
                         .entry((f1_view.labels[gate], target))
                         .or_default()
@@ -258,7 +326,7 @@ pub fn refine_with_swaps_interruptible(
             let g1 = state.move_gain(u, pv);
             state.apply(u, pv);
             let g2 = state.move_gain(v, pu);
-            if g1 + g2 < -1e-15 {
+            if g1 + g2 < IMPROVING_GAIN {
                 state.apply(v, pu);
                 moves += 2;
                 improved = true;
@@ -275,7 +343,7 @@ pub fn refine_with_swaps_interruptible(
         let mut polish = new_state(&state.into_partition(), options.weights);
         let (more, cause) = single_moves(&mut polish, options.max_passes, interrupt);
         current = polish.into_partition();
-        moves += more;
+        moves += more.moves;
         if cause.is_some() {
             stopped = cause;
             break;
@@ -397,7 +465,22 @@ impl Objective {
     /// the raw (unnormalized) `F₁` delta of its incident edges.
     #[inline]
     fn gain(&self, leaving: &Leaving, target: usize, d_f1: f64) -> f64 {
-        let d_f1 = d_f1 / self.n1;
+        self.plus_balance(leaving, target, self.f1_term(d_f1))
+    }
+
+    /// The weighted `F₁` term `c₁·ΔF₁/N₁` of a raw `F₁` delta.
+    #[inline]
+    fn f1_term(&self, d_f1: f64) -> f64 {
+        self.weights.c1 * (d_f1 / self.n1)
+    }
+
+    /// `f1_term + c₂·ΔF₂ + c₃·ΔF₃`, added in that order, for moving the gate
+    /// `leaving` describes to `target` at the current plane loads. Rounded
+    /// addition is monotone in each argument, so a smaller `f1_term` never
+    /// yields a larger result: the clean-gate bound and the gain share this
+    /// one expression.
+    #[inline]
+    fn plus_balance(&self, leaving: &Leaving, target: usize, f1_term: f64) -> f64 {
         let kf = self.k as f64;
         let bq = self.plane_bias[target];
         let d_f2 = (leaving.bias_after + (bq + leaving.b - self.b_mean).powi(2)
@@ -409,7 +492,7 @@ impl Objective {
             - leaving.area_before
             - (aq - self.a_mean).powi(2))
             / (kf * self.n3);
-        self.weights.c1 * d_f1 + self.weights.c2 * d_f2 + self.weights.c3 * d_f3
+        f1_term + self.weights.c2 * d_f2 + self.weights.c3 * d_f3
     }
 
     /// Moves `gate`'s bias and area from plane `from` to `target`.
@@ -507,10 +590,19 @@ impl<'a> MoveState<'a> {
     /// every target's raw `F₁` delta side by side. Each target's delta sees
     /// the same additions in the same neighbor order as in
     /// [`Self::move_gain`], so the returned gain equals
-    /// `move_gain(gate, target)` bit for bit. The running minimum is kept
-    /// with selects rather than branches: which target wins varies from
-    /// gate to gate, so a branch on it would mispredict.
+    /// `move_gain(gate, target)` bit for bit.
     pub(crate) fn best_move(&mut self, gate: usize) -> Option<(u32, f64)> {
+        self.best_move_and_floor(gate).0
+    }
+
+    /// [`Self::best_move`] together with the gate's `F₁` floor: the smallest
+    /// weighted `F₁` term `c₁·ΔF₁/N₁` over its targets, a by-product of the
+    /// same sweep (`+∞` when no target differs).
+    ///
+    /// The running minima are kept with selects rather than branches: which
+    /// target wins varies from gate to gate, so a branch on it would
+    /// mispredict.
+    pub(crate) fn best_move_and_floor(&mut self, gate: usize) -> (Option<(u32, f64)>, f64) {
         let from = self.labels[gate] as usize;
         self.f1_delta.fill(0.0);
         for &nbr in self.csr.neighbors_of(gate) {
@@ -525,19 +617,40 @@ impl<'a> MoveState<'a> {
         let leaving = self.objective.leaving(self.problem, gate, from);
         let mut best_target = usize::MAX;
         let mut best_gain = f64::INFINITY;
+        let mut floor = f64::INFINITY;
         for (target, &d_f1) in self.f1_delta.iter().enumerate() {
-            let gain = self.objective.gain(&leaving, target, d_f1);
+            let f1_term = self.objective.f1_term(d_f1);
+            let gain = self.objective.plus_balance(&leaving, target, f1_term);
             // The first target other than `from` always takes the lead; a
             // later one only on a strictly smaller gain.
             let better = target != from && (best_target == usize::MAX || gain < best_gain);
             best_target = if better { target } else { best_target };
             best_gain = if better { gain } else { best_gain };
+            let lower = target != from && f1_term < floor;
+            floor = if lower { f1_term } else { floor };
         }
-        if best_target == usize::MAX {
+        let best = if best_target == usize::MAX {
             None
         } else {
             Some((best_target as u32, best_gain))
-        }
+        };
+        (best, floor)
+    }
+
+    /// True when no move of `gate` can have a gain below the improvement
+    /// threshold, given `floor`, the gate's `F₁` floor from its last
+    /// pricing, and given that neither it nor any neighbor has moved since.
+    ///
+    /// Each target's `F₁` term then repeats bit for bit and is at least
+    /// `floor`, so `plus_balance(floor)` at the current plane loads is at
+    /// most the target's gain, with no rounding margin. `O(K)`; reads no
+    /// neighbor.
+    pub(crate) fn cannot_improve(&self, gate: usize, floor: f64) -> bool {
+        let from = self.labels[gate] as usize;
+        let leaving = self.objective.leaving(self.problem, gate, from);
+        (0..self.objective.k).all(|target| {
+            target == from || self.objective.plus_balance(&leaving, target, floor) >= IMPROVING_GAIN
+        })
     }
 
     pub(crate) fn apply(&mut self, gate: usize, target: u32) {
@@ -720,6 +833,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An exact work count, not a timing: on the budgeted S10K snap (the
+    /// shape of `tests/bit_identity.rs`), the clean-gate test must leave
+    /// fewer than half of the `passes × G` visits to be priced. It fails if
+    /// the skip silently stops skipping.
+    #[test]
+    fn clean_gates_skip_most_visits_on_the_budgeted_s10k_snap() {
+        use sfq_circuits::scale::{scale_problem, ScaleTier};
+        let generated = scale_problem(&ScaleTier::S10k.spec());
+        let p = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5).unwrap();
+        let snapped = crate::Solver::new(crate::SolverOptions {
+            iteration_budget: Some(8),
+            refine: false,
+            ..crate::SolverOptions::default()
+        })
+        .solve(&p)
+        .partition;
+        let csr = Csr::new(&p);
+        let options = RefineOptions::default();
+        let mut state = MoveState::new(&p, &csr, &snapped, options.weights, options.exponent);
+        let (tally, stopped) = single_moves(&mut state, options.max_passes, &Interrupt::none());
+        assert!(stopped.is_none());
+        // This snap refines in 17 244 moves over 20 passes, pricing 52 280
+        // of the 200 000 visits (26 %).
+        assert_eq!((tally.moves, tally.passes), (17_244, 20));
+        let visits = tally.passes * p.num_gates();
+        assert!(
+            2 * tally.priced < visits,
+            "priced {} of {visits} visits over {} passes",
+            tally.priced,
+            tally.passes
+        );
     }
 
     #[test]

@@ -62,9 +62,7 @@ use crate::float;
 use crate::grad::GradientOptions;
 use crate::lanes;
 use crate::problem::PartitionProblem;
-use crate::refine::{
-    discrete_cost, refine_interruptible, refine_with_swaps_interruptible, RefineOptions,
-};
+use crate::refine::{discrete_cost, refine_on, refine_with_swaps_on, RefineOptions};
 use crate::telemetry::{
     IterationEvent, NoopObserver, RecoveryEvent, RefineEvent, RestartEndEvent, RestartObserver,
     SolveEndEvent, SolveObserver, SolveStartEvent,
@@ -892,10 +890,12 @@ impl Solver {
 
         debug_assert!(w.all_finite(), "descent loop leaked non-finite weights");
         let snapped = Partition::from_weights(&w);
-        // The descent's four buffers and its engine are dead from here on:
-        // free them before refine builds its own state, so a restart's peak
+        // The descent's four buffers and its engine are dead from here on,
+        // except for the engine's adjacency, which refine reads: free the
+        // rest before refine builds its own state, so a restart's peak
         // memory is the descent's alone.
-        drop((w, w_prev, step, prev_step, engine));
+        let csr = engine.into_csr();
+        drop((w, w_prev, step, prev_step));
         let refine_options = RefineOptions {
             weights: opts.weights,
             exponent: opts.exponent,
@@ -909,9 +909,9 @@ impl Solver {
             f64::NAN
         };
         let (partition, refine_moves, refine_stop) = if opts.refine && opts.swap_refine {
-            refine_with_swaps_interruptible(problem, &snapped, &refine_options, interrupt)
+            refine_with_swaps_on(problem, &csr, &snapped, &refine_options, interrupt)
         } else if opts.refine {
-            refine_interruptible(problem, &snapped, &refine_options, interrupt)
+            refine_on(problem, &csr, &snapped, &refine_options, interrupt)
         } else {
             (snapped, 0, None)
         };

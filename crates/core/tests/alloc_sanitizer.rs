@@ -152,11 +152,12 @@ fn main() {
         }
     }
 
-    // Refine: set-up (adjacency, move state, output partition) allocates a
-    // fixed number of times; the passes allocate nothing, so a refine that
-    // may run forty passes allocates exactly as often as one that may run
-    // one. The start is a short descent's snap, far enough from a local
-    // optimum that the second and later passes still move gates.
+    // Refine: set-up (adjacency, move state, the per-gate skip state,
+    // output partition) allocates a fixed number of times; the passes
+    // allocate nothing, so a refine that may run forty passes allocates
+    // exactly as often as one that may run one. The start is a short
+    // descent's snap, far enough from a local optimum that the second and
+    // later passes still move gates.
     let p = problem(Benchmark::C1908, 30);
     let snapped = Solver::new(SolverOptions {
         max_iterations: 20,

@@ -150,6 +150,8 @@ impl Default for Config {
                 "WeightMatrix::descend_from".into(),
                 "WeightMatrix::descend_from_counting".into(),
                 "MoveState::best_move".into(),
+                "MoveState::best_move_and_floor".into(),
+                "MoveState::cannot_improve".into(),
                 "MoveState::move_gain".into(),
                 "MoveState::apply".into(),
                 "ChunkPool::gate_pass".into(),

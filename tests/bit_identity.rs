@@ -13,6 +13,11 @@
 //! default weights the swap phase runs but finds no improving pair, so the
 //! two digests are equal; with `c₂ = c₃ = 10` swaps fire (17 143 moves
 //! against 15 869 without them), and that solve is pinned as well.
+//!
+//! The full-size shape, `ScaleTier::S1m` at K = 5 under the same budget, is
+//! pinned too. It takes seconds in release and much longer in debug, so it
+//! is `#[ignore]`d; run it with
+//! `cargo test -q --release --test bit_identity -- --ignored`.
 
 use current_recycling::circuits::scale::{scale_problem, ScaleTier};
 use current_recycling::partition::{
@@ -43,7 +48,11 @@ fn digest(result: &SolveResult) -> u64 {
 }
 
 fn solve_s10k_k5(weights: CostWeights, swap_refine: bool) -> SolveResult {
-    let generated = scale_problem(&ScaleTier::S10k.spec());
+    solve_budgeted(ScaleTier::S10k, weights, swap_refine)
+}
+
+fn solve_budgeted(tier: ScaleTier, weights: CostWeights, swap_refine: bool) -> SolveResult {
+    let generated = scale_problem(&tier.spec());
     let problem = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5)
         .expect("scale problems are valid");
     Solver::new(SolverOptions {
@@ -92,4 +101,13 @@ fn s10k_k5_heavy_balance_swap_refine_solve_is_pinned() {
     let result = solve_s10k_k5(heavy, true);
     assert_eq!(result.refine_moves, 17_143);
     assert_pinned(&result, 0x9f9d_41d4_7d3e_bdb8);
+}
+
+#[test]
+#[ignore = "1M gates: run in release with --ignored"]
+fn s1m_k5_budgeted_solve_is_pinned() {
+    let result = solve_budgeted(ScaleTier::S1m, CostWeights::default(), false);
+    assert_eq!(result.iterations, 8);
+    assert_eq!(result.refine_moves, 1_604_055);
+    assert_pinned(&result, 0xbdb4_c076_53f5_5a94);
 }
