@@ -7,6 +7,9 @@
 //! divider by far the deepest circuit of the suite — and, after SFQ path
 //! balancing, the largest (the paper's ID8 has 3 209 gates).
 
+// Remainder/quotient bit vectors indexed 0..n by construction.
+#![allow(clippy::indexing_slicing)]
+
 use crate::logic::{Bit, LogicNetwork, NodeId};
 
 /// One-bit full subtractor `a − b − bin`, returning `(difference, borrow)`.

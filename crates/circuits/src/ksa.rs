@@ -1,5 +1,8 @@
 //! Kogge–Stone parallel-prefix adders (the paper's KSA4/8/16/32).
 
+// Kogge-Stone prefix arrays indexed 0..n by construction.
+#![allow(clippy::indexing_slicing)]
+
 use crate::logic::{LogicNetwork, NodeId};
 
 /// Builds an `n`-bit Kogge–Stone adder over inputs `a[0..n]`, `b[0..n]`

@@ -35,9 +35,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code must propagate failures, never abort the process on them;
-// tests keep the ergonomic forms.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Library code must propagate failures and index through `.get()` or
+// iterators, never abort the process on them; tests keep the ergonomic forms.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod divider;
 pub mod ksa;

@@ -22,6 +22,10 @@
 //! assert_eq!(net.depth(), 1);
 //! ```
 
+// NodeId-indexed network arrays; ids are handed out by this module and
+// bounded by `nodes.len()`.
+#![allow(clippy::indexing_slicing)]
+
 use std::fmt;
 
 /// Index of a node in a [`LogicNetwork`].

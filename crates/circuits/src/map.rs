@@ -33,6 +33,10 @@
 //! assert!(netlist.validate().is_ok());
 //! ```
 
+// Tap/rung tables indexed by ids this pass generated; bounds are
+// structural.
+#![allow(clippy::indexing_slicing)]
+
 use sfq_cells::{CellKind, CellLibrary};
 use sfq_netlist::Netlist;
 

@@ -1,5 +1,8 @@
 //! Ripple array multipliers (the paper's MULT4/8).
 
+// Partial-product matrix pp[j][i] indexed by the loops that allocated it.
+#![allow(clippy::indexing_slicing)]
+
 use crate::logic::{LogicNetwork, NodeId};
 
 /// Adds up to three one-bit operands, returning `(sum, carry)`; `None`

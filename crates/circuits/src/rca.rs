@@ -3,6 +3,9 @@
 //! a much deeper SFQ pipeline (more balancing DFFs) with an even more
 //! chain-like connection structure.
 
+// Bit vectors a, b indexed 0..n by construction.
+#![allow(clippy::indexing_slicing)]
+
 use crate::logic::{LogicNetwork, NodeId};
 
 /// Builds an `n`-bit ripple-carry adder: inputs `a[0..n]`, `b[0..n]`,

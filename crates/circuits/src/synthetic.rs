@@ -16,6 +16,10 @@
 //! yields the mostly-feed-forward locality of technology-mapped logic; the
 //! `locality` knob controls how far back a gate may reach.
 
+// Parallel arrays (ids, kinds, next_in) all sized g and indexed by the
+// same loop variable.
+#![allow(clippy::indexing_slicing)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

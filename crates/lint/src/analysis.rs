@@ -1,19 +1,14 @@
-//! The incremental lint pipeline: analyze each file once, share the
-//! results across every rule family.
+//! The lint pipeline: analyze each file once, share the results across
+//! every rule family.
 //!
-//! Historically each rule family ([`crate::rules`],
-//! [`crate::rules_graph`], [`crate::rules_value`],
-//! [`crate::rules_concurrency`]) re-lexed and re-parsed every file. This
-//! module splits the run into a per-file **analyze** phase — lex once,
-//! run the token rules, extract the item model, census `unsafe` blocks —
-//! and a cross-file **lint** phase that builds each call graph once and
-//! hands it to every graph-rule family. The analyze phase is a pure
-//! function of `(file bytes, config)`, which is exactly what the
-//! [`crate::cache`] persists: a warm `--cache` run re-analyzes only
-//! changed files and replays cached artifacts for the rest, with output
-//! byte-identical to a cold run.
+//! A run splits into a per-file **analyze** phase — lex once, run the
+//! token rules ([`crate::rules`]), extract the item model, census `unsafe`
+//! blocks — and a cross-file **lint** phase that builds each call graph
+//! once and hands it to every graph-rule family ([`crate::rules_graph`],
+//! [`crate::rules_value`], [`crate::rules_concurrency`]). The graph rules
+//! need every file's item model before any of them can run, which is what
+//! the split between the phases is for.
 
-use crate::cache::{fnv1a64, Cache, CacheEntry};
 use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::graph::Graph;
@@ -27,96 +22,38 @@ use crate::rules_value::check_values_graph;
 /// Per-file analysis artifacts — everything the cross-file phase needs,
 /// with the source text no longer required.
 #[derive(Debug, Clone)]
-pub struct AnalyzedFile {
+struct AnalyzedFile {
     /// Repo-relative path (forward slashes).
-    pub path: String,
+    path: String,
     /// True when the file was named on the command line (fixture mode).
-    pub explicit: bool,
+    explicit: bool,
     /// Path classification, derived from `path`.
-    pub class: FileClass,
+    class: FileClass,
     /// Token-rule diagnostics ([`crate::rules::check_file`]).
-    pub diags: Vec<Diagnostic>,
+    diags: Vec<Diagnostic>,
     /// Item model for the graph rules.
-    pub items: FileItems,
+    items: FileItems,
     /// `unsafe` block positions for the S1 census.
-    pub unsafe_sites: Vec<(u32, u32)>,
+    unsafe_sites: Vec<(u32, u32)>,
 }
 
-/// Analyzes one file from scratch: lex once, then derive every per-file
-/// artifact from the shared token stream.
-fn analyze_one(
-    target: &FileTarget<'_>,
-    cfg: &Config,
-) -> (Vec<Diagnostic>, FileItems, Vec<(u32, u32)>) {
-    let tokens = lex(target.src);
-    let diags = check_file_tokens(target, cfg, &tokens);
-    let items = parse_items_tokens(target.path, &tokens);
-    let unsafe_sites = unsafe_block_sites(&tokens);
-    (diags, items, unsafe_sites)
-}
-
-/// Runs the per-file phase over every target, consulting (and refilling)
-/// the cache when one is supplied. Explicit targets bypass the cache:
-/// their diagnostics depend on the explicit flag itself, and fixture runs
-/// are small.
-pub fn analyze_targets(
-    targets: &[FileTarget<'_>],
-    cfg: &Config,
-    mut cache: Option<&mut Cache>,
-) -> Vec<AnalyzedFile> {
-    let mut out = Vec::with_capacity(targets.len());
-    for t in targets {
-        let class = classify(t.path);
-        if t.explicit {
-            let (diags, items, unsafe_sites) = analyze_one(t, cfg);
-            out.push(AnalyzedFile {
+/// Runs the per-file phase over every target: each file is lexed once and
+/// every per-file artifact derives from the shared token stream.
+fn analyze_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<AnalyzedFile> {
+    targets
+        .iter()
+        .map(|t| {
+            let tokens = lex(t.src);
+            AnalyzedFile {
                 path: t.path.to_owned(),
-                explicit: true,
-                class,
-                diags,
-                items,
-                unsafe_sites,
-            });
-            continue;
-        }
-        let content_hash = fnv1a64(t.src.as_bytes());
-        let cached = cache.as_mut().and_then(|c| c.lookup(t.path, content_hash));
-        let (diags, items, unsafe_sites) = match cached {
-            Some(e) => (e.diags, e.items, e.unsafe_sites),
-            None => {
-                let fresh = analyze_one(t, cfg);
-                if let Some(c) = cache.as_mut() {
-                    c.insert(
-                        t.path,
-                        CacheEntry {
-                            content_hash,
-                            diags: fresh.0.clone(),
-                            items: fresh.1.clone(),
-                            unsafe_sites: fresh.2.clone(),
-                        },
-                    );
-                }
-                fresh
+                explicit: t.explicit,
+                class: classify(t.path),
+                diags: check_file_tokens(t, cfg, &tokens),
+                items: parse_items_tokens(t.path, &tokens),
+                unsafe_sites: unsafe_block_sites(&tokens),
             }
-        };
-        out.push(AnalyzedFile {
-            path: t.path.to_owned(),
-            explicit: false,
-            class,
-            diags,
-            items,
-            unsafe_sites,
-        });
-    }
-    if let Some(c) = cache {
-        let live: Vec<&str> = out
-            .iter()
-            .filter(|f| !f.explicit)
-            .map(|f| f.path.as_str())
-            .collect();
-        c.retain_paths(&live);
-    }
-    out
+        })
+        .collect()
 }
 
 /// A configured `[rules.A1]`/`[rules.P2]` root that names no non-test
@@ -157,7 +94,7 @@ fn unresolved_roots(graph: &Graph, cfg: &Config) -> Vec<UnresolvedRoot> {
 /// P2/N1/D4 and the root resolution check) and the library+binary graph
 /// once (L1/L2/S1), then merges all diagnostics into the canonical sorted
 /// order.
-pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
+fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
     let mut diags: Vec<Diagnostic> = Vec::new();
     for f in files {
         diags.extend(f.diags.iter().cloned());
@@ -199,18 +136,19 @@ pub fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
     }
 }
 
-/// Full pipeline: analyze (with optional cache) + cross-file lint.
+/// Full pipeline: analyze + cross-file lint.
 /// Equivalent to running `check_file` per file plus `check_workspace`,
 /// `check_values`, and `check_concurrency`, but each file is lexed at
 /// most once and each graph is built exactly once.
-pub fn lint_targets(targets: &[FileTarget<'_>], cfg: &Config, cache: Option<&mut Cache>) -> Report {
-    let analyzed = analyze_targets(targets, cfg, cache);
+pub fn lint_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Report {
+    let analyzed = analyze_targets(targets, cfg);
     lint_analyzed(&analyzed, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::repo_config;
     use crate::rules::check_file;
     use crate::rules_concurrency::check_concurrency;
     use crate::rules_graph::check_workspace;
@@ -259,38 +197,11 @@ mod tests {
 
     #[test]
     fn pipeline_matches_the_per_family_entry_points() {
-        let cfg = Config::default();
+        let cfg = repo_config();
         let t = targets();
-        let pipeline = lint_targets(&t, &cfg, None).diags;
+        let pipeline = lint_targets(&t, &cfg).diags;
         assert!(!pipeline.is_empty());
         assert_eq!(pipeline, legacy(&t, &cfg));
-    }
-
-    #[test]
-    fn warm_cache_reproduces_cold_diagnostics_exactly() {
-        let cfg = Config::default();
-        let t = targets();
-        let mut cache = Cache::new(7);
-        let cold = lint_targets(&t, &cfg, Some(&mut cache));
-        assert_eq!((cache.hits, cache.misses), (0, 2));
-        let warm = lint_targets(&t, &cfg, Some(&mut cache));
-        assert_eq!((cache.hits, cache.misses), (2, 2));
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn edited_file_misses_while_others_hit() {
-        let cfg = Config::default();
-        let t = targets();
-        let mut cache = Cache::new(7);
-        lint_targets(&t, &cfg, Some(&mut cache));
-        let edited_src = format!("{}\n// touched\n", FILES[0].1);
-        let mut edited = targets();
-        edited[0].src = &edited_src;
-        cache.hits = 0;
-        cache.misses = 0;
-        lint_targets(&edited, &cfg, Some(&mut cache));
-        assert_eq!((cache.hits, cache.misses), (1, 1));
     }
 
     #[test]
@@ -298,9 +209,9 @@ mod tests {
         let cfg = Config {
             a1_roots: vec!["metrics::stray".into(), "metrics::straay".into()],
             p2_roots: vec!["Shared::settle".into(), "engine::gate_pass_chunk".into()],
-            ..Config::default()
+            ..repo_config()
         };
-        let report = lint_targets(&targets(), &cfg, None);
+        let report = lint_targets(&targets(), &cfg);
         assert_eq!(
             report.unresolved_roots,
             vec![

@@ -11,7 +11,7 @@ use std::fmt;
 
 /// All rule identifiers, in report order.
 pub const RULE_IDS: &[&str] = &[
-    "A1", "D1", "D2", "D3", "D4", "F1", "I1", "L1", "L2", "N1", "O1", "P1", "P2", "S1", "U1",
+    "A1", "D1", "D2", "D3", "D4", "F1", "I1", "L1", "L2", "N1", "O1", "P2", "S1", "U1",
 ];
 
 /// One `[[allow]]` entry: suppress findings of `rule` in `path`, optionally
@@ -31,8 +31,9 @@ pub struct AllowEntry {
     pub contains: Option<String>,
 }
 
-/// Parsed configuration with built-in defaults for anything unspecified.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Parsed `lint.toml`. There are no built-in scopes: [`Config::default`]
+/// has every list empty, so a rule covers only what the file names.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Config {
     /// Directories (repo-relative) walked in `--workspace` mode.
     pub roots: Vec<String>,
@@ -45,8 +46,6 @@ pub struct Config {
     pub d2_allowed_files: Vec<String>,
     /// Files allowed to create threads (rule D3).
     pub d3_allowed_files: Vec<String>,
-    /// Crates whose library code rule P1 (no panicking ops) applies to.
-    pub p1_crates: Vec<String>,
     /// Hot-path roots for rule A1 (allocation-freedom): qualified function
     /// names (`Type::method` or `module::fn`) whose entire reachable call
     /// graph must be allocation-free.
@@ -121,177 +120,6 @@ pub struct Config {
     pub allows: Vec<AllowEntry>,
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            roots: vec![
-                "crates".into(),
-                "src".into(),
-                "examples".into(),
-                "tests".into(),
-            ],
-            exclude: vec![
-                "crates/lint/tests/fixtures".into(),
-                "vendor".into(),
-                "target".into(),
-            ],
-            d1_crates: vec!["core".into(), "recycle".into(), "sim".into()],
-            d2_allowed_files: vec!["crates/core/src/budget.rs".into()],
-            d3_allowed_files: vec!["crates/core/src/engine.rs".into()],
-            p1_crates: vec![
-                "cells".into(),
-                "circuits".into(),
-                "sim".into(),
-                "report".into(),
-                "bench".into(),
-            ],
-            a1_roots: vec![
-                "CostEngine::evaluate_with_gradient".into(),
-                "WeightMatrix::descend_from".into(),
-                "WeightMatrix::descend_from_counting".into(),
-                "MoveState::best_move".into(),
-                "MoveState::best_move_and_floor".into(),
-                "MoveState::cannot_improve".into(),
-                "MoveState::move_gain".into(),
-                "MoveState::apply".into(),
-                "ChunkPool::gate_pass".into(),
-                "ChunkPool::edge_pass".into(),
-                "ChunkPool::grad_pass".into(),
-                "pool::worker_loop".into(),
-            ],
-            i1_crates: vec!["core".into(), "recycle".into(), "sim".into()],
-            i1_sink_files: vec!["crates/core/src/telemetry.rs".into()],
-            o1_observer_traits: vec!["SolveObserver".into(), "RestartObserver".into()],
-            o1_mutator_types: vec![
-                "WeightMatrix".into(),
-                "CostEngine".into(),
-                "PartitionProblem".into(),
-                "Solver".into(),
-            ],
-            o1_mutator_fns: vec![
-                "Solver::solve".into(),
-                "Solver::solve_observed".into(),
-                "Solver::try_solve".into(),
-                "Solver::try_solve_observed".into(),
-            ],
-            l1_rwlocks: vec!["shared::input".into()],
-            l1_condvars: vec![
-                "shared::job_cv=shared::job".into(),
-                "shared::done_cv=shared::done".into(),
-                "ledger::freed=ledger::free".into(),
-                "jobqueue::ready=jobqueue::inner".into(),
-            ],
-            l1_acquire_fns: vec!["pool::lock".into()],
-            l1_aliases: vec![
-                "slot=shared::chunk_out".into(),
-                "shared::gate_out=shared::chunk_out".into(),
-                "shared::edge_out=shared::chunk_out".into(),
-                "shared::grad_out=shared::chunk_out".into(),
-            ],
-            l1_orders: vec![
-                (
-                    "core".into(),
-                    vec![
-                        "shared::input".into(),
-                        "shared::job".into(),
-                        "shared::done".into(),
-                        "shared::panic".into(),
-                        "shared::chunk_out".into(),
-                        "ledger::free".into(),
-                    ],
-                ),
-                (
-                    "serviced".into(),
-                    vec![
-                        "jobqueue::inner".into(),
-                        "ledger::free".into(),
-                        "shared::jobs".into(),
-                        "jobhandle::terminal".into(),
-                        "resultcache::inner".into(),
-                        "connwriter::inner".into(),
-                    ],
-                ),
-            ],
-            l2_blocking_calls: vec![
-                "join".into(),
-                "sleep".into(),
-                "accept".into(),
-                "connect".into(),
-                "connect_timeout".into(),
-                "write_all".into(),
-                "flush".into(),
-                "read_to_end".into(),
-                "read_until".into(),
-                "read_line".into(),
-                "read_exact".into(),
-                "recv".into(),
-            ],
-            l2_blocking_fns: vec![
-                "Solver::solve".into(),
-                "Solver::try_solve".into(),
-                "Solver::solve_observed".into(),
-                "Solver::try_solve_observed".into(),
-                "Solver::try_solve_interruptible".into(),
-                "Solver::try_solve_interruptible_observed".into(),
-                "JobQueue::pop".into(),
-                "SlotPool::acquire".into(),
-            ],
-            s1_handlers: Vec::new(),
-            s1_safe_calls: vec![
-                "store".into(),
-                "load".into(),
-                "swap".into(),
-                "compare_exchange".into(),
-                "compare_exchange_weak".into(),
-                "fetch_add".into(),
-                "fetch_sub".into(),
-                "fetch_or".into(),
-                "fetch_and".into(),
-            ],
-            s1_unsafe_blocks: vec![
-                "crates/serviced/src/bin/sfqpartd.rs -- hand-declared signal(2) \
-                 registration; the handler only stores an AtomicBool"
-                    .into(),
-            ],
-            p2_roots: vec![
-                "engine::gate_pass_chunk".into(),
-                "engine::edge_gather_chunk".into(),
-                "engine::grad_pass_chunk".into(),
-                "lanes::fold".into(),
-                "lanes::max_abs".into(),
-                "lanes::all_finite".into(),
-                "lanes::sum".into(),
-                "lanes::sum_with".into(),
-                "Shared::settle".into(),
-                "Shared::settle_inner".into(),
-            ],
-            n1_crates: vec!["core".into(), "recycle".into()],
-            n1_recovery_roots: vec![
-                "Solver::solve".into(),
-                "Solver::solve_observed".into(),
-                "Solver::try_solve".into(),
-                "Solver::try_solve_observed".into(),
-                "Solver::try_solve_interruptible".into(),
-                "Solver::try_solve_interruptible_observed".into(),
-            ],
-            n1_helper_files: vec![
-                "crates/core/src/float.rs".into(),
-                "crates/core/src/lanes.rs".into(),
-                "crates/core/src/kernel.rs".into(),
-            ],
-            d4_crates: vec!["core".into(), "recycle".into()],
-            d4_allowed_files: vec![
-                "crates/core/src/lanes.rs".into(),
-                "crates/core/src/float.rs".into(),
-                "crates/core/src/kernel.rs".into(),
-                "crates/core/src/engine.rs".into(),
-                "crates/core/src/cost.rs".into(),
-            ],
-            allows: Vec::new(),
-        }
-    }
-}
-
 /// Error produced while parsing or validating `lint.toml`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
@@ -326,8 +154,8 @@ enum Value {
 }
 
 impl Config {
-    /// Parses `lint.toml` text into a [`Config`], starting from the
-    /// defaults and overriding whatever the file specifies.
+    /// Parses `lint.toml` text into a [`Config`]. A key the file omits
+    /// stays empty.
     ///
     /// # Errors
     ///
@@ -597,10 +425,6 @@ fn apply_key(
             "allowed_files" => cfg.d3_allowed_files = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [rules.D3] key `{other}`"))),
         },
-        "rules.P1" => match key {
-            "crates" => cfg.p1_crates = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.P1] key `{other}`"))),
-        },
         "rules.A1" => match key {
             "roots" => cfg.a1_roots = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [rules.A1] key `{other}`"))),
@@ -667,13 +491,44 @@ fn apply_key(
     Ok(())
 }
 
+/// The checked-in `lint.toml`, parsed: the config the unit tests lint under.
+#[cfg(test)]
+pub(crate) fn repo_config() -> Config {
+    Config::parse(include_str!("../../../lint.toml")).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn defaults_round_trip_through_empty_config() {
+    fn empty_file_is_the_empty_config() {
         assert_eq!(Config::parse("").unwrap(), Config::default());
+    }
+
+    /// With no defaults behind `lint.toml`, a deleted `[rules.…]` section
+    /// would leave its rule with nothing to check and no finding to say so.
+    #[test]
+    fn checked_in_config_scopes_every_rule() {
+        let cfg = repo_config();
+        let scopes: [(&str, &[String]); 13] = [
+            ("[workspace] roots", &cfg.roots),
+            ("[rules.D1] crates", &cfg.d1_crates),
+            ("[rules.D2] allowed_files", &cfg.d2_allowed_files),
+            ("[rules.D3] allowed_files", &cfg.d3_allowed_files),
+            ("[rules.D4] crates", &cfg.d4_crates),
+            ("[rules.A1] roots", &cfg.a1_roots),
+            ("[rules.I1] crates", &cfg.i1_crates),
+            ("[rules.O1] observer_traits", &cfg.o1_observer_traits),
+            ("[rules.O1] mutator_types", &cfg.o1_mutator_types),
+            ("[rules.P2] roots", &cfg.p2_roots),
+            ("[rules.N1] crates", &cfg.n1_crates),
+            ("[rules.L2] blocking_calls", &cfg.l2_blocking_calls),
+            ("[rules.S1] safe_calls", &cfg.s1_safe_calls),
+        ];
+        for (scope, list) in scopes {
+            assert!(!list.is_empty(), "lint.toml leaves {scope} empty");
+        }
     }
 
     #[test]
@@ -688,8 +543,8 @@ roots = ["crates", "src"]
 crates = ["core"]
 
 [[allow]]
-rule = "P1"
-path = "crates/sim/src/lib.rs"
+rule = "P2"
+path = "crates/core/src/lanes.rs"
 reason = "dense index arithmetic"
 contains = "indexing"
 

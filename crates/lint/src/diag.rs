@@ -200,16 +200,16 @@ mod tests {
     fn allowlist_suppresses_exactly_its_target() {
         let mut cfg = Config::default();
         cfg.allows.push(AllowEntry {
-            rule: "P1".into(),
+            rule: "P2".into(),
             path: "a.rs".into(),
             reason: "r".into(),
             line: None,
             contains: Some("indexing".into()),
         });
         let diags = vec![
-            diag("P1", "a.rs", 1, "slice indexing may panic"),
-            diag("P1", "a.rs", 2, "`.unwrap()` in library code"),
-            diag("P1", "b.rs", 1, "slice indexing may panic"),
+            diag("P2", "a.rs", 1, "slice indexing may panic"),
+            diag("P2", "a.rs", 2, "`.unwrap()` in library code"),
+            diag("P2", "b.rs", 1, "slice indexing may panic"),
             diag("D1", "a.rs", 1, "slice indexing may panic"),
         ];
         let (kept, suppressed, unused) = apply_allowlist(diags, &cfg);

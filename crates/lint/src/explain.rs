@@ -10,61 +10,80 @@
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
         "A1" => {
-            "A1 — hot-path allocation freedom. Functions reachable from the solver's \
-             inner loops (`Solver::solve`, plane kernels, residual updates) must not \
-             allocate: no `Vec::new`/`push`/`collect`/`format!` or other growing calls \
-             on the hot path. Allocation inside the loop destroys the SoA kernels' \
+            "A1 — hot-path allocation freedom. Every function reachable through the \
+             workspace call graph from a `[rules.A1] roots` entry (the engine's \
+             evaluate and descent kernels, the chunk pool's passes, refine's move \
+             pricing, the service's ops counters) must not allocate: a growing method \
+             call (`push`, `collect`, `clone`, `to_string`, …), `format!`/`vec!`, or a \
+             constructor such as `Box::new`/`Vec::with_capacity` is a finding with its \
+             root→…→site chain. Allocation inside the loop destroys the SoA kernels' \
              cache behavior and introduces latency spikes the chunk scheduler cannot \
-             absorb. Buffers are sized once at partition setup and reused. The call \
-             graph is resolved conservatively: an unresolvable call (⊤) inside a \
-             hot-path function is itself a finding."
+             absorb; buffers are sized once at setup and reused. The call graph is \
+             resolved conservatively: a call sfqlint cannot resolve (⊤) on the hot \
+             path is itself a finding unless it is on the known-no-allocation list. \
+             The runtime cross-check is `crates/core/tests/alloc_sanitizer.rs`."
         }
         "D1" => {
-            "D1 — deterministic containers. Numeric crates must not iterate \
-             `HashMap`/`HashSet`: their iteration order depends on `RandomState` \
-             hashing, so any fold over them can reorder floating-point reductions and \
-             break the bit-identical-partitions guarantee (serial == parallel). Use \
+            "D1 — deterministic containers. The crates in `[rules.D1] crates` must not \
+             name `HashMap` or `HashSet` at all, tests included: their iteration order \
+             depends on `RandomState` hashing, so any fold over them can reorder \
+             floating-point reductions and break the bit-identical-partitions \
+             guarantee (serial == parallel), and in a test it becomes a flaky \
+             assertion. Every mention fires, not only iteration, because once the type \
+             is in scope nothing stops a later edit from iterating it. Use \
              `BTreeMap`/`BTreeSet` or index-keyed `Vec`s, which iterate in a fixed \
              order."
         }
         "D2" => {
-            "D2 — no wall-clock reads outside the budget module. `Instant::now` and \
-             `SystemTime::now` are only meaningful to the time-budget subsystem; a \
-             clock read anywhere else either smuggles nondeterminism into numeric \
-             code or duplicates budget logic that must stay centralized to keep \
-             interruption points auditable."
+            "D2 — no clock or entropy reads outside the budget module. A mention of \
+             `Instant` or `SystemTime`, or of the entropy sources `thread_rng`/\
+             `from_entropy`, in library, binary or example code outside \
+             `[rules.D2] allowed_files` (the solver's budget module) is a finding; \
+             test code is exempt. A clock read anywhere else either smuggles \
+             nondeterminism into numeric code or duplicates budget logic that must \
+             stay centralized to keep interruption points auditable, and an unseeded \
+             RNG makes a partition unrepeatable."
         }
         "D3" => {
-            "D3 — thread creation is confined to the fused engine and the service \
-             layer's registered spawn points. An ad-hoc `thread::spawn` elsewhere \
-             escapes the chunk pool's worker accounting, the panic fence, and the \
-             deterministic reduction tree. The allowlist in `lint.toml` names every \
-             sanctioned spawn site with a reason."
+            "D3 — confined thread creation. `thread::spawn` and `thread::scope` in \
+             library, binary or example code are findings outside \
+             `[rules.D3] allowed_files`: the fused engine, its chunk-worker pool and \
+             the sfqpartd daemon. An ad-hoc thread elsewhere escapes the chunk pool's \
+             worker accounting, the panic fence, and the deterministic reduction \
+             tree. Test code is exempt."
         }
         "D4" => {
             "D4 — canonical float folds. Raw f64 iterator reductions (`.sum::<f64>()`, \
-             `.fold(0.0, …)`, sequential `acc +=` loops over float data) in the numeric \
-             crates are findings outside the modules that define the canonical striped \
-             fold order (`core::lanes`, `core::float`, the kernels): an ad-hoc \
-             left-to-right reduction evaluates in a different association order than \
-             the striped lane fold the parallel backends use, silently breaking the \
+             `.product::<f64>()`, `.fold(0.0, …)`) and `acc +=` loops over an \
+             accumulator bound to a float literal, in library code of the \
+             `[rules.D4] crates`, are findings outside `[rules.D4] allowed_files` — \
+             the modules that define the canonical striped fold order (`core::lanes`, \
+             `core::float`, the kernels and the engine). An ad-hoc left-to-right \
+             reduction evaluates in a different association order than the striped \
+             lane fold the parallel backends use, silently breaking the \
              serial == parallel bit-identity guarantee. Route reductions through \
              `core::lanes::{sum, sum_with, max_abs, fold}`. Order-insensitive \
              `max`/`min` folds are exempt."
         }
         "F1" => {
-            "F1 — float-environment hygiene. Numeric crates must not call \
-             `to_bits`/`from_bits` tricks, `fast-math`-style intrinsics, or \
-             rounding-mode manipulation outside the vetted kernels; the reproduction's \
-             cross-backend equality proof assumes strict IEEE-754 evaluation \
-             everywhere else."
+            "F1 — no raw float equality. `==` or `!=` with a float literal on either \
+             side (`x == 1.0`) in library, binary or example code is a finding; test \
+             code is exempt. A bare float comparison hides whether the author meant a \
+             bit-exact check or a tolerance, and the bit-identity argument depends on \
+             knowing which. State the intent through `sfq_partition::float`: \
+             `exactly` for a deliberate bit-exact compare, `approx_eq` for a \
+             tolerance."
         }
         "I1" => {
-            "I1 — I/O confinement. Only telemetry sinks and the CLI/daemon frontends \
-             may perform I/O (`println!`, file writes, sockets). A stray `println!` in \
-             a numeric crate is at best a performance bug and at worst interleaved \
-             garbage when the fused engine runs its workers; all reporting goes \
-             through the observer interfaces."
+            "I1 — I/O confinement. Library code of the `[rules.I1] crates` may not \
+             print or touch `std::io`/`std::fs` outside `[rules.I1] sink_files` (the \
+             telemetry writer, the daemon's transport and its ops log): `println!`, \
+             `eprintln!`, `dbg!` and friends, `stdout()`/`stderr()`/`stdin()`, \
+             `Read`/`Write` methods such as `write_all`/`flush`/`read_line`, and \
+             `io::`/`fs::`/`File::` paths are findings; test code is exempt. A stray \
+             `println!` in a numeric crate is at best a performance bug and at worst \
+             interleaved garbage when the fused engine runs its workers; all \
+             reporting goes through the observer interfaces and the sinks."
         }
         "L1" => {
             "L1 — lock-order acyclicity. sfqlint builds a per-crate lock-acquisition \
@@ -81,15 +100,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "L2" => {
             "L2 — never block while holding a lock. With any lock held, a call chain \
-             must not reach a solver entry point (`Solver::solve` and friends are \
-             seconds-long), socket or pipe I/O, `JoinHandle::join`, `thread::sleep`, \
-             or a `Condvar::wait` on a different lock's condvar. Blocking under a lock \
-             turns every other thread that needs the lock into a convoy and can \
-             deadlock outright when the blocked-on resource needs the same lock. A \
-             condvar wait holding only its own mutex is the one sanctioned blocking \
-             point. Exceptions are declared per call site in `lint.toml` with a \
-             reason, e.g. the connection writer's short frame-integrity critical \
-             section."
+             must not reach a `[rules.L2] blocking_fns` entry (`Solver::solve` and \
+             friends are seconds-long, queue pops park), a `blocking_calls` name \
+             (socket or pipe I/O, `join`, `sleep`), or a `Condvar::wait` on a \
+             different lock's condvar. Blocking under a lock turns every other \
+             thread that needs the lock into a convoy and can deadlock outright when \
+             the blocked-on resource needs the same lock. A condvar wait holding only \
+             its own mutex is the one sanctioned blocking point. Exceptions are \
+             declared per call site in `lint.toml` with a reason, e.g. the connection \
+             writer's short frame-integrity critical section."
         }
         "N1" => {
             "N1 — non-finite confinement. Operations that can introduce NaN or Inf \
@@ -105,18 +124,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              which make the non-finite case an explicit branch."
         }
         "O1" => {
-            "O1 — observer purity. Progress/telemetry observers are called from inside \
-             the solve loop; their implementations must not mutate solver state, \
-             allocate unboundedly, or perform I/O beyond their declared sink. An \
-             impure observer invalidates the observer-on == observer-off exactness \
-             tests."
-        }
-        "P1" => {
-            "P1 — panic discipline. Library crates must not `panic!`/`unwrap`/`expect` \
-             on fallible paths; errors cross crate boundaries as `Result`. The chunk \
-             pool's workers run under a panic fence that converts worker panics into \
-             poisoned-job errors, and that fence is only sound if panics are \
-             exceptional, not control flow."
+            "O1 — observer purity. Observers run inside the solve loop, and the \
+             observer-on == observer-off exactness tests assume they only read. From \
+             every method of an `impl` of a `[rules.O1] observer_traits` trait, no \
+             workspace call path may reach a `&mut self` method of a `mutator_types` \
+             type (the weight matrix, the engine, the problem, the solver, the \
+             service's ops registry) or a re-entrant solver entry point in \
+             `mutator_fns`; the finding names the chain. Calls sfqlint cannot resolve \
+             are ignored: code outside the workspace cannot reach solver state except \
+             through one of those mutators."
         }
         "P2" => {
             "P2 — panic-freedom of the vetted roots. From every root declared in \
@@ -139,8 +155,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "S1" => {
             "S1 — async-signal-safety and the unsafe registry. A registered signal \
              handler (auto-detected from `signal(...)` registration sites plus \
-             `[rules.S1] handlers`) may only reach vetted atomic operations \
-             (`store`/`load`/… on the safe_calls whitelist): in a handler, \
+             `[rules.S1] handlers`) may only reach `safe_calls` (lock-free atomic \
+             ops such as `store`/`load`) and workspace functions whose bodies obey the \
+             same limit. Any macro on the handler path (`format!`, `println!`) is a \
+             finding, and so is a call sfqlint cannot resolve: in a handler, \
              allocation, locking, and formatting are undefined behavior territory \
              because the interrupted thread may hold the very lock involved. \
              Separately, every `unsafe { … }` block in the workspace must carry a \
@@ -149,10 +167,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              one: the daemon's hand-declared `signal(2)` registration."
         }
         "U1" => {
-            "U1 — unit/marker hygiene for partition indices. Gate, node, and plane \
-             indices are distinct integer domains; raw `usize` arithmetic that mixes \
-             them compiles fine and corrupts partitions silently. Index newtypes must \
-             be constructed and unwrapped only at the declared boundaries."
+            "U1 — stated invariants for `unsafe` and `unreachable!()`. Every `unsafe` \
+             needs a `// SAFETY:` comment on its line or the two lines above saying \
+             why the operation is sound, and every `unreachable!()` without a message \
+             needs an `// INVARIANT:` (or `// SAFETY:`) comment in the same window \
+             saying why the arm cannot run. U1 checks every file, test code \
+             included. An invariant nobody wrote down cannot be reviewed, and the next \
+             edit that breaks it still compiles. Where `unsafe` may appear at all is \
+             S1's registry."
         }
         _ => return None,
     })
@@ -163,14 +185,40 @@ mod tests {
     use super::explain;
     use crate::config::RULE_IDS;
 
+    /// The construct each rule's positive fixture
+    /// (`tests/fixtures/<id>_pos.rs`) fires on.
+    const FIXTURE_CONSTRUCTS: [(&str, &str); 14] = [
+        ("A1", "push"),
+        ("D1", "HashMap"),
+        ("D2", "Instant"),
+        ("D3", "thread::spawn"),
+        ("D4", ".sum::<f64>()"),
+        ("F1", "=="),
+        ("I1", "println!"),
+        ("L1", ".lock()"),
+        ("L2", "sleep"),
+        ("N1", "division by a non-literal divisor"),
+        ("O1", "&mut self"),
+        ("P2", "assert!"),
+        ("S1", "format!"),
+        ("U1", "SAFETY:"),
+    ];
+
+    /// Each paragraph must describe what its rule checks: it names the
+    /// construct the rule's positive fixture fires on.
     #[test]
     fn every_rule_id_has_an_explanation() {
-        for id in RULE_IDS {
+        assert_eq!(FIXTURE_CONSTRUCTS.map(|(id, _)| id), RULE_IDS);
+        for (id, construct) in FIXTURE_CONSTRUCTS {
             let text = explain(id).unwrap_or_else(|| panic!("no --explain text for {id}"));
             assert!(text.len() > 80, "explanation for {id} is too thin");
             assert!(
                 text.starts_with(id),
                 "explanation for {id} must lead with the id"
+            );
+            assert!(
+                text.contains(construct),
+                "explanation for {id} must name `{construct}`, which its fixture fires on"
             );
         }
     }

@@ -207,7 +207,7 @@ pub const KNOWN_NO_ALLOC: &[&str] = &[
     // Log2 bucketing (serviced ops histograms): a bit-scan intrinsic.
     "ilog2",
     // Option/Result plumbing (`unwrap`/`expect` abort — the panic path is
-    // P1's concern, not A1's).
+    // P2's and clippy's concern, not A1's).
     "unwrap",
     "expect",
     "unwrap_or",

@@ -21,7 +21,15 @@
 //!   sufficient because type position cannot contain braces.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::{test_mask, NON_INDEX_KEYWORDS};
+use crate::rules::test_mask;
+
+/// Rust keywords that may directly precede a `[` without it being an index
+/// expression (`let [a, b] = …`, `if let [x] = …`, `return [0; 4]`, …).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "let", "mut", "ref", "in", "return", "match", "if", "else", "move", "as", "box", "await",
+    "break", "continue", "yield", "static", "const", "where", "dyn", "impl", "for", "while",
+    "loop", "unsafe", "async", "fn", "type", "struct", "enum", "union", "trait", "use", "pub",
+];
 
 /// What a [`ValueSite`] records: one expression shape the value-flow rules
 /// (P2 panic-freedom, N1 non-finite confinement, D4 canonical folds) care
@@ -29,8 +37,8 @@ use crate::rules::{test_mask, NON_INDEX_KEYWORDS};
 /// kind documents its approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteKind {
-    /// Unchecked index expression `expr[i]` (same heuristic as rule P1:
-    /// `[` preceded by a non-keyword identifier, `)`, or `]`).
+    /// Unchecked index expression `expr[i]`: `[` preceded by a
+    /// non-keyword identifier, `)`, or `]`.
     Index,
     /// Slice destructuring `let [a, b] = …` — panics when the length
     /// mismatches a non-exhaustive pattern.
@@ -56,35 +64,6 @@ pub enum SiteKind {
 }
 
 impl SiteKind {
-    /// Stable single-letter code used by the lint cache serialization.
-    pub fn code(self) -> char {
-        match self {
-            SiteKind::Index => 'I',
-            SiteKind::SlicePat => 'S',
-            SiteKind::DivNonLit => 'D',
-            SiteKind::ModNonLit => 'M',
-            SiteKind::ZeroDivLit => 'Z',
-            SiteKind::NanConst => 'N',
-            SiteKind::FloatAccum => 'A',
-            SiteKind::FoldF64 => 'F',
-        }
-    }
-
-    /// Inverse of [`SiteKind::code`].
-    pub fn from_code(c: char) -> Option<SiteKind> {
-        Some(match c {
-            'I' => SiteKind::Index,
-            'S' => SiteKind::SlicePat,
-            'D' => SiteKind::DivNonLit,
-            'M' => SiteKind::ModNonLit,
-            'Z' => SiteKind::ZeroDivLit,
-            'N' => SiteKind::NanConst,
-            'A' => SiteKind::FloatAccum,
-            'F' => SiteKind::FoldF64,
-            _ => return None,
-        })
-    }
-
     /// Human-readable construct name for diagnostics.
     pub fn describe(self) -> &'static str {
         match self {
@@ -243,7 +222,8 @@ pub fn parse_items(path: &str, src: &str) -> FileItems {
 }
 
 /// Token-level entry point: builds the item model from an already-lexed
-/// stream, so the incremental pipeline lexes each file exactly once.
+/// stream, so the pipeline ([`crate::analysis`]) lexes each file exactly
+/// once.
 pub fn parse_items_tokens(path: &str, tokens: &[Token<'_>]) -> FileItems {
     let mask = test_mask(tokens);
     let sig: Vec<usize> = (0..tokens.len())
@@ -773,8 +753,8 @@ fn scan_value_sites(
             }
             TokenKind::Punct => match t.text {
                 "[" if k > start => {
-                    // Same heuristic as rule P1: an index expression iff
-                    // the previous token ends a place expression.
+                    // An index expression iff the previous token ends a
+                    // place expression.
                     if let Some(prev) = tok(k - 1) {
                         let indexes = match prev.kind {
                             TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text),
@@ -1307,6 +1287,13 @@ mod tests {
         assert!(helper.in_test);
         let live = f.fns.iter().find(|x| x.name == "live").unwrap();
         assert!(!live.in_test);
+    }
+
+    #[test]
+    fn let_patterns_are_not_indexing() {
+        let f = items("pub fn f(v: [u8; 2]) -> u8 { let [a, _b] = v; a + v[1] }");
+        let kinds: Vec<SiteKind> = f.fns[0].facts.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, vec![SiteKind::SlicePat, SiteKind::Index]);
     }
 
     #[test]

@@ -29,11 +29,13 @@
 //! roots (with root→…→site witness chains, cross-checked at runtime by
 //! the panic-census harness in the core crate), N1 confinement of
 //! NaN/Inf-capable operations to the divergence-recovery scope, and D4
-//! canonical striped folds for float reductions. All rule families now
-//! run through an incremental pipeline ([`analysis`]) that lexes each
-//! file once and builds each graph once; with `--cache` the per-file
-//! artifacts persist across runs keyed by content + config hashes
-//! ([`cache`]), so a warm run re-analyzes only changed files.
+//! canonical striped folds for float reductions. All rule families run
+//! through one pipeline ([`analysis`]) that lexes each file once and
+//! builds each graph once.
+//!
+//! Every scope — which crates a rule covers, which files are exempt, which
+//! functions are roots — comes from the checked-in `lint.toml`
+//! ([`config`]); a [`Config::default`] scopes nothing.
 //!
 //! The tool is dependency-free by design — the workspace vendors offline
 //! stub crates, so an AST-level framework (`syn`, `dylint`) is unavailable;
@@ -45,7 +47,7 @@
 //! ```
 //! use sfqlint::{check_file, Config, FileTarget};
 //!
-//! let cfg = Config::default();
+//! let cfg = Config::parse("[rules.D1]\ncrates = [\"core\"]\n")?;
 //! let diags = check_file(
 //!     &FileTarget {
 //!         path: "crates/core/src/example.rs",
@@ -55,6 +57,7 @@
 //!     &cfg,
 //! );
 //! assert_eq!(diags[0].rule, "D1");
+//! # Ok::<(), sfqlint::ConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,7 +65,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
-pub mod cache;
 pub mod config;
 pub mod diag;
 pub mod explain;
@@ -75,10 +77,7 @@ pub mod rules_graph;
 pub mod rules_value;
 pub mod walk;
 
-pub use analysis::{
-    analyze_targets, lint_analyzed, lint_targets, AnalyzedFile, Report, UnresolvedRoot,
-};
-pub use cache::{fnv1a64, Cache, CacheEntry};
+pub use analysis::{lint_targets, Report, UnresolvedRoot};
 pub use config::{AllowEntry, Config, ConfigError};
 pub use diag::{apply_allowlist, render_json, Diagnostic};
 pub use explain::explain;

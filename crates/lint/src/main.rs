@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! sfqlint --workspace [--root DIR] [--config lint.toml]
-//!         [--format text|json|github] [--strict-allow] [--cache PATH]
+//!         [--format text|json|github] [--strict-allow]
 //! sfqlint [--config lint.toml] [--format …] FILE…
 //! sfqlint --explain RULE
 //! ```
 //!
-//! `--cache PATH` persists per-file analysis artifacts keyed by content +
-//! config hashes: a warm run re-lexes only changed files and prints a
-//! `sfqlint: cache …` stats line on stderr, with stdout byte-identical to
-//! a cold run. The cache is an accelerator, never an input — a corrupt or
-//! stale cache file is silently discarded and rebuilt.
+//! The config is `--config FILE`, or else `lint.toml` under `--root`
+//! (default: the current directory). It is the only source of rule
+//! scopes, so a run that finds no config exits 3 instead of linting
+//! against an empty one.
 //!
 //! Every run also reports stale `lint.toml` entries: allowlist entries
 //! that matched nothing and, in a `--workspace` run, `[rules.A1]`/
@@ -36,7 +35,7 @@ use std::process::ExitCode;
 use sfqlint::{apply_allowlist, explain, lint_targets, render_json, Config, FileTarget};
 
 const USAGE: &str = "usage: sfqlint [--workspace] [--root DIR] [--config FILE] \
-                     [--format text|json|github] [--strict-allow] [--cache PATH] [FILE...]\n\
+                     [--format text|json|github] [--strict-allow] [FILE...]\n\
                      \x20      sfqlint --explain RULE";
 
 enum Format {
@@ -52,7 +51,6 @@ struct Args {
     format: Format,
     strict_allow: bool,
     explain: Option<String>,
-    cache: Option<PathBuf>,
     files: Vec<String>,
 }
 
@@ -64,7 +62,6 @@ fn parse_args() -> Result<Args, String> {
         format: Format::Text,
         strict_allow: false,
         explain: None,
-        cache: None,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -80,9 +77,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a path")?));
-            }
-            "--cache" => {
-                args.cache = Some(PathBuf::from(it.next().ok_or("--cache needs a path")?));
             }
             "--format" => match it.next().as_deref() {
                 Some("text") => args.format = Format::Text,
@@ -105,22 +99,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Loads the config plus the fingerprint of its source text, which keys
-/// the incremental cache: any config edit invalidates every cached entry.
-fn load_config(args: &Args) -> Result<(Config, u64), String> {
+/// Loads `--config`, or `lint.toml` under `--root`. A missing file is an
+/// error either way: `lint.toml` is the only source of rule scopes.
+fn load_config(args: &Args) -> Result<Config, String> {
     let path = args
         .config
         .clone()
         .unwrap_or_else(|| args.root.join("lint.toml"));
-    match fs::read_to_string(&path) {
-        Ok(text) => Config::parse(&text)
-            .map(|cfg| (cfg, sfqlint::fnv1a64(text.as_bytes())))
-            .map_err(|e| e.to_string()),
-        // No lint.toml: built-in defaults. An explicitly named --config
-        // must exist, though.
-        Err(_) if args.config.is_none() => Ok((Config::default(), sfqlint::fnv1a64(b""))),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
+    let text =
+        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Config::parse(&text).map_err(|e| e.to_string())
 }
 
 /// One file loaded into memory: rule path, source, explicit flag.
@@ -162,7 +150,7 @@ fn run() -> Result<ExitCode, (u8, String)> {
         println!("{text}");
         return Ok(ExitCode::SUCCESS);
     }
-    let (cfg, config_hash) = load_config(&args).map_err(|e| (3, e))?;
+    let cfg = load_config(&args).map_err(|e| (3, e))?;
 
     let mut loaded: Vec<Loaded> = Vec::new();
     if args.workspace {
@@ -186,23 +174,7 @@ fn run() -> Result<ExitCode, (u8, String)> {
             explicit: l.explicit,
         })
         .collect();
-    let mut cache = args
-        .cache
-        .as_deref()
-        .map(|p| sfqlint::Cache::load(p, config_hash));
-    let report = lint_targets(&targets, &cfg, cache.as_mut());
-    if let (Some(path), Some(cache)) = (args.cache.as_deref(), cache.as_ref()) {
-        cache
-            .save(path)
-            .map_err(|e| (3, format!("cannot write cache {}: {e}", path.display())))?;
-        eprintln!(
-            "sfqlint: cache {} hit(s), {} miss(es), {} file(s) cached at {}",
-            cache.hits,
-            cache.misses,
-            cache.len(),
-            path.display()
-        );
-    }
+    let report = lint_targets(&targets, &cfg);
     let (kept, suppressed, unused) = apply_allowlist(report.diags, &cfg);
     // Named files form a mini-workspace that is not expected to contain the
     // configured roots; only a workspace run can tell a root is gone.

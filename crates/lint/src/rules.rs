@@ -1,12 +1,11 @@
-//! The rule engine: six token-level rules over one lexed file.
+//! The rule engine: five token-level rules over one lexed file.
 //!
 //! | Rule | Invariant protected |
 //! |------|---------------------|
 //! | D1 | No order-nondeterministic containers (`HashMap`/`HashSet`) in the numeric crates — iteration order must never reach an arithmetic or output path. |
 //! | D2 | Wall-clock and entropy sources (`Instant::now`, `SystemTime`, `thread_rng`) confined to the solver's budget module. |
-//! | D3 | Thread creation (`thread::spawn` / `thread::scope`) confined to the fused engine. |
+//! | D3 | Thread creation (`thread::spawn` / `thread::scope`) confined to the files `lint.toml` allows: the fused engine, its chunk pool and the daemon. |
 //! | F1 | No raw `==`/`!=` against float literals — exactness or tolerance must be spelled via the `float` helpers. |
-//! | P1 | No `.unwrap()`, `.expect()`, or slice indexing in covered library code. |
 //! | U1 | Every `unsafe` block carries a `// SAFETY:` comment and every `unreachable!()` states its invariant. |
 
 use crate::config::Config;
@@ -74,9 +73,9 @@ pub fn check_file(target: &FileTarget<'_>, cfg: &Config) -> Vec<Diagnostic> {
     check_file_tokens(target, cfg, &tokens)
 }
 
-/// Token-level entry point: lints one already-lexed file. The incremental
-/// pipeline lexes each file once and shares the stream between the token
-/// rules, the item scanner, and the unsafe-block census.
+/// Token-level entry point: lints one already-lexed file. The pipeline
+/// ([`crate::analysis`]) lexes each file once and shares the stream
+/// between the token rules, the item scanner, and the unsafe-block census.
 pub fn check_file_tokens(
     target: &FileTarget<'_>,
     cfg: &Config,
@@ -118,9 +117,6 @@ pub fn check_file_tokens(
     }
     if runtime_class {
         rule_f1(&mut ctx);
-    }
-    if class == FileClass::Lib && in_crate(&cfg.p1_crates) {
-        rule_p1(&mut ctx);
     }
     rule_u1(&mut ctx);
 
@@ -353,62 +349,6 @@ fn rule_f1(ctx: &mut RuleCtx<'_, '_>) {
     }
 }
 
-/// Rust keywords that may directly precede a `[` without it being an index
-/// expression (`let [a, b] = …`, `if let [x] = …`, `return [0; 4]`, …).
-pub(crate) const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "return", "match", "if", "else", "move", "as", "box", "await",
-    "break", "continue", "yield", "static", "const", "where", "dyn", "impl", "for", "while",
-    "loop", "unsafe", "async", "fn", "type", "struct", "enum", "union", "trait", "use", "pub",
-];
-
-/// P1: panicking operations in covered library code.
-fn rule_p1(ctx: &mut RuleCtx<'_, '_>) {
-    for s in 0..ctx.sig.len() {
-        if ctx.sig_masked(s) {
-            continue;
-        }
-        let Some(tok) = ctx.sig_tok(s) else { continue };
-        // `.unwrap()` / `.expect(`
-        if tok.is_punct(".") {
-            let (Some(method), Some(open)) = (ctx.sig_tok(s + 1), ctx.sig_tok(s + 2)) else {
-                continue;
-            };
-            if (method.is_ident("unwrap") || method.is_ident("expect")) && open.is_punct("(") {
-                let msg = format!(
-                    "`.{}()` in library code may panic; return a typed error or \
-                     convert the invariant into `unwrap_or_else(|| unreachable!(…))` \
-                     with a justification (rule P1)",
-                    method.text
-                );
-                ctx.emit("P1", &method, msg);
-            }
-            continue;
-        }
-        // Indexing: `expr[` where expr ends in an identifier (non-keyword),
-        // `)` or `]`.
-        if tok.is_punct("[") && s > 0 {
-            let Some(prev) = ctx.sig_tok(s - 1) else {
-                continue;
-            };
-            let indexes = match prev.kind {
-                TokenKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text),
-                TokenKind::Punct => prev.text == ")" || prev.text == "]",
-                _ => false,
-            };
-            if indexes {
-                ctx.emit(
-                    "P1",
-                    &tok,
-                    "slice/array indexing in library code may panic; prefer `.get()`, \
-                     iterators, or destructuring — or allowlist with a reason when \
-                     bounds are structural (rule P1)"
-                        .to_owned(),
-                );
-            }
-        }
-    }
-}
-
 /// U1: `unsafe` blocks need `// SAFETY:`; `unreachable!()` needs a message
 /// or a justifying comment.
 fn rule_u1(ctx: &mut RuleCtx<'_, '_>) {
@@ -467,7 +407,7 @@ mod tests {
     use super::*;
 
     fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
-        let cfg = Config::default();
+        let cfg = crate::config::repo_config();
         check_file(
             &FileTarget {
                 path,
@@ -497,20 +437,19 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_mod_is_masked_for_p1() {
-        let src = "pub fn f(v: &[u8]) -> u8 { v[0] }\n\
-                   #[cfg(test)]\nmod tests {\n  fn g(v: &[u8]) -> u8 { v[0] }\n}\n";
-        let diags = lint("crates/sim/src/lib.rs", src);
-        let p1: Vec<_> = diags.iter().filter(|d| d.rule == "P1").collect();
-        assert_eq!(p1.len(), 1, "{diags:?}");
-        assert_eq!(p1[0].line, 1);
+    fn cfg_test_mod_is_masked() {
+        let src = "pub fn f(p: f64) -> bool { p == 1.0 }\n\
+                   #[cfg(test)]\nmod tests {\n  fn g(p: f64) -> bool { p == 1.0 }\n}\n";
+        let diags = lint("crates/def/src/x.rs", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), ("F1", 1));
     }
 
     #[test]
     fn cfg_not_test_is_not_masked() {
-        let src = "#[cfg(not(test))]\npub fn f(v: &[u8]) -> u8 { v[0] }\n";
-        let diags = lint("crates/sim/src/lib.rs", src);
-        assert!(diags.iter().any(|d| d.rule == "P1"), "{diags:?}");
+        let src = "#[cfg(not(test))]\npub fn f(p: f64) -> bool { p == 1.0 }\n";
+        let diags = lint("crates/def/src/x.rs", src);
+        assert!(diags.iter().any(|d| d.rule == "F1"), "{diags:?}");
     }
 
     #[test]
@@ -550,11 +489,5 @@ mod tests {
             .iter()
             .any(|d| d.rule == "U1"));
         assert!(lint("crates/def/src/x.rs", good).is_empty());
-    }
-
-    #[test]
-    fn let_patterns_are_not_indexing() {
-        let src = "pub fn f(v: [u8; 2]) -> u8 { let [a, _b] = v; a }\n";
-        assert!(lint("crates/sim/src/lib.rs", src).is_empty());
     }
 }

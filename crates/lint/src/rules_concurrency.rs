@@ -140,7 +140,7 @@ pub fn check_concurrency(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagno
 
 /// Runs L1/L2/S1 over an already-built library+binary graph, with the
 /// `unsafe`-block census precomputed per file (empty census on explicit /
-/// fixture runs). The incremental pipeline calls this directly.
+/// fixture runs). The pipeline ([`crate::analysis`]) calls this directly.
 pub(crate) fn check_concurrency_graph(
     graph: &Graph,
     cfg: &Config,
@@ -978,10 +978,11 @@ fn audit_unsafe_census(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::repo_config;
 
     /// Runs the concurrency rules over synthetic non-explicit files with
-    /// the `unsafe` registry cleared (the default registry names the real
-    /// daemon binary, which is absent from synthetic workspaces).
+    /// the `unsafe` registry cleared (the checked-in registry names the
+    /// real daemon binary, which is absent from synthetic workspaces).
     fn run_cfg(files: &[(&str, &str)], cfg: &Config) -> Vec<Diagnostic> {
         let targets: Vec<FileTarget<'_>> = files
             .iter()
@@ -995,7 +996,7 @@ mod tests {
     }
 
     fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut cfg = Config::default();
+        let mut cfg = repo_config();
         cfg.s1_unsafe_blocks.clear();
         run_cfg(files, &cfg)
     }
@@ -1079,7 +1080,7 @@ mod tests {
 
     #[test]
     fn l1_declared_order_is_enforced_without_a_cycle() {
-        let mut cfg = Config::default();
+        let mut cfg = repo_config();
         cfg.s1_unsafe_blocks.clear();
         cfg.l1_orders = vec![("core".into(), vec!["s::alpha".into(), "s::beta".into()])];
         let d = run_cfg(
@@ -1156,7 +1157,7 @@ mod tests {
 
     #[test]
     fn l1_acquire_fn_names_the_class_of_its_argument() {
-        let mut cfg = Config::default();
+        let mut cfg = repo_config();
         cfg.s1_unsafe_blocks.clear();
         cfg.l1_acquire_fns = vec!["x::bridge".into()];
         let d = run_cfg(
@@ -1204,7 +1205,7 @@ mod tests {
             s1_unsafe_blocks: vec![
                 "crates/serviced/src/bin/sfqpartd.rs -- signal registration".into()
             ],
-            ..Config::default()
+            ..repo_config()
         };
         let d = run_cfg(
             &[(
@@ -1236,7 +1237,7 @@ mod tests {
     fn s1_stale_registry_entry_fires() {
         let cfg = Config {
             s1_unsafe_blocks: vec!["crates/core/src/gone.rs -- no longer".into()],
-            ..Config::default()
+            ..repo_config()
         };
         let d = run_cfg(&[("crates/core/src/x.rs", "fn f() {}")], &cfg);
         assert_eq!(d.len(), 1, "{d:?}");
@@ -1247,7 +1248,7 @@ mod tests {
     fn unsafe_blocks_beyond_the_registry_fire() {
         let cfg = Config {
             s1_unsafe_blocks: vec!["crates/core/src/x.rs -- first block".into()],
-            ..Config::default()
+            ..repo_config()
         };
         let d = run_cfg(
             &[(

@@ -108,8 +108,9 @@ pub fn check_workspace(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnost
     check_workspace_graph(&graph, cfg, &explicit_paths)
 }
 
-/// Runs A1/I1/O1 over an already-built library graph. The incremental
-/// pipeline builds the graph once and shares it with the value rules.
+/// Runs A1/I1/O1 over an already-built library graph. The pipeline
+/// ([`crate::analysis`]) builds the graph once and shares it with the
+/// value rules.
 pub(crate) fn check_workspace_graph(
     graph: &Graph,
     cfg: &Config,
@@ -350,7 +351,7 @@ mod tests {
                 explicit,
             })
             .collect();
-        check_workspace(&targets, &Config::default())
+        check_workspace(&targets, &crate::config::repo_config())
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub fn check_values(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic>
 }
 
 /// Runs P2/N1/D4 over an already-built library graph (shared with the
-/// A1/I1/O1 pass by the incremental pipeline).
+/// A1/I1/O1 pass by the pipeline, [`crate::analysis`]).
 pub(crate) fn check_values_graph(
     graph: &Graph,
     cfg: &Config,
@@ -352,7 +352,7 @@ mod tests {
                 explicit,
             })
             .collect();
-        check_values(&targets, &Config::default())
+        check_values(&targets, &crate::config::repo_config())
     }
 
     #[test]

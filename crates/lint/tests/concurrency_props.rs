@@ -102,7 +102,7 @@ fn fuzz_config() -> Config {
         )],
         s1_handlers: vec!["on_term".into()],
         s1_unsafe_blocks: vec!["crates/core/src/fuzz.rs -- fuzzing".into()],
-        ..Config::default()
+        ..Config::parse(include_str!("../../../lint.toml")).unwrap()
     }
 }
 

@@ -1,13 +1,13 @@
-//! Property tests: the item parser, graph construction, and the graph
-//! rules must never panic, whatever bytes they are fed. The lint gate
-//! runs on every push — a panic on a half-written file would wedge CI
-//! harder than any finding, so "tolerant scanner, conservative ⊤" is a
-//! hard invariant, not a best effort.
+//! Property tests: the token rules, the item parser, graph construction,
+//! and the graph rules must never panic, whatever bytes they are fed. The
+//! lint gate runs on every push — a panic on a half-written file would
+//! wedge CI harder than any finding, so "tolerant scanner, conservative ⊤"
+//! is a hard invariant, not a best effort.
 
 use proptest::prelude::*;
 use sfqlint::graph::Graph;
 use sfqlint::items::parse_items;
-use sfqlint::{check_file, check_values, check_workspace, Cache, CacheEntry, Config, FileTarget};
+use sfqlint::{check_file, check_values, check_workspace, Config, FileTarget};
 
 /// Rust-ish token vocabulary: item keywords, delimiters, and the exact
 /// identifiers the A1/I1/O1 configurations key on, so random interleavings
@@ -84,6 +84,11 @@ const VOCAB: &[&str] = &[
     "try_solve",
 ];
 
+/// The checked-in `lint.toml`: the only source of rule scopes.
+fn repo_config() -> Config {
+    Config::parse(include_str!("../../../lint.toml")).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -92,8 +97,11 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let items = parse_items("crates/core/src/fuzz.rs", &src);
-        let _ = Graph::build(vec![("crates/core/src/fuzz.rs".to_owned(), items)]);
+        let path = "crates/core/src/fuzz.rs";
+        let target = FileTarget { path, src: &src, explicit: false };
+        let _ = check_file(&target, &repo_config());
+        let items = parse_items(path, &src);
+        let _ = Graph::build(vec![(path.to_owned(), items)]);
     }
 
     #[test]
@@ -110,7 +118,7 @@ proptest! {
             src: &src,
             explicit: true,
         };
-        let _ = check_workspace(std::slice::from_ref(&target), &Config::default());
+        let _ = check_workspace(std::slice::from_ref(&target), &repo_config());
     }
 
     /// The v4 value rules share the scanner with the graph rules; they must
@@ -129,32 +137,6 @@ proptest! {
             src: &src,
             explicit: true,
         };
-        let _ = check_values(std::slice::from_ref(&target), &Config::default());
-    }
-
-    /// Whatever the scanner extracts from arbitrary bytes, the cache
-    /// serializer must round-trip it exactly — the warm run's inputs are
-    /// byte-for-byte the cold run's artifacts.
-    #[test]
-    fn cache_roundtrips_fuzzed_analyses(
-        bytes in proptest::collection::vec(any::<u8>(), 0..400),
-        seed in any::<u64>(),
-    ) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
-        let path = "crates/core/src/fuzz.rs";
-        let target = FileTarget { path, src: &src, explicit: false };
-        let entry = CacheEntry {
-            content_hash: sfqlint::fnv1a64(src.as_bytes()),
-            diags: check_file(&target, &Config::default()),
-            items: parse_items(path, &src),
-            unsafe_sites: vec![(1, 2), (40, 7)],
-        };
-        let mut cache = Cache::new(seed);
-        cache.insert(path, entry.clone());
-        let file = std::env::temp_dir().join(format!("sfqlint-prop-cache-{seed:x}"));
-        cache.save(&file).unwrap();
-        let mut reloaded = Cache::load(&file, seed);
-        let _ = std::fs::remove_file(&file);
-        prop_assert_eq!(reloaded.lookup(path, entry.content_hash), Some(entry));
+        let _ = check_values(std::slice::from_ref(&target), &repo_config());
     }
 }

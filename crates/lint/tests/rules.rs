@@ -10,7 +10,7 @@ use sfqlint::{
     Config, Diagnostic, FileTarget,
 };
 
-const POSITIVES: [&str; 15] = [
+const POSITIVES: [&str; 14] = [
     "a1_pos.rs",
     "d1_pos.rs",
     "d2_pos.rs",
@@ -22,12 +22,11 @@ const POSITIVES: [&str; 15] = [
     "l2_pos.rs",
     "n1_pos.rs",
     "o1_pos.rs",
-    "p1_pos.rs",
     "p2_pos.rs",
     "s1_pos.rs",
     "u1_pos.rs",
 ];
-const NEGATIVES: [&str; 17] = [
+const NEGATIVES: [&str; 16] = [
     "a1_neg.rs",
     "d1_neg.rs",
     "d2_neg.rs",
@@ -41,11 +40,19 @@ const NEGATIVES: [&str; 17] = [
     "lexer_edges_neg.rs",
     "n1_neg.rs",
     "o1_neg.rs",
-    "p1_neg.rs",
     "p2_neg.rs",
     "s1_neg.rs",
     "u1_neg.rs",
 ];
+
+/// The checked-in `lint.toml`: the only source of rule scopes.
+fn repo_lint_toml() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../lint.toml")
+}
+
+fn repo_config() -> Config {
+    Config::parse(include_str!("../../../lint.toml")).unwrap()
+}
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -73,7 +80,7 @@ fn lint_fixture(name: &str, cfg: &Config) -> Vec<Diagnostic> {
 
 #[test]
 fn positive_fixtures_fire_at_expected_positions() {
-    let cfg = Config::default();
+    let cfg = repo_config();
     let expected = [
         ("a1_pos.rs", "A1", 15, 22),
         ("d1_pos.rs", "D1", 2, 23),
@@ -86,7 +93,6 @@ fn positive_fixtures_fire_at_expected_positions() {
         ("l2_pos.rs", "L2", 10, 5),
         ("n1_pos.rs", "N1", 5, 7),
         ("o1_pos.rs", "O1", 19, 5),
-        ("p1_pos.rs", "P1", 4, 7),
         ("p2_pos.rs", "P2", 14, 9),
         ("s1_pos.rs", "S1", 22, 16),
         ("u1_pos.rs", "U1", 4, 5),
@@ -103,7 +109,7 @@ fn positive_fixtures_fire_at_expected_positions() {
 
 #[test]
 fn negative_fixtures_are_clean_under_every_rule() {
-    let cfg = Config::default();
+    let cfg = repo_config();
     for name in NEGATIVES {
         let diags = lint_fixture(name, &cfg);
         assert!(diags.is_empty(), "{name}: {diags:?}");
@@ -111,17 +117,8 @@ fn negative_fixtures_are_clean_under_every_rule() {
 }
 
 #[test]
-fn p1_fixture_reports_both_indexing_and_unwrap() {
-    let diags = lint_fixture("p1_pos.rs", &Config::default());
-    let p1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "P1").collect();
-    assert_eq!(p1.len(), 2, "{diags:?}");
-    assert!(p1[0].message.contains("indexing"), "{:?}", p1[0]);
-    assert!(p1[1].message.contains("unwrap"), "{:?}", p1[1]);
-}
-
-#[test]
 fn u1_fixture_reports_both_unsafe_and_unreachable() {
-    let diags = lint_fixture("u1_pos.rs", &Config::default());
+    let diags = lint_fixture("u1_pos.rs", &repo_config());
     let u1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "U1").collect();
     assert_eq!(u1.len(), 2, "{diags:?}");
     assert!(u1[0].message.contains("SAFETY"), "{:?}", u1[0]);
@@ -132,7 +129,7 @@ fn u1_fixture_reports_both_unsafe_and_unreachable() {
 /// hops from the root, an allocating macro, and an unresolvable (⊤) call.
 #[test]
 fn a1_fixture_reports_constructs_and_top_calls() {
-    let diags = lint_fixture("a1_pos.rs", &Config::default());
+    let diags = lint_fixture("a1_pos.rs", &repo_config());
     let a1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "A1").collect();
     assert_eq!(a1.len(), 3, "{diags:?}");
     assert!(a1[0].message.contains(".push()"), "{:?}", a1[0]);
@@ -152,42 +149,55 @@ fn a1_fixture_reports_constructs_and_top_calls() {
 /// and nothing else; an entry that matches nothing is reported as unused.
 #[test]
 fn allowlist_suppresses_exactly_its_target() {
-    let fixture = "crates/lint/tests/fixtures/p1_pos.rs";
-    let mut cfg = Config::default();
-    cfg.allows.push(AllowEntry {
-        rule: "P1".into(),
-        path: fixture.into(),
-        reason: "fixture: structural bound".into(),
-        line: None,
-        contains: Some("indexing".into()),
-    });
-    cfg.allows.push(AllowEntry {
-        rule: "U1".into(),
-        path: "crates/never/src/lib.rs".into(),
-        reason: "fixture: never matches".into(),
-        line: None,
-        contains: None,
-    });
+    let fixture = "crates/lint/tests/fixtures/u1_pos.rs";
+    let mut cfg = repo_config();
+    cfg.allows = vec![
+        AllowEntry {
+            rule: "U1".into(),
+            path: fixture.into(),
+            reason: "fixture: the match is exhaustive over the tested inputs".into(),
+            line: None,
+            contains: Some("unreachable".into()),
+        },
+        AllowEntry {
+            rule: "U1".into(),
+            path: "crates/never/src/lib.rs".into(),
+            reason: "fixture: never matches".into(),
+            line: None,
+            contains: None,
+        },
+    ];
 
-    let diags = lint_fixture("p1_pos.rs", &cfg);
+    let diags = lint_fixture("u1_pos.rs", &cfg);
     let (kept, suppressed, unused) = apply_allowlist(diags, &cfg);
 
     assert_eq!(suppressed.len(), 1, "{suppressed:?}");
-    assert!(suppressed[0].message.contains("indexing"));
+    assert!(suppressed[0].message.contains("unreachable"));
     assert_eq!(kept.len(), 1, "{kept:?}");
-    assert!(kept[0].message.contains("unwrap"));
+    assert!(kept[0].message.contains("SAFETY"));
     assert_eq!(unused.len(), 1, "{unused:?}");
-    assert_eq!(unused[0].rule, "U1");
+    assert_eq!(unused[0].path, "crates/never/src/lib.rs");
 }
 
 fn sfqlint() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sfqlint"))
 }
 
+/// sfqlint under the checked-in config. The tests run from `crates/lint`,
+/// which has no `lint.toml` of its own.
+fn sfqlint_repo_config() -> Command {
+    let mut cmd = sfqlint();
+    cmd.arg("--config").arg(repo_lint_toml());
+    cmd
+}
+
 #[test]
 fn cli_exits_one_on_every_positive_fixture() {
     for name in POSITIVES {
-        let out = sfqlint().arg(fixture_path(name)).output().unwrap();
+        let out = sfqlint_repo_config()
+            .arg(fixture_path(name))
+            .output()
+            .unwrap();
         assert_eq!(
             out.status.code(),
             Some(1),
@@ -203,7 +213,10 @@ fn cli_exits_one_on_every_positive_fixture() {
 #[test]
 fn cli_exits_zero_on_every_negative_fixture() {
     for name in NEGATIVES {
-        let out = sfqlint().arg(fixture_path(name)).output().unwrap();
+        let out = sfqlint_repo_config()
+            .arg(fixture_path(name))
+            .output()
+            .unwrap();
         assert_eq!(
             out.status.code(),
             Some(0),
@@ -248,9 +261,9 @@ fn cli_workspace_reports_unresolved_roots() {
     .unwrap();
     std::fs::write(
         dir.join("lint.toml"),
-        "[rules.A1]\nroots = [\"engine::gate_pass_chunk\"]\n\n\
-         [rules.P2]\nroots = [\"engine::gate_pass_chnuk\"]\n\n\
-         [rules.S1]\nunsafe_blocks = []\n",
+        "[workspace]\nroots = [\"crates\"]\n\n\
+         [rules.A1]\nroots = [\"engine::gate_pass_chunk\"]\n\n\
+         [rules.P2]\nroots = [\"engine::gate_pass_chnuk\"]\n",
     )
     .unwrap();
     let strict = sfqlint()
@@ -291,7 +304,7 @@ fn cli_workspace_reports_unresolved_roots() {
 
 #[test]
 fn cli_json_output_carries_positions() {
-    let out = sfqlint()
+    let out = sfqlint_repo_config()
         .args(["--format", "json"])
         .arg(fixture_path("f1_pos.rs"))
         .output()
@@ -306,7 +319,7 @@ fn cli_json_output_carries_positions() {
 
 #[test]
 fn cli_json_findings_carry_allow_keys() {
-    let out = sfqlint()
+    let out = sfqlint_repo_config()
         .args(["--format", "json"])
         .arg(fixture_path("i1_pos.rs"))
         .output()
@@ -320,7 +333,7 @@ fn cli_json_findings_carry_allow_keys() {
 
 #[test]
 fn cli_github_format_renders_annotations() {
-    let out = sfqlint()
+    let out = sfqlint_repo_config()
         .args(["--format", "github"])
         .arg(fixture_path("o1_pos.rs"))
         .output()
@@ -343,7 +356,7 @@ fn cli_strict_allow_fails_on_stale_entries() {
     let config = dir.join("lint.toml");
     std::fs::write(
         &config,
-        "[[allow]]\nrule = \"P1\"\npath = \"never.rs\"\nreason = \"stale on purpose\"\n",
+        "[[allow]]\nrule = \"U1\"\npath = \"never.rs\"\nreason = \"stale on purpose\"\n",
     )
     .unwrap();
     let base = sfqlint()
@@ -370,7 +383,7 @@ fn cli_strict_allow_fails_on_stale_entries() {
 /// sites, with the opposite acquisition orders spelled out.
 #[test]
 fn l1_fixture_cycle_carries_both_witness_edges() {
-    let diags = lint_fixture("l1_pos.rs", &Config::default());
+    let diags = lint_fixture("l1_pos.rs", &repo_config());
     let l1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "L1").collect();
     assert_eq!(l1.len(), 1, "{diags:?}");
     assert!(l1[0].message.contains("lock-order cycle"), "{:?}", l1[0]);
@@ -382,7 +395,7 @@ fn l1_fixture_cycle_carries_both_witness_edges() {
 /// guard, and blocking through a resolved callee.
 #[test]
 fn l2_fixture_reports_direct_and_indirect_blocking() {
-    let diags = lint_fixture("l2_pos.rs", &Config::default());
+    let diags = lint_fixture("l2_pos.rs", &repo_config());
     let l2: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "L2").collect();
     assert_eq!(l2.len(), 2, "{diags:?}");
     assert!(
@@ -397,7 +410,7 @@ fn l2_fixture_reports_direct_and_indirect_blocking() {
 /// unresolved call, with the handler auto-detected from `signal(...)`.
 #[test]
 fn s1_fixture_reports_macro_and_unvetted_call() {
-    let diags = lint_fixture("s1_pos.rs", &Config::default());
+    let diags = lint_fixture("s1_pos.rs", &repo_config());
     let s1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "S1").collect();
     assert_eq!(s1.len(), 2, "{diags:?}");
     assert!(s1[0].message.contains("format"), "{:?}", s1[0]);
@@ -408,7 +421,7 @@ fn s1_fixture_reports_macro_and_unvetted_call() {
 /// unchecked indexing — each carrying the root→…→site witness chain.
 #[test]
 fn p2_fixture_reports_macro_and_indexing_with_witness() {
-    let diags = lint_fixture("p2_pos.rs", &Config::default());
+    let diags = lint_fixture("p2_pos.rs", &repo_config());
     let p2: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "P2").collect();
     assert_eq!(p2.len(), 2, "{diags:?}");
     assert!(p2[0].message.contains("`assert!`"), "{:?}", p2[0]);
@@ -425,7 +438,7 @@ fn p2_fixture_reports_macro_and_indexing_with_witness() {
 /// checked-math helpers.
 #[test]
 fn n1_fixture_names_function_and_checked_helpers() {
-    let diags = lint_fixture("n1_pos.rs", &Config::default());
+    let diags = lint_fixture("n1_pos.rs", &repo_config());
     let n1: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "N1").collect();
     assert_eq!(n1.len(), 1, "{diags:?}");
     assert!(n1[0].message.contains("stray_ratio"), "{:?}", n1[0]);
@@ -436,7 +449,7 @@ fn n1_fixture_names_function_and_checked_helpers() {
 /// sequential `+=` accumulation loop.
 #[test]
 fn d4_fixture_reports_iterator_and_accumulator_shapes() {
-    let diags = lint_fixture("d4_pos.rs", &Config::default());
+    let diags = lint_fixture("d4_pos.rs", &repo_config());
     let d4: Vec<&Diagnostic> = diags.iter().filter(|d| d.rule == "D4").collect();
     assert_eq!(d4.len(), 2, "{diags:?}");
     assert!(d4[0].message.contains("iterator reduction"), "{:?}", d4[0]);
@@ -462,7 +475,7 @@ fn cli_explain_prints_rule_rationale() {
 /// The github format points every fired rule at `--explain`.
 #[test]
 fn cli_github_format_emits_explain_notice() {
-    let out = sfqlint()
+    let out = sfqlint_repo_config()
         .args(["--format", "github"])
         .arg(fixture_path("l1_pos.rs"))
         .output()
@@ -473,79 +486,6 @@ fn cli_github_format_emits_explain_notice() {
         text.contains("::notice title=sfqlint L1::run `sfqlint --explain L1`"),
         "{text}"
     );
-}
-
-/// Incremental cache correctness: a warm `--cache` run serves every
-/// unchanged file from the cache with stdout byte-identical to the cold
-/// run, and an edit invalidates exactly the edited file's entry.
-#[test]
-fn cli_cache_warm_run_is_byte_identical_and_incremental() {
-    let dir = std::env::temp_dir().join("sfqlint-cache-correctness-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let src = dir.join("crates/core/src");
-    std::fs::create_dir_all(&src).unwrap();
-    // `stray_ratio` fires N1 (covered crate, outside the recovery scope).
-    std::fs::write(
-        src.join("lib.rs"),
-        "pub fn stray_ratio(a: f64, b: f64) -> f64 {\n    a / b\n}\n",
-    )
-    .unwrap();
-    std::fs::write(
-        src.join("other.rs"),
-        "pub fn double(x: f64) -> f64 {\n    x * 2.0\n}\n",
-    )
-    .unwrap();
-    let cache = dir.join("lint-cache");
-    let run = || {
-        let out = sfqlint()
-            .args(["--workspace", "--format", "json", "--root"])
-            .arg(&dir)
-            .arg("--cache")
-            .arg(&cache)
-            .output()
-            .unwrap();
-        (
-            out.status.code(),
-            out.stdout,
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
-
-    let (cold_code, cold_stdout, cold_stderr) = run();
-    assert_eq!(cold_code, Some(1), "{cold_stderr}");
-    assert!(
-        cold_stderr.contains("cache 0 hit(s), 2 miss(es), 2 file(s) cached"),
-        "{cold_stderr}"
-    );
-
-    let (warm_code, warm_stdout, warm_stderr) = run();
-    assert_eq!(warm_code, Some(1), "{warm_stderr}");
-    assert!(
-        warm_stderr.contains("cache 2 hit(s), 0 miss(es)"),
-        "{warm_stderr}"
-    );
-    assert_eq!(
-        cold_stdout, warm_stdout,
-        "warm findings must be byte-identical"
-    );
-
-    // Edit one file: only its entry is stale, and the new finding (a raw
-    // float fold, rule D4) appears.
-    std::fs::write(
-        src.join("other.rs"),
-        "pub fn total(xs: &[f64]) -> f64 {\n    xs.iter().sum::<f64>()\n}\n",
-    )
-    .unwrap();
-    let (edit_code, edit_stdout, edit_stderr) = run();
-    assert_eq!(edit_code, Some(1), "{edit_stderr}");
-    assert!(
-        edit_stderr.contains("cache 1 hit(s), 1 miss(es)"),
-        "{edit_stderr}"
-    );
-    let json = String::from_utf8_lossy(&edit_stdout);
-    assert!(json.contains("\"rule\":\"D4\""), "{json}");
-    assert!(json.contains("\"rule\":\"N1\""), "{json}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -564,4 +504,25 @@ fn cli_missing_named_config_exits_three() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
+}
+
+/// `lint.toml` is the only source of rule scopes: a workspace run that
+/// finds none exits 3 instead of linting with every rule scoped to nothing.
+#[test]
+fn cli_workspace_without_lint_toml_exits_three() {
+    let dir = std::env::temp_dir().join("sfqlint-no-config-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let src = dir.join("crates/core/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(src.join("lib.rs"), "use std::collections::HashMap;\n").unwrap();
+    let out = sfqlint()
+        .args(["--workspace", "--root"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("lint.toml"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }

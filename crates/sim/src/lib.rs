@@ -40,7 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must propagate failures, never abort the process on them;
-// tests keep the ergonomic forms.
+// tests keep the ergonomic forms. Indexing stays allowed: dense
+// CellId-indexed state vectors (pending, sinks, kinds) are sized once at
+// build, and their indices come from the same netlist.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
