@@ -33,22 +33,20 @@
 //! * **Integer-exponent kernels** — label distances go through
 //!   [`kernel::pow_abs`]/[`kernel::pow_grad_abs`] (multiply chains for the
 //!   paper's `p = 4`) instead of transcendental `powf`.
-//! * **Deterministic intra-descent parallelism** — on problems at or above
+//! * **Fixed chunk layout** — on problems at or above
 //!   [`EngineOptions::chunk_min_items`], sweeps are split into
 //!   [`EngineOptions::num_chunks`] fixed ranges whose partial sums are
 //!   folded in chunk order. Gate-sweep chunks split on gate boundaries, so
 //!   their flat offsets (`start · stride`) stay lane-aligned by
 //!   construction; edge-gather chunks are contiguous gate ranges balanced
-//!   by incident-edge count. The chunk layout depends only on the problem,
-//!   and the fold order is the same whether chunks run sequentially or on
-//!   the engine's persistent worker pool (the `pool` module), so enabling
-//!   [`EngineOptions::intra_parallel`] changes wall-clock time but not a
-//!   single bit of the result. The pool is built eagerly in
-//!   [`CostEngine::new`], so the zero-allocation guarantee holds for the
-//!   threaded path too.
+//!   by incident-edge count. Every chunk runs on the calling thread. The
+//!   layout depends only on the problem and is part of the numerical
+//!   contract: it fixes the fold order, and with it every bit, of each
+//!   problem at or above the threshold, so changing either constant moves
+//!   those solves and their goldens.
 //!
-//! Numerical contract: on one chunk layout, serial and intra-parallel
-//! evaluations are bitwise equal. Against the sequential-fold *reference*
+//! Numerical contract: an evaluation is a pure function of the problem, the
+//! options and the iterate. Against the sequential-fold *reference*
 //! implementations — the oracle the parity tests compare against — the
 //! engine matches within `1e-12` relative: the stripes and the per-chunk
 //! fold reorder additions, and the power kernels differ in the last ulp.
@@ -57,7 +55,6 @@ use crate::cost::{variance, CostBreakdown, CostModel, CostWeights};
 use crate::grad::GradientOptions;
 use crate::kernel;
 use crate::lanes::{self, LANE};
-use crate::pool::{ChunkPool, PoolSpec};
 use crate::problem::PartitionProblem;
 use crate::weights::WeightMatrix;
 
@@ -67,9 +64,6 @@ pub struct EngineOptions {
     /// Gradient formula selection (exact vs as-printed), shared with the
     /// reference [`Gradient`](crate::grad::Gradient).
     pub gradient: GradientOptions,
-    /// Run chunked sweeps on scoped threads. Only takes effect on problems
-    /// large enough to be chunked; results are bit-identical either way.
-    pub intra_parallel: bool,
     /// Minimum work-item count (`G·K` for gate sweeps, `|E|` for the edge
     /// sweep) before a sweep is split into chunks.
     pub chunk_min_items: usize,
@@ -83,7 +77,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             gradient: GradientOptions::exact(),
-            intra_parallel: false,
             chunk_min_items: 8192,
             num_chunks: 8,
         }
@@ -220,9 +213,6 @@ pub struct CostEngine<'a> {
     /// `1.0` for real planes, `0.0` for padding: the lane gradient kernel
     /// multiplies each written entry by this to keep padding slots at zero.
     mask: Vec<f64>,
-    /// Persistent workers for chunked sweeps; `Some` exactly when
-    /// [`EngineOptions::intra_parallel`] is set on a chunked problem.
-    pool: Option<ChunkPool>,
 }
 
 /// Splits `0..len` into `chunks` contiguous ranges of near-equal size.
@@ -268,7 +258,7 @@ fn degree_balanced_bounds(offsets: &[u32], chunks: usize) -> Vec<(usize, usize)>
 /// `Σw²/K − (Σw/K)²` so the row is read once; with entries in `[0,1]` the
 /// cancellation error is far below the engine's `1e-12` contract.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn gate_pass_chunk(
+fn gate_pass_chunk(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     bias: &[f64],
@@ -324,7 +314,7 @@ pub(crate) fn gate_pass_chunk(
 /// by `0.5`. There is no K dimension here; the 4-way stripe runs over each
 /// gate's incident edges.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn edge_gather_chunk(
+fn edge_gather_chunk(
     offsets: &[u32],
     neighbors: &[u32],
     labels: &[f64],
@@ -369,8 +359,8 @@ pub(crate) fn edge_gather_chunk(
 
 /// Weighted per-iteration constants for the gradient write sweep; everything
 /// that does not depend on the gate is folded in here once per call.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct GradConsts {
+#[derive(Debug, Clone, Copy)]
+struct GradConsts {
     /// `c₁` (multiplies the per-gate interconnect force).
     c1: f64,
     /// `c₄·2/N₄` — multiplies `(Σw − 1)` in the exact `F₄` formula.
@@ -410,7 +400,7 @@ impl GradConsts {
 /// `coeff_area` carry the per-plane `F₂`/`F₃` coefficients with the term
 /// weights already folded in.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-pub(crate) fn grad_pass_chunk(
+fn grad_pass_chunk(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     mask: &[f64],
@@ -495,28 +485,6 @@ impl<'a> CostEngine<'a> {
         let edge_bounds = degree_balanced_bounds(&csr.offsets, edge_chunks);
         let plane_coeff: Vec<f64> = (0..stride).map(|j| (j + 1) as f64).collect();
         let mask: Vec<f64> = (0..stride).map(|j| if j < k { 1.0 } else { 0.0 }).collect();
-        // The pool is built eagerly (not on first use) so that the descent
-        // loop never constructs anything: after `new` returns, `evaluate*`
-        // performs zero allocations on every path, threaded included.
-        let pool = if options.intra_parallel && (gate_bounds.len() > 1 || edge_bounds.len() > 1) {
-            let (n1, ..) = model.normalizations();
-            Some(ChunkPool::new(PoolSpec {
-                bias: problem.bias().to_vec(),
-                area: problem.area().to_vec(),
-                csr_offsets: csr.offsets.clone(),
-                csr_neighbors: csr.neighbors.clone(),
-                exponent: model.exponent(),
-                n1,
-                paper_f1_sign: options.gradient.paper_f1_sign,
-                gate_bounds: gate_bounds.clone(),
-                edge_bounds: edge_bounds.clone(),
-                num_planes: k,
-                plane_coeff: plane_coeff.clone(),
-                mask: mask.clone(),
-            }))
-        } else {
-            None
-        };
         CostEngine {
             model,
             options,
@@ -535,7 +503,6 @@ impl<'a> CostEngine<'a> {
             csr,
             gate_bounds,
             edge_bounds,
-            pool,
         }
     }
 
@@ -597,36 +564,25 @@ impl<'a> CostEngine<'a> {
             return f4_raw;
         }
 
-        if let Some(pool) = &self.pool {
-            // Workers overwrite every partial slot, so no fill is needed.
-            pool.gate_pass(
+        self.gate_partials.fill(0.0);
+        for (idx, &(start, end)) in self.gate_bounds.iter().enumerate() {
+            let base = idx * pstride;
+            let partial = &mut self.gate_partials[base..base + pstride];
+            let (bias_part, rest) = partial.split_at_mut(self.stride);
+            let (area_part, f4_part) = rest.split_at_mut(self.stride);
+            gate_pass_chunk(
                 w,
-                &mut self.labels,
-                &mut self.row_sums,
-                &mut self.gate_partials,
-                pstride,
+                &self.plane_coeff,
+                bias,
+                area,
+                start,
+                end,
+                &mut self.labels[start..end],
+                &mut self.row_sums[start..end],
+                bias_part,
+                area_part,
+                &mut f4_part[0],
             );
-        } else {
-            self.gate_partials.fill(0.0);
-            for (idx, &(start, end)) in self.gate_bounds.iter().enumerate() {
-                let base = idx * pstride;
-                let partial = &mut self.gate_partials[base..base + pstride];
-                let (bias_part, rest) = partial.split_at_mut(self.stride);
-                let (area_part, f4_part) = rest.split_at_mut(self.stride);
-                gate_pass_chunk(
-                    w,
-                    &self.plane_coeff,
-                    bias,
-                    area,
-                    start,
-                    end,
-                    &mut self.labels[start..end],
-                    &mut self.row_sums[start..end],
-                    bias_part,
-                    area_part,
-                    &mut f4_part[0],
-                );
-            }
         }
 
         // Fold partials in fixed chunk order.
@@ -673,26 +629,20 @@ impl<'a> CostEngine<'a> {
             return f1_raw;
         }
 
-        if let Some(pool) = &self.pool {
-            // Workers overwrite every partial and force slot in full.
-            pool.edge_pass(&self.labels, &mut self.f1_partials, &mut self.force);
-        } else {
-            let labels = &self.labels[..];
-            self.f1_partials.fill(0.0);
-            for (idx, &(start, end)) in self.edge_bounds.iter().enumerate() {
-                edge_gather_chunk(
-                    &self.csr.offsets,
-                    &self.csr.neighbors,
-                    labels,
-                    exponent,
-                    n1,
-                    paper_sign,
-                    start,
-                    end,
-                    &mut self.f1_partials[idx],
-                    &mut self.force[start..end],
-                );
-            }
+        self.f1_partials.fill(0.0);
+        for (idx, &(start, end)) in self.edge_bounds.iter().enumerate() {
+            edge_gather_chunk(
+                &self.csr.offsets,
+                &self.csr.neighbors,
+                &self.labels,
+                exponent,
+                n1,
+                paper_sign,
+                start,
+                end,
+                &mut self.f1_partials[idx],
+                &mut self.force[start..end],
+            );
         }
         self.f1_partials.iter().sum()
     }
@@ -813,31 +763,26 @@ impl<'a> CostEngine<'a> {
             return cost;
         }
 
-        // Pure writes per gate: identical output threaded or not.
-        if let Some(pool) = &self.pool {
-            pool.grad_pass(w, row_sums, force, coeff_bias, coeff_area, consts, out);
-        } else {
-            for &(start, end) in &self.gate_bounds {
-                // Chunk offsets stay lane-aligned because the stride is a
-                // multiple of LANE — the alignment rule the lanes module
-                // documents.
-                debug_assert_eq!((start * stride) % LANE, 0);
-                grad_pass_chunk(
-                    w,
-                    &self.plane_coeff,
-                    &self.mask,
-                    bias,
-                    area,
-                    start,
-                    end,
-                    &row_sums[start..end],
-                    force,
-                    coeff_bias,
-                    coeff_area,
-                    consts,
-                    &mut out[start * stride..end * stride],
-                );
-            }
+        for &(start, end) in &self.gate_bounds {
+            // Chunk offsets stay lane-aligned because the stride is a
+            // multiple of LANE — the alignment rule the lanes module
+            // documents.
+            debug_assert_eq!((start * stride) % LANE, 0);
+            grad_pass_chunk(
+                w,
+                &self.plane_coeff,
+                &self.mask,
+                bias,
+                area,
+                start,
+                end,
+                &row_sums[start..end],
+                force,
+                coeff_bias,
+                coeff_area,
+                consts,
+                &mut out[start * stride..end * stride],
+            );
         }
         cost
     }
@@ -1020,35 +965,6 @@ mod tests {
         for (&a, &b) in ga.iter().zip(&gb) {
             assert_close(a, b, "gradient entry");
         }
-    }
-
-    #[test]
-    fn parallel_chunks_are_bit_identical_to_sequential_chunks() {
-        let p = random_problem(80, 4, 11);
-        let mut rng = StdRng::seed_from_u64(12);
-        let w = WeightMatrix::random(80, 4, &mut rng);
-        let base = EngineOptions {
-            chunk_min_items: 1,
-            num_chunks: 6,
-            ..EngineOptions::default()
-        };
-        let mut sequential = CostEngine::new(&p, CostWeights::default(), 4.0, base);
-        let mut parallel = CostEngine::new(
-            &p,
-            CostWeights::default(),
-            4.0,
-            EngineOptions {
-                intra_parallel: true,
-                ..base
-            },
-        );
-        let mut gs = vec![0.0; w.padded_len()];
-        let mut gp = vec![0.0; w.padded_len()];
-        let cs = sequential.evaluate_with_gradient(&w, &mut gs);
-        let cp = parallel.evaluate_with_gradient(&w, &mut gp);
-        // Same chunk layout, same fold order: exactly equal, not just close.
-        assert_eq!(cs, cp);
-        assert_eq!(gs, gp);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   exactness suites — serial == parallel (lint rule D3),
 //!   observer-on == observer-off, and the alloc sanitizer (A1) — can pin
 //!   the arithmetic bit for bit.
-//! * **Chunk boundaries align to lane blocks** — intra-descent chunking
-//!   splits on *gate* boundaries and every row occupies a full number of
+//! * **Chunk boundaries align to lane blocks** — the engine's fixed chunk
+//!   layout splits on *gate* boundaries and every row occupies a full number of
 //!   lane blocks (`stride % LANE == 0`), so a chunk's flat offset
 //!   `start · stride` is always lane-aligned by construction. The engine
 //!   debug-asserts this invariant.
@@ -119,9 +119,9 @@ pub fn all_finite(xs: &[f64]) -> bool {
 /// [`fold`], then the scalar tail added left to right.
 ///
 /// This is THE reduction order for f64 sums in the numeric crates (lint
-/// rule D4): serial and intra-parallel evaluations both use it, so
-/// routing a reduction through here keeps the serial == parallel
-/// bit-identity guarantee. A raw `.iter().sum::<f64>()` evaluates in a
+/// rule D4): serial and parallel restarts both use it, so routing a
+/// reduction through here keeps the serial == parallel bit-identity
+/// guarantee. A raw `.iter().sum::<f64>()` evaluates in a
 /// different association order and is a D4 finding outside this module.
 #[must_use]
 pub fn sum(xs: &[f64]) -> f64 {

@@ -207,12 +207,6 @@ pub struct SolverOptions {
     pub swap_refine: bool,
     /// Run restarts on parallel threads.
     pub parallel: bool,
-    /// Split each [`CostEngine`](crate::engine::CostEngine) sweep across
-    /// the engine's worker threads (in addition to the
-    /// one-thread-per-restart parallelism of [`SolverOptions::parallel`]).
-    /// Only engages on problems large enough to chunk, and never changes
-    /// results: chunk layout and fold order are fixed per problem.
-    pub intra_parallel: bool,
     /// Wall-clock deadline for the whole solve (all restarts), in
     /// milliseconds. A run that overshoots stops gracefully with
     /// [`StopReason::BudgetExhausted`] and the best result so far wins.
@@ -247,7 +241,6 @@ impl Default for SolverOptions {
             refine: true,
             swap_refine: false,
             parallel: false,
-            intra_parallel: false,
             deadline_ms: None,
             iteration_budget: None,
             fault_injection: None,
@@ -549,7 +542,6 @@ impl Solver {
             restarts: opts.restarts,
             max_iterations: opts.max_iterations,
             parallel: opts.parallel,
-            intra_parallel: opts.intra_parallel,
         });
 
         // Pre-allocate the iteration budget to restarts in index order.
@@ -709,7 +701,6 @@ impl Solver {
             opts.exponent,
             EngineOptions {
                 gradient: grad_opts,
-                intra_parallel: opts.intra_parallel,
                 ..EngineOptions::default()
             },
         );
@@ -1053,59 +1044,24 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let p = chain(20, 3);
-        // Serial and intra-parallel evaluation must each reproduce
-        // themselves bit-for-bit.
-        for intra_parallel in [false, true] {
-            let opts = SolverOptions {
-                intra_parallel,
-                ..SolverOptions::default()
-            };
-            let a = Solver::new(opts.clone()).solve(&p);
-            let b = Solver::new(opts).solve(&p);
-            assert_eq!(a.partition, b.partition, "intra={intra_parallel}");
-            assert_eq!(a.cost_history, b.cost_history, "intra={intra_parallel}");
-        }
+        let a = Solver::new(SolverOptions::default()).solve(&p);
+        let b = Solver::new(SolverOptions::default()).solve(&p);
+        assert_eq!(a.partition, b.partition);
+        assert_eq!(a.cost_history, b.cost_history);
     }
 
     #[test]
     fn parallel_restarts_match_sequential() {
         let p = chain(20, 3);
-        // Restart-level threading must not change the outcome, with and
-        // without the engine's intra-descent threading underneath.
-        for intra_parallel in [false, true] {
-            let mut opts = SolverOptions::tuned(3);
-            opts.intra_parallel = intra_parallel;
-            opts.parallel = false;
-            let seq = Solver::new(opts.clone()).solve(&p);
-            opts.parallel = true;
-            let par = Solver::new(opts).solve(&p);
-            assert_eq!(seq.partition, par.partition, "intra={intra_parallel}");
-            assert_eq!(seq.best_restart, par.best_restart, "intra={intra_parallel}");
-            assert_eq!(seq.cost_history, par.cost_history, "intra={intra_parallel}");
-        }
-    }
-
-    #[test]
-    fn intra_parallel_is_bit_identical_on_chunked_problems() {
-        // 2048 gates × 4 planes = 8192 entries: exactly at the chunking
-        // threshold, so the engine sweeps split into fixed chunks and (with
-        // `intra_parallel`) run on scoped threads. Fold order is fixed per
-        // problem, so threading must not change a single bit.
-        let p = chain(2048, 4);
-        let base = SolverOptions {
-            max_iterations: 60,
-            refine: false,
-            ..SolverOptions::default()
-        };
-        let seq = Solver::new(base.clone()).solve(&p);
-        let par = Solver::new(SolverOptions {
-            intra_parallel: true,
-            ..base
-        })
-        .solve(&p);
+        // Restart-level threading must not change the outcome.
+        let mut opts = SolverOptions::tuned(3);
+        opts.parallel = false;
+        let seq = Solver::new(opts.clone()).solve(&p);
+        opts.parallel = true;
+        let par = Solver::new(opts).solve(&p);
         assert_eq!(seq.partition, par.partition);
+        assert_eq!(seq.best_restart, par.best_restart);
         assert_eq!(seq.cost_history, par.cost_history);
-        assert_eq!(seq.discrete_cost, par.discrete_cost);
     }
 
     #[test]

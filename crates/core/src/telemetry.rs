@@ -42,8 +42,10 @@ use crate::solver::StopReason;
 ///
 /// The schema is append-only within a version: readers must ignore unknown
 /// fields, and any change that removes or re-types a field bumps this
-/// number. [`TraceEvent::parse`] rejects records from other versions.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+/// number. Version 2 dropped `solve_start`'s constant `fused` and
+/// `intra_parallel` fields; nothing else changed, so
+/// [`TraceEvent::parse`] reads versions 1 and 2 and rejects any other.
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // In-flight events (borrowed views the solver hands to observers)
@@ -64,8 +66,6 @@ pub struct SolveStartEvent {
     pub max_iterations: usize,
     /// Whether restarts run on parallel threads.
     pub parallel: bool,
-    /// Whether fused sweeps split across intra-descent threads.
-    pub intra_parallel: bool,
 }
 
 /// Emitted once per completed descent iteration — exactly one event per
@@ -344,13 +344,8 @@ pub enum TraceEvent {
         restarts: u64,
         /// Per-restart iteration cap.
         max_iterations: u64,
-        /// Always `true` when written: the fused engine is the only
-        /// evaluation path. Kept so v1 readers still find the field.
-        fused: bool,
         /// Restart-level threading in use.
         parallel: bool,
-        /// Intra-descent threading in use.
-        intra_parallel: bool,
     },
     /// `"ev":"restart_start"` — first record of each restart's block.
     RestartStart {
@@ -566,6 +561,112 @@ impl TraceEvent {
         }
     }
 
+    /// The `solve_start` record of an observer event.
+    #[must_use]
+    pub fn solve_start(event: &SolveStartEvent) -> Self {
+        TraceEvent::SolveStart {
+            gates: event.gates as u64,
+            planes: event.planes as u64,
+            edges: event.edges as u64,
+            restarts: event.restarts as u64,
+            max_iterations: event.max_iterations as u64,
+            parallel: event.parallel,
+        }
+    }
+
+    /// The `restart_start` record of restart `restart`.
+    #[must_use]
+    pub fn restart_start(restart: usize) -> Self {
+        TraceEvent::RestartStart {
+            restart: restart as u64,
+        }
+    }
+
+    /// The `iter` record of restart `restart`'s iteration event.
+    #[must_use]
+    pub fn iteration(restart: usize, event: &IterationEvent<'_>) -> Self {
+        TraceEvent::Iteration {
+            restart: restart as u64,
+            iteration: event.iteration as u64,
+            f1: event.cost.f1,
+            f2: event.cost.f2,
+            f3: event.cost.f3,
+            f4: event.cost.f4,
+            total: event.cost.total,
+            learning_rate: event.learning_rate,
+            grad_norm: event.gradient_norm,
+            clipped: event.clipped as u64,
+            recovered: event.recovered,
+        }
+    }
+
+    /// The `recovery` record of restart `restart`'s recovery event.
+    #[must_use]
+    pub fn recovery(restart: usize, event: &RecoveryEvent) -> Self {
+        TraceEvent::Recovery {
+            restart: restart as u64,
+            iteration: event.iteration as u64,
+            attempt: event.attempt as u64,
+            learning_rate: event.learning_rate,
+        }
+    }
+
+    /// The `refine` record of restart `restart`'s refinement event.
+    #[must_use]
+    pub fn refine(restart: usize, event: &RefineEvent) -> Self {
+        TraceEvent::Refine {
+            restart: restart as u64,
+            moves: event.moves as u64,
+            cost_before: event.cost_before,
+            cost_after: event.cost_after,
+        }
+    }
+
+    /// The `restart_end` record of restart `restart`'s final event.
+    #[must_use]
+    pub fn restart_end(restart: usize, event: &RestartEndEvent) -> Self {
+        TraceEvent::RestartEnd {
+            restart: restart as u64,
+            iterations: event.iterations as u64,
+            stop: event.stop_reason,
+            discrete_cost: event.discrete_cost,
+        }
+    }
+
+    /// The `coarsen` record of a multilevel contraction event.
+    #[must_use]
+    pub fn coarsen(event: &CoarsenEvent) -> Self {
+        TraceEvent::Coarsen {
+            level: event.level as u64,
+            fine_gates: event.fine_gates as u64,
+            fine_edges: event.fine_edges as u64,
+            coarse_gates: event.coarse_gates as u64,
+            coarse_edges: event.coarse_edges as u64,
+        }
+    }
+
+    /// The `uncoarsen` record of a multilevel projection event.
+    #[must_use]
+    pub fn uncoarsen(event: &UncoarsenEvent) -> Self {
+        TraceEvent::Uncoarsen {
+            level: event.level as u64,
+            gates: event.gates as u64,
+            refine_moves: event.refine_moves as u64,
+        }
+    }
+
+    /// The `solve_end` record of an observer event.
+    #[must_use]
+    pub fn solve_end(event: &SolveEndEvent) -> Self {
+        TraceEvent::SolveEnd {
+            best_restart: event.best_restart as u64,
+            iterations: event.iterations as u64,
+            stop: event.stop_reason,
+            discrete_cost: event.discrete_cost,
+            diverged_restarts: event.diverged_restarts as u64,
+        }
+    }
+
     /// Serializes the record as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -591,18 +692,14 @@ impl TraceEvent {
                 edges,
                 restarts,
                 max_iterations,
-                fused,
                 parallel,
-                intra_parallel,
             } => {
                 push_json_u64(out, "gates", gates);
                 push_json_u64(out, "planes", planes);
                 push_json_u64(out, "edges", edges);
                 push_json_u64(out, "restarts", restarts);
                 push_json_u64(out, "max_iterations", max_iterations);
-                push_json_bool(out, "fused", fused);
                 push_json_bool(out, "parallel", parallel);
-                push_json_bool(out, "intra_parallel", intra_parallel);
             }
             TraceEvent::RestartStart { restart } => {
                 push_json_u64(out, "restart", restart);
@@ -707,9 +804,10 @@ impl TraceEvent {
     /// Parses one JSONL line back into a record.
     ///
     /// Unknown *fields* are ignored (the schema is append-only within a
-    /// version); an unknown `"ev"` tag or a `"v"` other than
-    /// [`TRACE_SCHEMA_VERSION`] is an error, as is any missing or
-    /// wrongly-typed required field.
+    /// version), which is how a v1 `solve_start` record's `fused` and
+    /// `intra_parallel` are read past; an unknown `"ev"` tag or a `"v"`
+    /// outside `1..=`[`TRACE_SCHEMA_VERSION`] is an error, as is any missing
+    /// or wrongly-typed required field.
     ///
     /// # Errors
     ///
@@ -717,9 +815,9 @@ impl TraceEvent {
     pub fn parse(line: &str) -> Result<TraceEvent, TraceParseError> {
         let fields = parse_json_object(line)?;
         let version = get_u64(&fields, "v")?;
-        if version != TRACE_SCHEMA_VERSION {
+        if !(1..=TRACE_SCHEMA_VERSION).contains(&version) {
             return Err(TraceParseError::new(format!(
-                "unsupported schema version {version} (expected {TRACE_SCHEMA_VERSION})"
+                "unsupported schema version {version} (expected 1 to {TRACE_SCHEMA_VERSION})"
             )));
         }
         let kind = get_str(&fields, "ev")?;
@@ -730,9 +828,7 @@ impl TraceEvent {
                 edges: get_u64(&fields, "edges")?,
                 restarts: get_u64(&fields, "restarts")?,
                 max_iterations: get_u64(&fields, "max_iterations")?,
-                fused: get_bool(&fields, "fused")?,
                 parallel: get_bool(&fields, "parallel")?,
-                intra_parallel: get_bool(&fields, "intra_parallel")?,
             }),
             "restart_start" => Ok(TraceEvent::RestartStart {
                 restart: get_u64(&fields, "restart")?,
@@ -1057,7 +1153,7 @@ fn get_str<'f>(
 /// restart-index order.
 #[derive(Debug)]
 pub struct RestartTrace {
-    restart: u64,
+    restart: usize,
     events: Vec<TraceEvent>,
 }
 
@@ -1066,11 +1162,9 @@ impl RestartTrace {
     /// its iteration cap never reallocates mid-descent.
     fn with_capacity(restart: usize, events: usize) -> Self {
         let mut buf = Vec::with_capacity(events.max(1));
-        buf.push(TraceEvent::RestartStart {
-            restart: restart as u64,
-        });
+        buf.push(TraceEvent::restart_start(restart));
         RestartTrace {
-            restart: restart as u64,
+            restart,
             events: buf,
         }
     }
@@ -1085,46 +1179,20 @@ fn restart_trace_capacity(max_iterations: usize) -> usize {
 
 impl RestartObserver for RestartTrace {
     fn on_iteration(&mut self, event: &IterationEvent<'_>) {
-        self.events.push(TraceEvent::Iteration {
-            restart: self.restart,
-            iteration: event.iteration as u64,
-            f1: event.cost.f1,
-            f2: event.cost.f2,
-            f3: event.cost.f3,
-            f4: event.cost.f4,
-            total: event.cost.total,
-            learning_rate: event.learning_rate,
-            grad_norm: event.gradient_norm,
-            clipped: event.clipped as u64,
-            recovered: event.recovered,
-        });
+        self.events.push(TraceEvent::iteration(self.restart, event));
     }
 
     fn on_recovery(&mut self, event: &RecoveryEvent) {
-        self.events.push(TraceEvent::Recovery {
-            restart: self.restart,
-            iteration: event.iteration as u64,
-            attempt: event.attempt as u64,
-            learning_rate: event.learning_rate,
-        });
+        self.events.push(TraceEvent::recovery(self.restart, event));
     }
 
     fn on_refine(&mut self, event: &RefineEvent) {
-        self.events.push(TraceEvent::Refine {
-            restart: self.restart,
-            moves: event.moves as u64,
-            cost_before: event.cost_before,
-            cost_after: event.cost_after,
-        });
+        self.events.push(TraceEvent::refine(self.restart, event));
     }
 
     fn on_restart_end(&mut self, event: &RestartEndEvent) {
-        self.events.push(TraceEvent::RestartEnd {
-            restart: self.restart,
-            iterations: event.iterations as u64,
-            stop: event.stop_reason,
-            discrete_cost: event.discrete_cost,
-        });
+        self.events
+            .push(TraceEvent::restart_end(self.restart, event));
     }
 }
 
@@ -1170,7 +1238,7 @@ impl SolveObserver for TraceCollector {
             .saturating_add(2)
             .min(1 << 20);
         self.events.reserve(solve_hint);
-        self.events.push(solve_start_record(event));
+        self.events.push(TraceEvent::solve_start(event));
     }
 
     fn begin_restart(&mut self, restart: usize) -> RestartTrace {
@@ -1182,56 +1250,15 @@ impl SolveObserver for TraceCollector {
     }
 
     fn on_coarsen(&mut self, event: &CoarsenEvent) {
-        self.events.push(coarsen_record(event));
+        self.events.push(TraceEvent::coarsen(event));
     }
 
     fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
-        self.events.push(uncoarsen_record(event));
+        self.events.push(TraceEvent::uncoarsen(event));
     }
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
-        self.events.push(solve_end_record(event));
-    }
-}
-
-fn solve_start_record(event: &SolveStartEvent) -> TraceEvent {
-    TraceEvent::SolveStart {
-        gates: event.gates as u64,
-        planes: event.planes as u64,
-        edges: event.edges as u64,
-        restarts: event.restarts as u64,
-        max_iterations: event.max_iterations as u64,
-        fused: true,
-        parallel: event.parallel,
-        intra_parallel: event.intra_parallel,
-    }
-}
-
-fn coarsen_record(event: &CoarsenEvent) -> TraceEvent {
-    TraceEvent::Coarsen {
-        level: event.level as u64,
-        fine_gates: event.fine_gates as u64,
-        fine_edges: event.fine_edges as u64,
-        coarse_gates: event.coarse_gates as u64,
-        coarse_edges: event.coarse_edges as u64,
-    }
-}
-
-fn uncoarsen_record(event: &UncoarsenEvent) -> TraceEvent {
-    TraceEvent::Uncoarsen {
-        level: event.level as u64,
-        gates: event.gates as u64,
-        refine_moves: event.refine_moves as u64,
-    }
-}
-
-fn solve_end_record(event: &SolveEndEvent) -> TraceEvent {
-    TraceEvent::SolveEnd {
-        best_restart: event.best_restart as u64,
-        iterations: event.iterations as u64,
-        stop: event.stop_reason,
-        discrete_cost: event.discrete_cost,
-        diverged_restarts: event.diverged_restarts as u64,
+        self.events.push(TraceEvent::solve_end(event));
     }
 }
 
@@ -1296,7 +1323,7 @@ impl<W: Write> SolveObserver for JsonlTraceWriter<W> {
 
     fn on_solve_start(&mut self, event: &SolveStartEvent) {
         self.iter_hint = restart_trace_capacity(event.max_iterations);
-        self.write_record(&solve_start_record(event));
+        self.write_record(&TraceEvent::solve_start(event));
     }
 
     fn begin_restart(&mut self, restart: usize) -> RestartTrace {
@@ -1320,15 +1347,15 @@ impl<W: Write> SolveObserver for JsonlTraceWriter<W> {
     }
 
     fn on_coarsen(&mut self, event: &CoarsenEvent) {
-        self.write_record(&coarsen_record(event));
+        self.write_record(&TraceEvent::coarsen(event));
     }
 
     fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
-        self.write_record(&uncoarsen_record(event));
+        self.write_record(&TraceEvent::uncoarsen(event));
     }
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
-        self.write_record(&solve_end_record(event));
+        self.write_record(&TraceEvent::solve_end(event));
     }
 }
 
@@ -1650,9 +1677,7 @@ mod tests {
                 edges: 24,
                 restarts: 2,
                 max_iterations: 2000,
-                fused: true,
                 parallel: false,
-                intra_parallel: true,
             },
             TraceEvent::RestartStart { restart: 1 },
             TraceEvent::Iteration {
@@ -1752,7 +1777,8 @@ mod tests {
             ("", "expected `{`"),
             ("not json", "expected `{`"),
             ("{\"v\":1", "unterminated"),
-            ("{\"v\":2,\"ev\":\"restart_start\",\"restart\":0}", "version"),
+            ("{\"v\":0,\"ev\":\"restart_start\",\"restart\":0}", "version"),
+            ("{\"v\":3,\"ev\":\"restart_start\",\"restart\":0}", "version"),
             ("{\"v\":1,\"ev\":\"nope\"}", "unknown event tag"),
             ("{\"v\":1,\"ev\":\"restart_start\"}", "missing field `restart`"),
             (

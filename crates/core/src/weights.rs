@@ -52,7 +52,7 @@ impl WeightMatrix {
         assert!(num_planes > 0, "need at least one plane");
         let stride = lanes::padded(num_planes);
         let mut data = vec![0.0; num_gates * stride];
-        let fill = 1.0 / num_planes as f64;
+        let fill = crate::float::frac(1.0, num_planes as f64, 0.0);
         for row in data.chunks_exact_mut(stride) {
             for w in &mut row[..num_planes] {
                 *w = fill;

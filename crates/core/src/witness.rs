@@ -4,14 +4,13 @@
 //!
 //! * **Off (default, production):** the exported names are plain type
 //!   aliases onto `std::sync` and the named constructors forward to
-//!   `Mutex::new`/`Condvar::new`/`RwLock::new`. Zero overhead, zero
-//!   behavior change.
+//!   `Mutex::new`/`Condvar::new`. Zero overhead, zero behavior change.
 //! * **On (`--features lock_witness`, test/CI only):** the same names
 //!   resolve to tracked wrappers that tag every lock with a *class* label
 //!   (the same `crate:owner::field` ids sfqlint's L1 uses), maintain a
 //!   per-thread held-set, and record every observed acquired-while-holding
 //!   edge in a global class×class table. Violations are counted, never
-//!   panicked: a panic inside a pool worker would be swallowed by the
+//!   panicked: a panic inside a daemon worker would be swallowed by the
 //!   panic fence and converted into a poisoned-job error, masking the
 //!   very bug being hunted. Tests assert [`violations`]` == 0` at the end
 //!   instead (the chaos replay in `crates/serviced/tests/lock_witness.rs`
@@ -41,8 +40,7 @@
 //! returns the `(guard, WaitTimeoutResult)` pair) for drop-in use.
 //!
 //! Capacity limits are fixed so the witness itself never allocates on a
-//! lock operation (the allocation sanitizer runs over pool code with the
-//! witness compiled in): at most [`MAX_CLASSES`] distinct classes (excess
+//! lock operation: at most [`MAX_CLASSES`] distinct classes (excess
 //! classes share a spill slot — still sound, just coarser) and
 //! [`MAX_HELD`] simultaneously held locks per thread (excess holds are
 //! not tracked; the workspace never nests deeper than 3).
@@ -90,12 +88,6 @@ mod imp {
     pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
     /// Workspace condvar type; `std::sync::Condvar` in production builds.
     pub type Condvar = std::sync::Condvar;
-    /// Workspace rwlock type; `std::sync::RwLock` in production builds.
-    pub type RwLock<T> = std::sync::RwLock<T>;
-    /// Workspace rwlock read guard in production builds.
-    pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-    /// Workspace rwlock write guard in production builds.
-    pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
     /// A mutex carrying a lock-class label (ignored in production builds).
     pub fn mutex<T>(_class: &'static str, value: T) -> Mutex<T> {
@@ -106,12 +98,6 @@ mod imp {
     /// builds).
     pub fn condvar(_class: &'static str) -> Condvar {
         std::sync::Condvar::new()
-    }
-
-    /// An rwlock carrying a lock-class label (ignored in production
-    /// builds).
-    pub fn rwlock<T>(_class: &'static str, value: T) -> RwLock<T> {
-        std::sync::RwLock::new(value)
     }
 
     /// Number of lock-discipline violations observed (always 0 without
@@ -147,12 +133,6 @@ mod imp {
     pub type MutexGuard<'a, T> = TrackedMutexGuard<'a, T>;
     /// Workspace condvar type; class-tracked under `lock_witness`.
     pub type Condvar = TrackedCondvar;
-    /// Workspace rwlock type; class-tracked under `lock_witness`.
-    pub type RwLock<T> = TrackedRwLock<T>;
-    /// Workspace rwlock read guard; class-tracked under `lock_witness`.
-    pub type RwLockReadGuard<'a, T> = TrackedReadGuard<'a, T>;
-    /// Workspace rwlock write guard; class-tracked under `lock_witness`.
-    pub type RwLockWriteGuard<'a, T> = TrackedWriteGuard<'a, T>;
 
     /// Class-name registry: index in this table = bit position in the
     /// edge table rows. Plain `std::sync` types on purpose — the witness
@@ -281,7 +261,8 @@ mod imp {
         /// Consumes the token, releasing its held-set entry via `Drop`.
         /// Named (not a bare `drop(token)` call) because sfqlint's graph
         /// fans a `drop(...)` call out by name to every `Drop` impl in
-        /// the crate, dragging `ChunkPool::drop` onto the hot path.
+        /// the crate, which would put `SlotGuard::drop` inside every
+        /// condvar wait.
         fn retire(self) {}
     }
 
@@ -425,87 +406,6 @@ mod imp {
         }
     }
 
-    /// A `std::sync::RwLock` tagged with an L1 lock class. Readers and
-    /// writers share the class: the witness tracks ordering, not
-    /// shared/exclusive modes.
-    pub struct TrackedRwLock<T> {
-        class: usize,
-        name: &'static str,
-        inner: std::sync::RwLock<T>,
-    }
-
-    /// Read guard of a [`TrackedRwLock`].
-    pub struct TrackedReadGuard<'a, T> {
-        // Held only for its Drop (removes the held-set entry).
-        _token: HeldToken,
-        guard: std::sync::RwLockReadGuard<'a, T>,
-    }
-
-    /// Write guard of a [`TrackedRwLock`].
-    pub struct TrackedWriteGuard<'a, T> {
-        // Held only for its Drop (removes the held-set entry).
-        _token: HeldToken,
-        guard: std::sync::RwLockWriteGuard<'a, T>,
-    }
-
-    impl<T> std::ops::Deref for TrackedReadGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.guard
-        }
-    }
-
-    impl<T> std::ops::Deref for TrackedWriteGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.guard
-        }
-    }
-
-    impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.guard
-        }
-    }
-
-    impl<T> TrackedRwLock<T> {
-        /// Shared acquisition (tracked under the lock's class). Always
-        /// `Ok` (poisoning absorbed).
-        ///
-        /// Re-acquire detection is suppressed for readers: multiple
-        /// simultaneous read guards on one class are legal.
-        pub fn read(&self) -> LockResult<TrackedReadGuard<'_, T>> {
-            // Readers don't self-deadlock, but an edge to a held class is
-            // still an edge; record through the same path and tolerate
-            // the (absent in this workspace) reader-reentry pattern.
-            let token = hold(self.class, self.name);
-            let guard = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-            Ok(TrackedReadGuard {
-                _token: token,
-                guard,
-            })
-        }
-
-        /// Exclusive acquisition (tracked under the lock's class). Always
-        /// `Ok` (poisoning absorbed).
-        pub fn write(&self) -> LockResult<TrackedWriteGuard<'_, T>> {
-            let token = hold(self.class, self.name);
-            let guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-            Ok(TrackedWriteGuard {
-                _token: token,
-                guard,
-            })
-        }
-    }
-
-    impl<T> std::fmt::Debug for TrackedRwLock<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("TrackedRwLock")
-                .field("class", &self.name)
-                .finish_non_exhaustive()
-        }
-    }
-
     /// A mutex carrying an L1 lock-class label.
     pub fn mutex<T>(class: &'static str, value: T) -> Mutex<T> {
         TrackedMutex {
@@ -521,15 +421,6 @@ mod imp {
         TrackedCondvar {
             name: class,
             inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// An rwlock carrying an L1 lock-class label.
-    pub fn rwlock<T>(class: &'static str, value: T) -> RwLock<T> {
-        TrackedRwLock {
-            class: class_id(class),
-            name: class,
-            inner: std::sync::RwLock::new(value),
         }
     }
 
@@ -554,8 +445,7 @@ mod imp {
 }
 
 pub use imp::{
-    condvar, first_violation, mutex, rwlock, violation_kinds, violations, Condvar, Mutex,
-    MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    condvar, first_violation, mutex, violation_kinds, violations, Condvar, Mutex, MutexGuard,
 };
 
 #[cfg(all(test, feature = "lock_witness"))]
@@ -665,23 +555,6 @@ mod tests {
             .unwrap_or_else(|e| e.into_inner());
         assert_eq!(*g, 7);
         assert_eq!(violations(), before);
-    }
-
-    #[test]
-    fn rwlock_participates_in_ordering() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        let before = violations();
-        let rw = rwlock("t6::rw", 0u32);
-        let m = mutex("t6::m", 0u32);
-        {
-            let _r = rw.read().unwrap_or_else(|e| e.into_inner());
-            let _g = m.lock().unwrap_or_else(|e| e.into_inner());
-        }
-        {
-            let _g = m.lock().unwrap_or_else(|e| e.into_inner());
-            let _w = rw.write().unwrap_or_else(|e| e.into_inner());
-        }
-        assert_eq!(violations(), before + 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! proves that one full fused descent iteration — `evaluate_with_gradient`
 //! plus the weight update, in the swapped-buffer shape `Solver` runs —
 //! performs **zero** allocations after warm-up, on the roadmap benchmarks,
-//! with serial and with intra-parallel sweeps. It also proves that a
+//! unchunked and with the engine's fixed chunks. It also proves that a
 //! refine pass allocates nothing: `refine::refine` allocates the same
 //! number of times whether it may run one pass or forty, which is the
 //! runtime side of the `MoveState::*` A1 roots.
@@ -19,7 +19,7 @@
 //! channel-blocking context the first time it parks waiting for a test,
 //! and whether that one-off allocation lands inside the measured window is
 //! a scheduling race. Harness-free, the process owns every thread it
-//! measures — just `main` plus the engine's own worker pool. The counting
+//! measures — just `main`. The counting
 //! wrapper defers to the system allocator; counts are call counts, not
 //! bytes, so arena reuse cannot mask a regression.
 
@@ -96,60 +96,53 @@ fn main() {
     );
 
     // KSA16@K=5 runs unchunked; C1908@K=30 (G·K = 50 850) splits the gate
-    // sweeps into chunks, so intra_parallel=true exercises the worker pool.
+    // sweeps into the engine's fixed chunks.
     for (bench, k, iters) in [(Benchmark::Ksa16, 5, 50), (Benchmark::C1908, 30, 20)] {
         let p = problem(bench, k);
         let g = p.num_gates();
-        for intra_parallel in [false, true] {
-            let tag = format!("{} k={k} intra_parallel={intra_parallel}", bench.name());
-            let options = EngineOptions {
-                intra_parallel,
-                ..EngineOptions::default()
-            };
-            let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, options);
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut w = WeightMatrix::random(g, k, &mut rng);
-            let mut w_prev = w.clone();
-            let mut step = vec![0.0; w.padded_len()];
-            let mut prev_step = vec![0.0; w.padded_len()];
-            // One iteration as `Solver` runs it: evaluate at `w`, swap the
-            // iterate and its step into the rollback buffers, then step from
-            // them into the stale pair.
-            let mut iterate = |w: &mut WeightMatrix, w_prev: &mut WeightMatrix| {
-                let cost = engine.evaluate_with_gradient(w, &mut step);
-                std::mem::swap(w, w_prev);
-                std::mem::swap(&mut step, &mut prev_step);
-                w.descend_from(w_prev, &prev_step, 0.05);
-                cost.total
-            };
+        let tag = format!("{} k={k}", bench.name());
+        let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut w = WeightMatrix::random(g, k, &mut rng);
+        let mut w_prev = w.clone();
+        let mut step = vec![0.0; w.padded_len()];
+        let mut prev_step = vec![0.0; w.padded_len()];
+        // One iteration as `Solver` runs it: evaluate at `w`, swap the
+        // iterate and its step into the rollback buffers, then step from
+        // them into the stale pair.
+        let mut iterate = |w: &mut WeightMatrix, w_prev: &mut WeightMatrix| {
+            let cost = engine.evaluate_with_gradient(w, &mut step);
+            std::mem::swap(w, w_prev);
+            std::mem::swap(&mut step, &mut prev_step);
+            w.descend_from(w_prev, &prev_step, 0.05);
+            cost.total
+        };
 
-            // Warm-up: any lazy first-touch work (thread-local init in the
-            // pool workers, allocator arenas) happens here, outside the
-            // measured window.
-            for _ in 0..3 {
-                iterate(&mut w, &mut w_prev);
-            }
-
-            let (a0, d0) = checkpoint();
-            let mut total = 0.0;
-            for _ in 0..iters {
-                total += iterate(&mut w, &mut w_prev);
-            }
-            let (a1, d1) = checkpoint();
-
-            assert!(total.is_finite());
-            assert_eq!(
-                a1 - a0,
-                0,
-                "{tag}: descent iterations allocated after warm-up"
-            );
-            assert_eq!(
-                d1 - d0,
-                0,
-                "{tag}: descent iterations deallocated after warm-up"
-            );
-            println!("alloc sanitizer: {tag}: 0 allocations over {iters} iterations");
+        // Warm-up: any lazy first-touch work (allocator arenas) happens
+        // here, outside the measured window.
+        for _ in 0..3 {
+            iterate(&mut w, &mut w_prev);
         }
+
+        let (a0, d0) = checkpoint();
+        let mut total = 0.0;
+        for _ in 0..iters {
+            total += iterate(&mut w, &mut w_prev);
+        }
+        let (a1, d1) = checkpoint();
+
+        assert!(total.is_finite());
+        assert_eq!(
+            a1 - a0,
+            0,
+            "{tag}: descent iterations allocated after warm-up"
+        );
+        assert_eq!(
+            d1 - d0,
+            0,
+            "{tag}: descent iterations deallocated after warm-up"
+        );
+        println!("alloc sanitizer: {tag}: 0 allocations over {iters} iterations");
     }
 
     // Refine: set-up (adjacency, move state, the per-gate skip state,

@@ -1,18 +1,18 @@
-//! The engine against its oracle, and serial against intra-parallel.
+//! The engine against its oracle, and serial against parallel restarts.
 //!
 //! [`CostEngine::evaluate_with_gradient`] is the only evaluation a solve
 //! runs. This suite pins it on the paper benchmarks named in the roadmap —
 //! KSA16 at K=5 and C1908 at K=30 — two ways:
 //!
-//! * **Oracle parity** — with forced chunks, serial and intra-parallel,
-//!   every cost term and every gradient entry stays within `1e-12`
-//!   relative of the reference [`CostModel::evaluate`] +
-//!   [`Gradient::compute`] pair, which shares the mathematics but none of
-//!   the fused sweeps, fold order, or power kernels.
-//! * **Threading is invisible** — serial and intra-parallel evaluations
-//!   are bitwise equal (`assert_eq`, i.e. bitwise for non-NaN f64), and so
-//!   are full multi-restart solves: identical partitions, cost histories,
-//!   and discrete costs.
+//! * **Oracle parity** — with forced chunks, every cost term and every
+//!   gradient entry stays within `1e-12` relative of the reference
+//!   [`CostModel::evaluate`] + [`Gradient::compute`] pair, which shares the
+//!   mathematics but none of the fused sweeps, fold order, or power
+//!   kernels.
+//! * **Threading is invisible** — multi-restart solves with serial and
+//!   with parallel restarts are bitwise equal (`assert_eq`, i.e. bitwise
+//!   for non-NaN f64): identical partitions, cost histories, and discrete
+//!   costs.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,9 +28,8 @@ fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
     PartitionProblem::from_netlist(&netlist, k).expect("suite circuits are valid")
 }
 
-fn engine(problem: &PartitionProblem, intra_parallel: bool) -> CostEngine<'_> {
+fn engine(problem: &PartitionProblem) -> CostEngine<'_> {
     let options = EngineOptions {
-        intra_parallel,
         // Force the chunked path even on these mid-sized circuits so the
         // chunk fold order is part of what the comparison pins.
         chunk_min_items: 1,
@@ -45,15 +44,14 @@ fn assert_close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() / scale < 1e-12, "{what}: {a} vs {b}");
 }
 
-/// Engine level: on several random iterates, the serial and intra-parallel
-/// engines agree bitwise with each other and within `1e-12` with the oracle.
-fn assert_engines_match_oracle(problem: &PartitionProblem, seed: u64, tag: &str) {
+/// Engine level: on several random iterates, the chunked engine agrees
+/// within `1e-12` with the oracle.
+fn assert_engine_matches_oracle(problem: &PartitionProblem, seed: u64, tag: &str) {
     let k = problem.num_planes();
     let model = CostModel::new(problem, CostWeights::default());
     let mut oracle = Gradient::new(GradientOptions::exact());
-    let mut serial = engine(problem, false);
-    let mut threaded = engine(problem, true);
-    assert!(serial.is_chunked(), "{tag}: chunking must be forced");
+    let mut engine = engine(problem);
+    assert!(engine.is_chunked(), "{tag}: chunking must be forced");
     let mut rng = StdRng::seed_from_u64(seed);
     for trial in 0..4 {
         let w = WeightMatrix::random(problem.num_gates(), k, &mut rng);
@@ -62,17 +60,7 @@ fn assert_engines_match_oracle(problem: &PartitionProblem, seed: u64, tag: &str)
         oracle.compute(&model, &w, &mut expect_grad);
 
         let mut gs = vec![0.0; w.padded_len()];
-        let mut gp = vec![0.0; w.padded_len()];
-        let cs = serial.evaluate_with_gradient(&w, &mut gs);
-        let cp = threaded.evaluate_with_gradient(&w, &mut gp);
-        assert_eq!(
-            cs, cp,
-            "{tag} trial={trial}: serial and intra-parallel costs diverged"
-        );
-        assert_eq!(
-            gs, gp,
-            "{tag} trial={trial}: serial and intra-parallel gradients diverged"
-        );
+        let cs = engine.evaluate_with_gradient(&w, &mut gs);
 
         let at = format!("{tag} trial={trial}");
         assert_close(cs.f1, expect_cost.f1, &format!("{at} f1"));
@@ -86,35 +74,33 @@ fn assert_engines_match_oracle(problem: &PartitionProblem, seed: u64, tag: &str)
     }
 }
 
-/// Solver level: end-to-end solves that differ only in intra-descent
-/// threading must produce identical results — labels, history, and
-/// discrete cost.
+/// Solver level: end-to-end solves that differ only in restart threading
+/// must produce identical results — labels, history, and discrete cost.
 fn assert_solves_bit_identical(problem: &PartitionProblem, max_iterations: usize, tag: &str) {
-    let opts = |intra_parallel| SolverOptions {
-        intra_parallel,
+    let opts = |parallel| SolverOptions {
         max_iterations,
         restarts: 2,
-        parallel: true,
+        parallel,
         ..SolverOptions::default()
     };
     let serial = Solver::new(opts(false)).solve(problem);
     let threaded = Solver::new(opts(true)).solve(problem);
     assert_eq!(
         serial, threaded,
-        "{tag}: serial and intra-parallel solves diverged (partition/history/cost)"
+        "{tag}: serial and parallel restarts diverged (partition/history/cost)"
     );
 }
 
 #[test]
 fn ksa16_k5_engine_matches_oracle_and_threading_is_exact() {
     let p = problem(Benchmark::Ksa16, 5);
-    assert_engines_match_oracle(&p, 11, "KSA16@5");
+    assert_engine_matches_oracle(&p, 11, "KSA16@5");
     assert_solves_bit_identical(&p, 300, "KSA16@5");
 }
 
 #[test]
 fn c1908_k30_engine_matches_oracle_and_threading_is_exact() {
     let p = problem(Benchmark::C1908, 30);
-    assert_engines_match_oracle(&p, 13, "C1908@30");
+    assert_engine_matches_oracle(&p, 13, "C1908@30");
     assert_solves_bit_identical(&p, 220, "C1908@30");
 }

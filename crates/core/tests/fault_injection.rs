@@ -1,9 +1,8 @@
 //! Divergence-recovery matrix: injected NaN/Inf at scripted evaluations
-//! must be rescued (or cleanly abandoned) with serial and with
-//! intra-parallel evaluation, and the solver must never return a partition
-//! derived from non-finite weights. Serial and intra-parallel sweeps are
-//! bit-identical by contract, so recovery must also be *identical* between
-//! them, not merely equivalent.
+//! must be rescued (or cleanly abandoned), and the solver must never return
+//! a partition derived from non-finite weights. Recovery is deterministic:
+//! the same fault plan reproduces the same result bit for bit, with serial
+//! and with parallel restarts.
 
 use sfq_partition::{FaultInjection, PartitionProblem, Solver, SolverOptions, StopReason};
 
@@ -17,12 +16,8 @@ fn chain(n: u32, k: usize) -> PartitionProblem {
     .unwrap()
 }
 
-/// The backend axis: serial and intra-parallel sweeps.
-const MATRIX: [bool; 2] = [false, true];
-
-fn base_options(intra_parallel: bool) -> SolverOptions {
+fn base_options() -> SolverOptions {
     SolverOptions {
-        intra_parallel,
         margin: -1.0, // never stop early: every injection point is reached
         max_iterations: 260,
         refine: false,
@@ -42,107 +37,30 @@ fn assert_finite_and_valid(result: &sfq_partition::SolveResult, gates: usize, k:
 }
 
 #[test]
-fn single_nan_recovers_at_any_iteration_on_every_backend() {
+fn single_nan_recovers_at_any_iteration() {
     let p = chain(30, 3);
-    for intra in MATRIX {
-        for inject_at in [1usize, 5, 50, 230] {
-            let opts = SolverOptions {
-                fault_injection: Some(FaultInjection {
-                    nan_cost_at: vec![inject_at],
-                    ..FaultInjection::default()
-                }),
-                ..base_options(intra)
-            };
-            let result = Solver::new(opts).try_solve(&p).expect("recovers");
-            assert_ne!(
-                result.stop_reason,
-                StopReason::NonFinite,
-                "intra={intra} inject_at={inject_at}"
-            );
-            assert_finite_and_valid(&result, 30, 3);
-        }
+    for inject_at in [1usize, 5, 50, 230] {
+        let opts = SolverOptions {
+            fault_injection: Some(FaultInjection {
+                nan_cost_at: vec![inject_at],
+                ..FaultInjection::default()
+            }),
+            ..base_options()
+        };
+        let result = Solver::new(opts).try_solve(&p).expect("recovers");
+        assert_ne!(
+            result.stop_reason,
+            StopReason::NonFinite,
+            "inject_at={inject_at}"
+        );
+        assert_finite_and_valid(&result, 30, 3);
     }
 }
 
 #[test]
 fn single_inf_and_nan_gradient_recover_too() {
     let p = chain(30, 3);
-    for intra in MATRIX {
-        for plan in [
-            FaultInjection {
-                inf_cost_at: vec![7],
-                ..FaultInjection::default()
-            },
-            FaultInjection {
-                nan_grad_at: vec![7],
-                ..FaultInjection::default()
-            },
-        ] {
-            let opts = SolverOptions {
-                fault_injection: Some(plan.clone()),
-                ..base_options(intra)
-            };
-            let result = Solver::new(opts).try_solve(&p).expect("recovers");
-            assert_ne!(
-                result.stop_reason,
-                StopReason::NonFinite,
-                "intra={intra} plan={plan:?}"
-            );
-            assert_finite_and_valid(&result, 30, 3);
-        }
-    }
-}
-
-#[test]
-fn injection_at_iteration_zero_is_terminal_but_still_finite() {
-    // No finite iterate exists to retry from, so the run is abandoned — but
-    // the snapped initial weights are still a valid, finite partition.
-    let p = chain(30, 3);
-    for intra in MATRIX {
-        let opts = SolverOptions {
-            fault_injection: Some(FaultInjection {
-                nan_cost_at: vec![0],
-                ..FaultInjection::default()
-            }),
-            ..base_options(intra)
-        };
-        let result = Solver::new(opts).try_solve(&p).expect("fallback exists");
-        assert_eq!(result.stop_reason, StopReason::NonFinite);
-        assert_eq!(result.diverged_restarts, 1);
-        assert_finite_and_valid(&result, 30, 3);
-    }
-}
-
-#[test]
-fn recovery_is_deterministic_per_backend() {
-    let p = chain(30, 3);
-    for intra in MATRIX {
-        let opts = SolverOptions {
-            fault_injection: Some(FaultInjection {
-                nan_cost_at: vec![20],
-                ..FaultInjection::default()
-            }),
-            ..base_options(intra)
-        };
-        let a = Solver::new(opts.clone()).try_solve(&p).unwrap();
-        let b = Solver::new(opts).try_solve(&p).unwrap();
-        assert_eq!(a, b, "intra={intra}");
-    }
-}
-
-#[test]
-fn intra_parallel_recovery_is_bit_identical_on_chunked_problems() {
-    // 2048×4 = 8192 weight entries: at the engine's chunking threshold, so
-    // the intra-parallel sweeps genuinely run on the worker pool. Every
-    // fault shape — and its rollback points, halved-step retries, and final
-    // partition — must not change a single bit between serial and threaded
-    // sweeps.
-    let p = chain(2048, 4);
-    let plans = [
-        FaultInjection {
-            nan_cost_at: vec![10],
-            ..FaultInjection::default()
-        },
+    for plan in [
         FaultInjection {
             inf_cost_at: vec![7],
             ..FaultInjection::default()
@@ -151,26 +69,48 @@ fn intra_parallel_recovery_is_bit_identical_on_chunked_problems() {
             nan_grad_at: vec![7],
             ..FaultInjection::default()
         },
-        FaultInjection {
-            poison_from: Some(30),
-            ..FaultInjection::default()
-        },
-    ];
-    for plan in &plans {
-        let opts = |intra_parallel| SolverOptions {
-            max_iterations: 40,
-            refine: false,
-            intra_parallel,
+    ] {
+        let opts = SolverOptions {
             fault_injection: Some(plan.clone()),
-            ..SolverOptions::default()
+            ..base_options()
         };
-        let seq = Solver::new(opts(false)).try_solve(&p);
-        let par = Solver::new(opts(true)).try_solve(&p);
-        match (seq, par) {
-            (Ok(s), Ok(t)) => assert_eq!(s, t, "plan={plan:?}"),
-            (s, t) => panic!("outcome mismatch plan={plan:?}: {s:?} vs {t:?}"),
-        }
+        let result = Solver::new(opts).try_solve(&p).expect("recovers");
+        assert_ne!(result.stop_reason, StopReason::NonFinite, "plan={plan:?}");
+        assert_finite_and_valid(&result, 30, 3);
     }
+}
+
+#[test]
+fn injection_at_iteration_zero_is_terminal_but_still_finite() {
+    // No finite iterate exists to retry from, so the run is abandoned — but
+    // the snapped initial weights are still a valid, finite partition.
+    let p = chain(30, 3);
+    let opts = SolverOptions {
+        fault_injection: Some(FaultInjection {
+            nan_cost_at: vec![0],
+            ..FaultInjection::default()
+        }),
+        ..base_options()
+    };
+    let result = Solver::new(opts).try_solve(&p).expect("fallback exists");
+    assert_eq!(result.stop_reason, StopReason::NonFinite);
+    assert_eq!(result.diverged_restarts, 1);
+    assert_finite_and_valid(&result, 30, 3);
+}
+
+#[test]
+fn recovery_is_deterministic() {
+    let p = chain(30, 3);
+    let opts = SolverOptions {
+        fault_injection: Some(FaultInjection {
+            nan_cost_at: vec![20],
+            ..FaultInjection::default()
+        }),
+        ..base_options()
+    };
+    let a = Solver::new(opts.clone()).try_solve(&p).unwrap();
+    let b = Solver::new(opts).try_solve(&p).unwrap();
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -5,9 +5,8 @@
 //! gated on `RestartObserver::ENABLED`, but the weight updates themselves
 //! must stay character-for-character the detached arithmetic. This suite
 //! pins that on the paper benchmarks named in the roadmap — KSA16 at K=5
-//! and C1908 at K=30 — with serial and with intra-parallel evaluation,
-//! plus the serial-vs-parallel restart merge order of the trace stream
-//! itself.
+//! and C1908 at K=30 (whose sweeps run in fixed chunks) — plus the
+//! serial-vs-parallel restart merge order of the trace stream itself.
 
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::telemetry::{SolveMetrics, TraceCollector, TraceEvent};
@@ -20,9 +19,8 @@ fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
 
 /// A configuration small enough to run the full matrix quickly but large
 /// enough to exercise warm-up, margin stops, refinement, and restarts.
-fn options(intra_parallel: bool, max_iterations: usize) -> SolverOptions {
+fn options(max_iterations: usize) -> SolverOptions {
     SolverOptions {
-        intra_parallel,
         max_iterations,
         restarts: 2,
         parallel: true,
@@ -127,31 +125,19 @@ fn assert_observed_matches_detached(problem: &PartitionProblem, opts: SolverOpti
 #[test]
 fn ksa16_k5_matrix_observer_is_bit_neutral() {
     let p = problem(Benchmark::Ksa16, 5);
-    for intra_parallel in [false, true] {
-        assert_observed_matches_detached(
-            &p,
-            options(intra_parallel, 300),
-            &format!("KSA16@5 intra={intra_parallel}"),
-        );
-    }
+    assert_observed_matches_detached(&p, options(300), "KSA16@5");
 }
 
 #[test]
 fn c1908_k30_matrix_observer_is_bit_neutral() {
     let p = problem(Benchmark::C1908, 30);
-    for intra_parallel in [false, true] {
-        assert_observed_matches_detached(
-            &p,
-            options(intra_parallel, 220),
-            &format!("C1908@30 intra={intra_parallel}"),
-        );
-    }
+    assert_observed_matches_detached(&p, options(220), "C1908@30");
 }
 
 #[test]
 fn parallel_and_serial_restarts_emit_identical_traces() {
     let p = problem(Benchmark::Ksa16, 5);
-    let mut opts = options(false, 300);
+    let mut opts = options(300);
     opts.restarts = 3;
 
     opts.parallel = false;

@@ -2,10 +2,9 @@
 //!
 //! sfqlint's P2 proves the *reachable call graph* of the descent kernels
 //! free of panic constructs; this suite drives the same code with random
-//! valid problems and asserts the stronger runtime property: neither solve
-//! configuration — serial or intra-parallel evaluation — ever unwinds,
-//! whatever (valid) instance it is handed. Solves may return a typed
-//! error; they may not panic.
+//! valid problems and asserts the stronger runtime property: a solve never
+//! unwinds, whatever (valid) instance it is handed. Solves may return a
+//! typed error; they may not panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -42,23 +41,20 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let problem = build_problem(n, k, &quantities, &raw_edges);
-        for intra_parallel in [true, false] {
-            let opts = SolverOptions {
-                intra_parallel,
-                max_iterations: 15,
-                restarts: 1,
-                parallel: false,
-                seed,
-                ..SolverOptions::default()
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                Solver::new(opts).try_solve(&problem)
-            }));
-            // A typed error is acceptable; an unwind is the finding.
-            prop_assert!(
-                outcome.is_ok(),
-                "solve panicked: intra={intra_parallel} n={n} k={k} seed={seed}"
-            );
-        }
+        let opts = SolverOptions {
+            max_iterations: 15,
+            restarts: 1,
+            parallel: false,
+            seed,
+            ..SolverOptions::default()
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Solver::new(opts).try_solve(&problem)
+        }));
+        // A typed error is acceptable; an unwind is the finding.
+        prop_assert!(
+            outcome.is_ok(),
+            "solve panicked: n={n} k={k} seed={seed}"
+        );
     }
 }

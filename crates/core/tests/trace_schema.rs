@@ -1,10 +1,10 @@
-//! Property tests for the JSONL trace schema (v1).
+//! Property tests for the JSONL trace schema (v2).
 //!
 //! Every [`TraceEvent`] must survive `to_jsonl` → `parse` bit-for-bit:
 //! integers exactly, finite floats via shortest-round-trip formatting.
 //! Random bit patterns (normalized to finite) exercise denormals, extreme
 //! exponents, and negative zero — the cases where a lossy float formatter
-//! would silently corrupt a trace.
+//! would silently corrupt a trace. A v1 trace still parses.
 
 use proptest::prelude::*;
 use sfq_partition::telemetry::TraceEvent;
@@ -44,6 +44,40 @@ fn assert_round_trips(event: &TraceEvent) {
     assert_eq!(parsed.as_ref(), Ok(event), "line: {line}");
 }
 
+/// `sfqpart partition KSA8 -k 5 --trace` wrote this first record under
+/// schema v1, whose `solve_start` also carried the constants `fused` and
+/// `intra_parallel`.
+const V1_SOLVE_START: &str = "{\"v\":1,\"ev\":\"solve_start\",\"gates\":193,\"planes\":5,\
+     \"edges\":244,\"restarts\":4,\"max_iterations\":2000,\"fused\":true,\"parallel\":true,\
+     \"intra_parallel\":false}";
+
+#[test]
+fn v1_solve_start_still_parses() {
+    let event = TraceEvent::parse(V1_SOLVE_START).expect("a v1 record parses");
+    assert_eq!(
+        event,
+        TraceEvent::SolveStart {
+            gates: 193,
+            planes: 5,
+            edges: 244,
+            restarts: 4,
+            max_iterations: 2000,
+            parallel: true,
+        }
+    );
+    // Rewriting it as v2 drops exactly the two extra fields.
+    assert_eq!(
+        event.to_jsonl(),
+        V1_SOLVE_START
+            .replacen("\"v\":1", "\"v\":2", 1)
+            .replace(",\"fused\":true", "")
+            .replace(",\"intra_parallel\":false", "")
+    );
+    let v3 = V1_SOLVE_START.replacen("\"v\":1", "\"v\":3", 1);
+    let err = TraceEvent::parse(&v3).expect_err("v3 is from the future");
+    assert!(err.detail().contains("version 3"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -54,13 +88,10 @@ proptest! {
         edges in any::<u64>(),
         restarts in any::<u64>(),
         max_iterations in any::<u64>(),
-        fused in any::<bool>(),
         parallel in any::<bool>(),
-        intra_parallel in any::<bool>(),
     ) {
         assert_round_trips(&TraceEvent::SolveStart {
-            gates, planes, edges, restarts, max_iterations,
-            fused, parallel, intra_parallel,
+            gates, planes, edges, restarts, max_iterations, parallel,
         });
     }
 

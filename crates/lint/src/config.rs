@@ -61,9 +61,6 @@ pub struct Config {
     /// Additional qualified function names that count as mutators for O1
     /// regardless of receiver (e.g. re-entrant solver entry points).
     pub o1_mutator_fns: Vec<String>,
-    /// Lock classes (rule L1) that are RwLocks: `.read()`/`.write()` on
-    /// these count as acquisitions in addition to `.lock()`/`.try_lock()`.
-    pub l1_rwlocks: Vec<String>,
     /// Condvar→Mutex association for L1/L2, as `condvar_class=mutex_class`
     /// entries: `.wait()` on the left-hand class is understood to release
     /// (and re-take) the right-hand lock class.
@@ -71,10 +68,6 @@ pub struct Config {
     /// Qualified function names that acquire the lock passed as their first
     /// argument (e.g. a `fn lock(m: &Mutex<T>)` poison-bridging helper).
     pub l1_acquire_fns: Vec<String>,
-    /// Lock-class aliasing for L1, as `from=to` entries: acquisitions of
-    /// `from` are analyzed as acquisitions of `to` (used to fold the
-    /// per-chunk output stripes into one class).
-    pub l1_aliases: Vec<String>,
     /// Declared canonical lock order per crate (rule L1). Within a crate's
     /// list, locks may only be acquired left-to-right: holding a later
     /// class while acquiring an earlier one is a finding even without a
@@ -206,7 +199,7 @@ impl Config {
     }
 
     fn validate(&self) -> Result<(), ConfigError> {
-        for entry in self.l1_condvars.iter().chain(&self.l1_aliases) {
+        for entry in &self.l1_condvars {
             if !entry.contains('=') {
                 return Err(err(
                     0,
@@ -441,10 +434,8 @@ fn apply_key(
             other => return Err(err(lineno, format!("unknown [rules.O1] key `{other}`"))),
         },
         "rules.L1" => match key {
-            "rwlocks" => cfg.l1_rwlocks = expect_str_array(value, key, lineno)?,
             "condvars" => cfg.l1_condvars = expect_str_array(value, key, lineno)?,
             "acquire_fns" => cfg.l1_acquire_fns = expect_str_array(value, key, lineno)?,
-            "aliases" => cfg.l1_aliases = expect_str_array(value, key, lineno)?,
             other => {
                 if let Some(krate) = other.strip_prefix("order_") {
                     let order = expect_str_array(value, key, lineno)?;
@@ -581,7 +572,6 @@ reason = "exact dispatch"
         let cfg = Config::parse(
             r#"
 [rules.L1]
-rwlocks = ["shared::input"]
 condvars = ["a::cv=a::m"]
 order_serviced = ["a::m", "b::m"]
 

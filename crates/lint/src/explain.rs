@@ -12,13 +12,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "A1" => {
             "A1 — hot-path allocation freedom. Every function reachable through the \
              workspace call graph from a `[rules.A1] roots` entry (the engine's \
-             evaluate and descent kernels, the chunk pool's passes, refine's move \
-             pricing, the service's ops counters) must not allocate: a growing method \
+             evaluate and descent kernels, refine's move pricing, the service's ops \
+             counters) must not allocate: a growing method \
              call (`push`, `collect`, `clone`, `to_string`, …), `format!`/`vec!`, or a \
              constructor such as `Box::new`/`Vec::with_capacity` is a finding with its \
              root→…→site chain. Allocation inside the loop destroys the SoA kernels' \
-             cache behavior and introduces latency spikes the chunk scheduler cannot \
-             absorb; buffers are sized once at setup and reused. The call graph is \
+             cache behavior and puts allocator latency into every iteration; buffers \
+             are sized once at setup and reused. The call graph is \
              resolved conservatively: a call sfqlint cannot resolve (⊤) on the hot \
              path is itself a finding unless it is on the known-no-allocation list. \
              The runtime cross-check is `crates/core/tests/alloc_sanitizer.rs`."
@@ -47,10 +47,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "D3" => {
             "D3 — confined thread creation. `thread::spawn` and `thread::scope` in \
              library, binary or example code are findings outside \
-             `[rules.D3] allowed_files`: the fused engine, its chunk-worker pool and \
-             the sfqpartd daemon. An ad-hoc thread elsewhere escapes the chunk pool's \
-             worker accounting, the panic fence, and the deterministic reduction \
-             tree. Test code is exempt."
+             `[rules.D3] allowed_files`: the fused engine, whose restart threads join \
+             in spawn order, and the sfqpartd daemon. An ad-hoc thread elsewhere \
+             escapes the daemon's slot budget, its panic fence, and the engine's \
+             deterministic join order. Test code is exempt."
         }
         "D4" => {
             "D4 — canonical float folds. Raw f64 iterator reductions (`.sum::<f64>()`, \
@@ -60,7 +60,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the modules that define the canonical striped fold order (`core::lanes`, \
              `core::float`, the kernels and the engine). An ad-hoc left-to-right \
              reduction evaluates in a different association order than the striped \
-             lane fold the parallel backends use, silently breaking the \
+             lane fold the engine uses, silently breaking the \
              serial == parallel bit-identity guarantee. Route reductions through \
              `core::lanes::{sum, sum_with, max_abs, fold}`. Order-insensitive \
              `max`/`min` folds are exempt."
@@ -82,13 +82,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `Read`/`Write` methods such as `write_all`/`flush`/`read_line`, and \
              `io::`/`fs::`/`File::` paths are findings; test code is exempt. A stray \
              `println!` in a numeric crate is at best a performance bug and at worst \
-             interleaved garbage when the fused engine runs its workers; all \
+             interleaved garbage when restarts run in parallel; all \
              reporting goes through the observer interfaces and the sinks."
         }
         "L1" => {
             "L1 — lock-order acyclicity. sfqlint builds a per-crate lock-acquisition \
              graph: every `.lock()`/`.wait()` site is labeled with a syntactic lock \
-             class (e.g. `shared::job`), held-lock sets are propagated through the \
+             class (e.g. `jobqueue::inner`), held-lock sets are propagated through the \
              call graph, and an edge A → B is recorded whenever a thread can hold A \
              while acquiring B. Any cycle in that relation is a potential deadlock and \
              fails the build with the witness chain. Crates may declare a canonical \
@@ -143,14 +143,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `unreachable!` macros (`debug_assert!` is exempt — it compiles out of \
              release), `.unwrap()`/`.expect()`, and calls the graph cannot resolve \
              (⊤, unless vetted: allocation aborts rather than unwinds, `std::io` \
-             methods return `io::Result`). A panic inside a chunk worker poisons the \
-             job and, inside the settle path, can strand the daemon's job table; the \
+             methods return `io::Result`). A panic inside a descent kernel poisons the \
+             daemon's job and, inside the settle path, can strand its job table; the \
              panic fence is a backstop, not a license. Every finding carries a \
              root→…→site witness chain, every allow entry requires a written \
              invariant, and the static rule is cross-checked at runtime by the \
              panic-census harness (`crates/core/tests/panic_census.rs`), which runs \
-             proptest-generated problems through serial and intra-parallel \
-             evaluation under `catch_unwind` and requires zero panics."
+             proptest-generated problems through the solver under `catch_unwind` and \
+             requires zero panics."
         }
         "S1" => {
             "S1 — async-signal-safety and the unsafe registry. A registered signal \

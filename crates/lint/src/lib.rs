@@ -1,8 +1,8 @@
 //! `sfqlint` — in-repo static analysis for the current-recycling workspace.
 //!
 //! The reproduction's central guarantee is *bit-identical partitions whether
-//! the engine's sweeps run serially or intra-parallel*. That guarantee is
-//! runtime behavior, but it is protected
+//! restarts run serially or in parallel*. That guarantee is runtime
+//! behavior, but it is protected
 //! by structural invariants that plain `rustc`/`clippy` cannot express:
 //! nothing may iterate an order-nondeterministic container in a numeric
 //! crate, read a wall clock outside the budget module, or create a thread

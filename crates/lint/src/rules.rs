@@ -4,7 +4,7 @@
 //! |------|---------------------|
 //! | D1 | No order-nondeterministic containers (`HashMap`/`HashSet`) in the numeric crates — iteration order must never reach an arithmetic or output path. |
 //! | D2 | Wall-clock and entropy sources (`Instant::now`, `SystemTime`, `thread_rng`) confined to the solver's budget module. |
-//! | D3 | Thread creation (`thread::spawn` / `thread::scope`) confined to the files `lint.toml` allows: the fused engine, its chunk pool and the daemon. |
+//! | D3 | Thread creation (`thread::spawn` / `thread::scope`) confined to the files `lint.toml` allows: the fused engine and the daemon. |
 //! | F1 | No raw `==`/`!=` against float literals — exactness or tolerance must be spelled via the `float` helpers. |
 //! | U1 | Every `unsafe` block carries a `// SAFETY:` comment and every `unreachable!()` states its invariant. |
 

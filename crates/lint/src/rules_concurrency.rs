@@ -9,15 +9,13 @@
 //! reduced to its last two segments (`shared::job`). A one-segment chain
 //! inside an `impl` block borrows the impl type as owner
 //! (`self.inner.lock()` in `impl JobQueue` → `jobqueue::inner`). Classes
-//! are then folded through the `[rules.L1] aliases` map (the per-chunk
-//! output stripes all become one class) and prefixed with the acquiring
-//! file's crate, so identically named fields in different crates stay
-//! distinct. `.lock()`/`.try_lock()` always acquire; `.read()`/`.write()`
-//! acquire only for classes registered as RwLocks; `.wait()`/
-//! `.wait_while()`/`.wait_timeout()` are condvar waits that release and
-//! re-take the mutex associated via `[rules.L1] condvars`; calls resolving
-//! to a registered `acquire_fns` entry (the poison-bridging `pool::lock`
-//! helper) acquire the class named by their first argument.
+//! are then prefixed with the acquiring file's crate, so identically named
+//! fields in different crates stay distinct. `.lock()`/`.try_lock()`
+//! acquire; `.wait()`/`.wait_while()`/`.wait_timeout()` are condvar waits
+//! that release and re-take the mutex associated via `[rules.L1]
+//! condvars`; calls resolving to a registered `acquire_fns` entry (the
+//! poison-bridging `pool::lock` helper) acquire the class named by their
+//! first argument.
 //!
 //! A guard bound by `let` (with nothing but `unwrap`/`expect`/
 //! `unwrap_or_else` between the acquisition and the `;`) is held from its
@@ -81,10 +79,10 @@ use crate::rules_graph::ALLOC_METHODS;
 /// What one call site means to the lock model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum SiteKind {
-    /// Acquires a lock class (mutex lock, registered rwlock read/write, or
-    /// a registered acquire-helper call).
+    /// Acquires a lock class (mutex lock or a registered acquire-helper
+    /// call).
     Acquire {
-        /// Crate-prefixed, alias-folded class id.
+        /// Crate-prefixed class id.
         class: String,
     },
     /// Condvar wait: blocks, releasing and re-taking the associated mutex.
@@ -191,19 +189,6 @@ fn held_list(held: &BTreeSet<String>) -> String {
         .join(", ")
 }
 
-/// Folds a raw class through the `[rules.L1] aliases` map (one step; the
-/// map is flat, not chained).
-fn fold_alias(cfg: &Config, class: &str) -> String {
-    for entry in &cfg.l1_aliases {
-        if let Some((from, to)) = entry.split_once('=') {
-            if from.trim() == class {
-                return to.trim().to_owned();
-            }
-        }
-    }
-    class.to_owned()
-}
-
 /// The mutex class associated with a condvar class, per `[rules.L1]
 /// condvars`.
 fn condvar_assoc(cfg: &Config, cv: &str) -> Option<String> {
@@ -217,24 +202,27 @@ fn condvar_assoc(cfg: &Config, cv: &str) -> Option<String> {
     None
 }
 
-/// Derives the unprefixed, alias-folded lock class named by a place
-/// expression chain, in the context of `impl_type`. `None` when the chain
-/// is empty or rooted in something the scanner could not name.
-fn class_of_chain(cfg: &Config, chain: &[String], impl_type: Option<&str>) -> Option<String> {
+/// Derives the unprefixed lock class named by a place expression chain, in
+/// the context of `impl_type`. `None` when the chain is empty or rooted in
+/// something the scanner could not name.
+fn class_of_chain(chain: &[String], impl_type: Option<&str>) -> Option<String> {
     let chain: &[String] = if chain.first().map(String::as_str) == Some("self") {
         &chain[1..]
     } else {
         chain
     };
-    let raw = match chain {
-        [] => return None,
-        [field] => match impl_type {
+    match chain {
+        [] => None,
+        [field] => Some(match impl_type {
             Some(t) => format!("{}::{}", t.to_lowercase(), field.to_lowercase()),
             None => field.to_lowercase(),
-        },
-        [.., owner, field] => format!("{}::{}", owner.to_lowercase(), field.to_lowercase()),
-    };
-    Some(fold_alias(cfg, &raw))
+        }),
+        [.., owner, field] => Some(format!(
+            "{}::{}",
+            owner.to_lowercase(),
+            field.to_lowercase()
+        )),
+    }
 }
 
 /// The per-node lock model: site classifications, filtered call edges, and
@@ -729,22 +717,13 @@ fn classify_site(
     let item = graph.item(id);
     let impl_type = item.impl_type.as_deref();
     if call.is_method {
-        let classify_receiver = || class_of_chain(cfg, &call.receiver, impl_type);
+        let classify_receiver = || class_of_chain(&call.receiver, impl_type);
         match call.name.as_str() {
             "lock" | "try_lock" => {
                 if let Some(class) = classify_receiver() {
                     return SiteKind::Acquire {
                         class: format!("{krate}:{class}"),
                     };
-                }
-            }
-            "read" | "write" => {
-                if let Some(class) = classify_receiver() {
-                    if cfg.l1_rwlocks.iter().any(|r| r == &class) {
-                        return SiteKind::Acquire {
-                            class: format!("{krate}:{class}"),
-                        };
-                    }
                 }
             }
             "wait" | "wait_while" | "wait_timeout" => {
@@ -777,7 +756,7 @@ fn classify_site(
     });
     if is_acquire_fn {
         if let Some(arg) = call.args.first() {
-            if let Some(class) = class_of_chain(cfg, arg, impl_type) {
+            if let Some(class) = class_of_chain(arg, impl_type) {
                 return SiteKind::Acquire {
                     class: format!("{krate}:{class}"),
                 };

@@ -17,9 +17,9 @@
 //! ```
 //!
 //! Level 1 decides which *jobs* run (admission control); level 2 bounds
-//! the total restart/chunk thread fan-out across all concurrently running
-//! jobs, generalizing the chunk-worker budget the solver already applies
-//! within one solve. A panicking worker fails only its own job — the
+//! the total restart-thread fan-out across all concurrently running jobs:
+//! a solve's only threads are its restarts, so the slots a job holds are
+//! the threads it runs. A panicking worker fails only its own job — the
 //! panic is caught at the job boundary, the slots return by RAII, and the
 //! worker keeps serving the queue.
 //!
@@ -701,10 +701,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 // Live progress streaming
 // ---------------------------------------------------------------------------
 
-/// Streams schema-v1 trace records to the submitting client as `progress`
-/// frames, live from the solver threads. Iteration records are sampled
-/// every [`ProgressStream::every`] iterations; structural records
-/// (solve/restart boundaries, recoveries, refinement) always stream.
+/// Streams trace records, in the same schema as the offline JSONL trace, to
+/// the submitting client as `progress` frames, live from the solver
+/// threads. Iteration records are sampled every [`ProgressStream::every`]
+/// iterations; structural records (solve/restart boundaries, recoveries,
+/// refinement) always stream.
 ///
 /// Frames interleave across parallel restarts in wall-clock order — each
 /// frame is atomic ([`ConnWriter`] locks per line) and carries its restart
@@ -731,59 +732,31 @@ fn progress_line(id: &str, event: &TraceEvent) -> String {
 struct ProgressRestart {
     conn: ConnWriter,
     id: String,
-    restart: u64,
+    restart: usize,
     every: u64,
 }
 
 impl RestartObserver for ProgressRestart {
     fn on_iteration(&mut self, event: &IterationEvent<'_>) {
-        let iteration = event.iteration as u64;
-        if !iteration.is_multiple_of(self.every) {
+        if !(event.iteration as u64).is_multiple_of(self.every) {
             return;
         }
-        let record = TraceEvent::Iteration {
-            restart: self.restart,
-            iteration,
-            f1: event.cost.f1,
-            f2: event.cost.f2,
-            f3: event.cost.f3,
-            f4: event.cost.f4,
-            total: event.cost.total,
-            learning_rate: event.learning_rate,
-            grad_norm: event.gradient_norm,
-            clipped: event.clipped as u64,
-            recovered: event.recovered,
-        };
+        let record = TraceEvent::iteration(self.restart, event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 
     fn on_recovery(&mut self, event: &RecoveryEvent) {
-        let record = TraceEvent::Recovery {
-            restart: self.restart,
-            iteration: event.iteration as u64,
-            attempt: event.attempt as u64,
-            learning_rate: event.learning_rate,
-        };
+        let record = TraceEvent::recovery(self.restart, event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 
     fn on_refine(&mut self, event: &RefineEvent) {
-        let record = TraceEvent::Refine {
-            restart: self.restart,
-            moves: event.moves as u64,
-            cost_before: event.cost_before,
-            cost_after: event.cost_after,
-        };
+        let record = TraceEvent::refine(self.restart, event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 
     fn on_restart_end(&mut self, event: &RestartEndEvent) {
-        let record = TraceEvent::RestartEnd {
-            restart: self.restart,
-            iterations: event.iterations as u64,
-            stop: event.stop_reason,
-            discrete_cost: event.discrete_cost,
-        };
+        let record = TraceEvent::restart_end(self.restart, event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 }
@@ -792,28 +765,17 @@ impl SolveObserver for ProgressStream {
     type Restart = ProgressRestart;
 
     fn on_solve_start(&mut self, event: &SolveStartEvent) {
-        let record = TraceEvent::SolveStart {
-            gates: event.gates as u64,
-            planes: event.planes as u64,
-            edges: event.edges as u64,
-            restarts: event.restarts as u64,
-            max_iterations: event.max_iterations as u64,
-            fused: true,
-            parallel: event.parallel,
-            intra_parallel: event.intra_parallel,
-        };
+        let record = TraceEvent::solve_start(event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 
     fn begin_restart(&mut self, restart: usize) -> ProgressRestart {
-        let record = TraceEvent::RestartStart {
-            restart: restart as u64,
-        };
+        let record = TraceEvent::restart_start(restart);
         self.conn.send_line(&progress_line(&self.id, &record));
         ProgressRestart {
             conn: self.conn.clone(),
             id: self.id.clone(),
-            restart: restart as u64,
+            restart,
             every: self.every,
         }
     }
@@ -821,13 +783,7 @@ impl SolveObserver for ProgressStream {
     fn absorb_restart(&mut self, _restart: usize, _observer: ProgressRestart) {}
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
-        let record = TraceEvent::SolveEnd {
-            best_restart: event.best_restart as u64,
-            iterations: event.iterations as u64,
-            stop: event.stop_reason,
-            discrete_cost: event.discrete_cost,
-            diverged_restarts: event.diverged_restarts as u64,
-        };
+        let record = TraceEvent::solve_end(event);
         self.conn.send_line(&progress_line(&self.id, &record));
     }
 }

@@ -37,9 +37,9 @@
 //! and a faulty job never perturbs a healthy job's bit-identical result.
 //!
 //! The wire protocol is documented in [`protocol`] and README
-//! §`sfqpartd`; live per-job progress streams as schema-v1 trace records
-//! (the same JSONL schema as
-//! [`sfq_partition::telemetry`]) wrapped in `progress` frames.
+//! §`sfqpartd`; live per-job progress streams as trace records (the same
+//! JSONL schema as [`sfq_partition::telemetry`]) wrapped in `progress`
+//! frames.
 //!
 //! No external dependencies: framing is hand-rolled JSON ([`json`]),
 //! transport is `std::net` confined to [`net`] (lint rule I1), and all

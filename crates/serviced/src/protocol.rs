@@ -48,7 +48,7 @@ pub struct SolveRequest {
     /// Service-level wall-clock deadline, armed at admission — queue wait
     /// counts against it. `None` = no deadline.
     pub deadline_ms: Option<u64>,
-    /// Stream a schema-v1 trace record every this-many iterations as
+    /// Stream a trace record every this-many iterations as
     /// `progress` frames. `None` = no streaming.
     pub progress_every: Option<u64>,
     /// Chaos hook: panic inside the worker thread instead of solving.
@@ -241,11 +241,6 @@ fn parse_options(overrides: Option<&Json>) -> Result<SolverOptions, String> {
             "parallel" => {
                 options.parallel = v.as_bool().ok_or("options: `parallel` must be a bool")?;
             }
-            "intra_parallel" => {
-                options.intra_parallel = v
-                    .as_bool()
-                    .ok_or("options: `intra_parallel` must be a bool")?;
-            }
             "fault" => options.fault_injection = Some(parse_fault(v)?),
             other => return Err(format!("options: unknown key `{other}`")),
         }
@@ -366,9 +361,6 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
     }
     if o.parallel != defaults.parallel {
         push(format!("\"parallel\":{}", o.parallel));
-    }
-    if o.intra_parallel != defaults.intra_parallel {
-        push(format!("\"intra_parallel\":{}", o.intra_parallel));
     }
     if let Some(plan) = &o.fault_injection {
         let mut fault = String::new();
@@ -556,11 +548,11 @@ pub enum Response {
         /// Why: `overloaded`, `draining`, `duplicate_id`, `invalid: …`.
         reason: String,
     },
-    /// One streamed schema-v1 trace record for a running job.
+    /// One streamed trace record for a running job.
     Progress {
         /// Job id.
         id: String,
-        /// The trace record (a nested schema-v1 object).
+        /// The trace record (a nested object in the JSONL trace schema).
         trace: Json,
     },
     /// The job is being retried after a transient failure.
@@ -977,7 +969,7 @@ mod tests {
         solve.options.restarts = 3;
         solve.options.margin = -1.0;
         solve.options.swap_refine = true;
-        solve.options.intra_parallel = true;
+        solve.options.parallel = true;
         solve.options.fault_injection = Some(FaultInjection {
             nan_cost_at: vec![3, 9],
             poison_from: Some(4),
@@ -1021,11 +1013,13 @@ mod tests {
     #[test]
     fn unknown_option_keys_are_rejected() {
         // `fused` and `kernel_backend` chose between evaluators that no
-        // longer exist, so they are refused like any other unknown key.
+        // longer exist, and `intra_parallel` between two ways to run one
+        // engine's sweeps, so they are refused like any other unknown key.
         for (key, value) in [
             ("warp", "1"),
             ("fused", "true"),
             ("kernel_backend", "\"scalar\""),
+            ("intra_parallel", "true"),
         ] {
             let line = format!(
                 "{{\"op\":\"solve\",\"id\":\"x\",\"problem\":{{\"bias\":[1],\"area\":[1],\"planes\":1}},\"options\":{{\"{key}\":{value}}}}}"

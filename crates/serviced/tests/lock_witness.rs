@@ -7,8 +7,8 @@
 //! This is the dynamic half of sfqlint's L1/L2: the static rules prove the
 //! *call graph* clean, this test proves the *interleavings* clean on the
 //! exact scenarios most likely to bend the discipline (worker panics,
-//! deadline storms, cancellations mid-run, slot contention, chunked
-//! epochs). Everything is one `#[test]` on purpose: the witness counters
+//! deadline storms, cancellations mid-run, slot contention). Everything is
+//! one `#[test]` on purpose: the witness counters
 //! are process-global, so a single test gives the zero-violation assertion
 //! an unambiguous scope — the whole replay.
 
@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use sfq_partition::witness;
-use sfq_partition::{PartitionProblem, Solver, SolverOptions};
+use sfq_partition::SolverOptions;
 use sfq_serviced::client::ClientRead;
 use sfq_serviced::protocol::{ProblemSpec, Request, Response, SolveRequest};
 use sfq_serviced::{Client, Daemon, DaemonConfig};
@@ -59,29 +59,6 @@ fn solve_request(id: &str, options: SolverOptions) -> Request {
         progress_every: None,
         panic_in_worker: false,
     }))
-}
-
-/// Drives the core chunk pool (`core:shared::*` classes): a problem just
-/// big enough that `G·K` crosses the default chunk threshold, solved with
-/// intra-pass threading on, so every epoch runs the full
-/// job → workers → done → panic-fence lock choreography.
-fn chunked_epochs() {
-    let g: u32 = 2048;
-    let bias = vec![1.0; g as usize];
-    let area = vec![10.0; g as usize];
-    let edges: Vec<(u32, u32)> = (0..g).map(|i| (i, (i + 1) % g)).collect();
-    let problem = PartitionProblem::new(bias, area, edges, 4).expect("valid problem");
-    let result = Solver::new(SolverOptions {
-        seed: 7,
-        restarts: 2,
-        parallel: true,
-        intra_parallel: true,
-        max_iterations: 40,
-        ..SolverOptions::default()
-    })
-    .try_solve(&problem)
-    .expect("chunked solve");
-    assert_eq!(result.partition.labels().len(), g as usize);
 }
 
 /// Condensed replay of the chaos suite's mixed storm: waves of healthy /
@@ -169,7 +146,6 @@ fn mixed_storm() {
 
 #[test]
 fn chaos_replay_records_zero_lock_violations() {
-    chunked_epochs();
     mixed_storm();
 
     assert_eq!(

@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use sfq_partition::telemetry::TRACE_SCHEMA_VERSION;
 use sfq_partition::{PartitionProblem, Solver, SolverOptions};
 use sfq_serviced::client::ClientRead;
 use sfq_serviced::protocol::{ProblemSpec, Request, Response, SolveRequest};
@@ -299,7 +300,7 @@ fn drain_delivers_terminal_frames_to_connected_clients() {
 }
 
 #[test]
-fn progress_frames_stream_schema_v1_trace_records() {
+fn progress_frames_stream_schema_trace_records() {
     let (daemon, mut client) = boot(DaemonConfig::default());
     client.send(&Request::Solve(Box::new(SolveRequest {
         id: "traced".into(),
@@ -316,7 +317,7 @@ fn progress_frames_stream_schema_v1_trace_records() {
                 assert_eq!(id, "traced");
                 assert_eq!(
                     trace.get("v").and_then(|v| v.as_u64()),
-                    Some(1),
+                    Some(TRACE_SCHEMA_VERSION),
                     "schema version stamped on every record: {trace:?}"
                 );
                 if let Some(ev) = trace.get("ev").and_then(|v| v.as_str()) {

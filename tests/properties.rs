@@ -128,7 +128,7 @@ proptest! {
     ) {
         // The fused engine must reproduce the reference CostModel + Gradient
         // oracle within 1e-12 relative — in its plain layout, and in the
-        // chunked layout, serial and intra-parallel.
+        // chunked layout.
         let g = problem.num_gates();
         let k = problem.num_planes();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -143,11 +143,7 @@ proptest! {
         let close = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0) < 1e-12;
         // Forced chunking exercises the fixed-fold partial sums.
         let chunked = EngineOptions { chunk_min_items: 1, num_chunks: 5, ..EngineOptions::default() };
-        let layouts = [
-            EngineOptions::default(),
-            chunked,
-            EngineOptions { intra_parallel: true, ..chunked },
-        ];
+        let layouts = [EngineOptions::default(), chunked];
         for options in layouts {
             let mut engine =
                 CostEngine::new(&problem, CostWeights::default(), 4.0, options);
@@ -165,42 +161,10 @@ proptest! {
     }
 
     #[test]
-    fn engine_intra_parallelism_is_bit_exact(
-        problem in arb_problem(),
-        seed in any::<u64>(),
-    ) {
-        // With identical chunk layouts, threading the sweeps must not change
-        // one bit of cost or gradient.
-        let g = problem.num_gates();
-        let k = problem.num_planes();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let w = WeightMatrix::random(g, k, &mut rng);
-        let chunked = EngineOptions {
-            chunk_min_items: 1,
-            num_chunks: 4,
-            ..EngineOptions::default()
-        };
-        let mut sequential = CostEngine::new(&problem, CostWeights::default(), 4.0, chunked);
-        let mut parallel = CostEngine::new(
-            &problem,
-            CostWeights::default(),
-            4.0,
-            EngineOptions { intra_parallel: true, ..chunked },
-        );
-        let mut gs = vec![0.0; w.padded_len()];
-        let mut gp = vec![0.0; w.padded_len()];
-        let cs = sequential.evaluate_with_gradient(&w, &mut gs);
-        let cp = parallel.evaluate_with_gradient(&w, &mut gp);
-        prop_assert_eq!(cs, cp);
-        prop_assert_eq!(gs, gp);
-    }
-
-    #[test]
     fn solver_backends_agree_end_to_end(problem in arb_problem()) {
         // Whole solves (descent, snap, refine) must not depend on how the
-        // work is threaded: serial restarts with serial sweeps and parallel
-        // restarts with intra-parallel sweeps give identical partitions and
-        // cost histories, bit for bit.
+        // work is threaded: serial and parallel restarts give identical
+        // partitions and cost histories, bit for bit.
         let opts = SolverOptions {
             max_iterations: 120,
             restarts: 2,
@@ -208,13 +172,11 @@ proptest! {
         };
         let serial = Solver::new(SolverOptions {
             parallel: false,
-            intra_parallel: false,
             ..opts.clone()
         })
         .solve(&problem);
         let threaded = Solver::new(SolverOptions {
             parallel: true,
-            intra_parallel: true,
             ..opts
         })
         .solve(&problem);
