@@ -5,10 +5,9 @@
 //! Prints (a) the per-iteration descent trace of one solve — rebuilt on the
 //! telemetry stream, so the TSV now carries the full cost breakdown
 //! (F1..F4), the adaptive rate, the gradient norm, and projection-clip
-//! counts — and (b) wall-clock scaling of the full reproduction solve
-//! across the suite.
-
-use std::time::Instant;
+//! counts — and (b) the iterations the full reproduction solve takes
+//! across the suite, next to each problem's size. Both are deterministic;
+//! sfqbench (`sfqbench/`) is what times the solver.
 
 use sfq_bench::load_circuit;
 use sfq_circuits::registry::Benchmark;
@@ -64,8 +63,8 @@ fn main() {
     println!("# per-restart summary (from the same trace):");
     println!("{}", convergence_table(trace.events()));
 
-    // (b) Runtime scaling across the suite.
-    let mut table = Table::new(vec!["circuit", "G", "|E|", "iterations", "solve time s"]);
+    // (b) Iterations across the suite.
+    let mut table = Table::new(vec!["circuit", "G", "|E|", "iterations"]);
     for bench in [
         Benchmark::Ksa4,
         Benchmark::Ksa8,
@@ -75,18 +74,15 @@ fn main() {
         Benchmark::C3540,
     ] {
         let run = load_circuit(bench, 5);
-        let t0 = Instant::now();
         let result = Solver::new(SolverOptions::reproduction()).solve(&run.problem);
-        let dt = t0.elapsed().as_secs_f64();
         table.add_row(vec![
             bench.name().to_owned(),
             run.problem.num_gates().to_string(),
             run.problem.num_edges().to_string(),
             result.iterations.to_string(),
-            format!("{dt:.2}"),
         ]);
     }
-    println!("reproduction solve (8 restarts in parallel), wall-clock:");
+    println!("reproduction solve (8 restarts in parallel), iterations of the winner:");
     println!("{table}");
     println!("cost per iteration is O(|E| + G*K); the paper reports the same");
     println!("first-order-only rationale for choosing gradient descent over Newton.");

@@ -10,7 +10,8 @@
 //! | `figure1` | Fig. 1 (chip diagram) | `cargo run -p sfq-bench --bin figure1 --release` |
 //! | `ablations` | design-choice studies | `cargo run -p sfq-bench --bin ablations --release` |
 //!
-//! Criterion performance benches live in `benches/`.
+//! They print results, not timings: sfqbench (`sfqbench/`) is the one
+//! harness that times the product.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

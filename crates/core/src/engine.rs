@@ -789,49 +789,21 @@ impl<'a> CostEngine<'a> {
 }
 
 /// Maps `f` over `items` on scoped threads, one per item, collecting results
-/// in item order.
+/// in item order. Each item moves onto its worker thread, so the solver can
+/// carry owned per-restart state — in particular the per-restart telemetry
+/// observers forked by
+/// [`SolveObserver::begin_restart`](crate::telemetry::SolveObserver::begin_restart)
+/// — into restart workers.
 ///
 /// Thread-confinement rule D3 (enforced by `sfqlint`) restricts thread
 /// creation to this module so that chunking and fold order — the two things
 /// that can silently reorder float accumulation — are auditable in one
 /// place. Restart-level parallelism in the solver goes through this helper
 /// instead of opening its own scope. Results are joined in spawn order, so
-/// the output is positionally identical to a serial `items.iter().map(f)`.
+/// the output is positionally identical to a serial `items.into_iter().map(f)`.
 ///
 /// Panics in a worker are re-raised on the calling thread.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter()
-            .map(|item| scope.spawn(move |_| f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-}
-
-/// By-value sibling of [`parallel_map`]: moves each item onto its worker
-/// thread instead of borrowing it.
-///
-/// The solver uses this to carry owned per-restart state — in particular the
-/// per-restart telemetry observers forked by
-/// [`SolveObserver::begin_restart`](crate::telemetry::SolveObserver::begin_restart)
-/// — into restart workers, which `Fn(&T)` cannot express without interior
-/// mutability. Ordering guarantees are identical to [`parallel_map`]:
-/// spawn in item order, join in spawn order, panics re-raised on the caller.
-pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -49,6 +49,8 @@
 //!   constants and canonical fold order.
 //! * [`solver`] — Algorithm 1 (projected gradient descent) plus restarts.
 //! * [`telemetry`] — zero-cost observer hooks, JSONL traces, solve metrics.
+//! * [`json`] — the one JSON reader: trace records, `sfqpartd` frames,
+//!   sfqbench results; integers read back exactly.
 //! * [`refine`] — optional discrete local-move polish.
 //! * [`metrics`] — `d≤x` locality, `B_max`, `I_comp`, `A_max`, `A_FS` (eq. 11).
 //! * [`limit`] — minimum-`K` search under a `B_max` cap (Table III).
@@ -68,6 +70,7 @@ pub mod engine;
 pub mod error;
 pub mod float;
 pub mod grad;
+pub mod json;
 pub mod kernel;
 pub mod lanes;
 pub mod limit;

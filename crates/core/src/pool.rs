@@ -3,7 +3,7 @@
 //! A solve's only threads are its restart workers, one per restart when
 //! [`SolverOptions::parallel`](crate::solver::SolverOptions::parallel) is
 //! set (spawned by
-//! [`engine::parallel_map_owned`](crate::engine::parallel_map_owned)); every
+//! [`engine::parallel_map`](crate::engine::parallel_map)); every
 //! engine sweep runs on the thread of the restart that owns it. [`SlotPool`]
 //! bounds how many of those threads a process runs at once: a service
 //! acquires the slots a job will occupy before it builds the job's solver.

@@ -580,7 +580,7 @@ impl Solver {
         let outcomes: Vec<(usize, SolveResult, O::Restart)> = if opts.parallel && jobs.len() > 1 {
             // Thread creation is confined to the engine (rule D3); results
             // come back in restart order, matching the serial branch.
-            crate::engine::parallel_map_owned(jobs, |(r, cap, mut restart_observer)| {
+            crate::engine::parallel_map(jobs, |(r, cap, mut restart_observer)| {
                 let result = self.run_once(problem, r, cap, &interrupt, &mut restart_observer);
                 (r, result, restart_observer)
             })

@@ -36,6 +36,7 @@ use std::io::Write;
 
 use crate::budget::Stopwatch;
 use crate::cost::CostBreakdown;
+use crate::json::{self, Json};
 use crate::solver::StopReason;
 
 /// Version stamped into every trace record as the `"v"` field.
@@ -801,19 +802,24 @@ impl TraceEvent {
         out.push('}');
     }
 
-    /// Parses one JSONL line back into a record.
+    /// Parses one JSONL line back into a record, through the workspace's
+    /// one JSON reader ([`crate::json`]).
     ///
-    /// Unknown *fields* are ignored (the schema is append-only within a
-    /// version), which is how a v1 `solve_start` record's `fused` and
-    /// `intra_parallel` are read past; an unknown `"ev"` tag or a `"v"`
-    /// outside `1..=`[`TRACE_SCHEMA_VERSION`] is an error, as is any missing
-    /// or wrongly-typed required field.
+    /// Unknown *fields* are ignored, whatever their value (the schema is
+    /// append-only within a version), which is how a v1 `solve_start`
+    /// record's `fused` and `intra_parallel` are read past; an unknown
+    /// `"ev"` tag or a `"v"` outside `1..=`[`TRACE_SCHEMA_VERSION`] is an
+    /// error, as is any missing or wrongly-typed required field. Integer
+    /// fields take only an integer literal: `1.0` is not a count.
     ///
     /// # Errors
     ///
     /// Returns a [`TraceParseError`] describing the first problem found.
     pub fn parse(line: &str) -> Result<TraceEvent, TraceParseError> {
-        let fields = parse_json_object(line)?;
+        if !line.trim_start().starts_with('{') {
+            return Err(TraceParseError::new("expected `{` to open a record"));
+        }
+        let fields = json::parse(line).map_err(|e| TraceParseError::new(e.to_string()))?;
         let version = get_u64(&fields, "v")?;
         if !(1..=TRACE_SCHEMA_VERSION).contains(&version) {
             return Err(TraceParseError::new(format!(
@@ -888,259 +894,45 @@ impl TraceEvent {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON-object parser (the vendored serde is a marker stub, so
-// the trace schema is hand-parsed; records are one flat object per line)
-// ---------------------------------------------------------------------------
+// Field readers over a parsed record. Integer fields take only an exact
+// integer literal, so `1.0`, `-1` and `1e3` are refused where a count
+// belongs.
 
-/// A scanned value; numbers stay as raw text so the field readers can parse
-/// them as integers or floats as required.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue<'a> {
-    Number(&'a str),
-    String(String),
-    Bool(bool),
-    Null,
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Scanner {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), TraceParseError> {
-        match self.peek() {
-            Some(b) if b == byte => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(b) => Err(TraceParseError::new(format!(
-                "expected `{}` at byte {}, found `{}`",
-                byte as char, self.pos, b as char
-            ))),
-            None => Err(TraceParseError::new(format!(
-                "expected `{}` at byte {}, found end of line",
-                byte as char, self.pos
-            ))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, TraceParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(TraceParseError::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(other) => {
-                            return Err(TraceParseError::new(format!(
-                                "unsupported escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                        None => return Err(TraceParseError::new("unterminated escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is copied through byte-wise; schema
-                    // strings are ASCII but foreign lines should still
-                    // error cleanly rather than panic.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    let chunk = self.bytes.get(start..self.pos).unwrap_or_default();
-                    match std::str::from_utf8(chunk) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(TraceParseError::new("invalid UTF-8 in string")),
-                    }
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue<'a>, TraceParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let chunk = self.bytes.get(start..self.pos).unwrap_or_default();
-                match std::str::from_utf8(chunk) {
-                    Ok(s) => Ok(JsonValue::Number(s)),
-                    Err(_) => Err(TraceParseError::new("invalid number bytes")),
-                }
-            }
-            Some(b) => Err(TraceParseError::new(format!(
-                "unexpected `{}` at byte {} (arrays/objects are not part of the trace schema)",
-                b as char, self.pos
-            ))),
-            None => Err(TraceParseError::new("unexpected end of line")),
-        }
-    }
-
-    fn keyword(
-        &mut self,
-        word: &str,
-        value: JsonValue<'a>,
-    ) -> Result<JsonValue<'a>, TraceParseError> {
-        let end = self.pos + word.len();
-        if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
-            self.pos = end;
-            Ok(value)
-        } else {
-            Err(TraceParseError::new(format!(
-                "expected `{word}` at byte {}",
-                self.pos
-            )))
-        }
-    }
-}
-
-/// Parses one line as a flat JSON object into ordered `(key, value)` pairs.
-fn parse_json_object(line: &str) -> Result<Vec<(String, JsonValue<'_>)>, TraceParseError> {
-    let mut scanner = Scanner::new(line);
-    scanner.skip_ws();
-    scanner.expect(b'{')?;
-    let mut fields = Vec::new();
-    scanner.skip_ws();
-    if scanner.peek() == Some(b'}') {
-        scanner.pos += 1;
-    } else {
-        loop {
-            scanner.skip_ws();
-            let key = scanner.string()?;
-            scanner.skip_ws();
-            scanner.expect(b':')?;
-            let value = scanner.value()?;
-            fields.push((key, value));
-            scanner.skip_ws();
-            match scanner.peek() {
-                Some(b',') => scanner.pos += 1,
-                Some(b'}') => {
-                    scanner.pos += 1;
-                    break;
-                }
-                Some(b) => {
-                    return Err(TraceParseError::new(format!(
-                        "expected `,` or `}}` at byte {}, found `{}`",
-                        scanner.pos, b as char
-                    )))
-                }
-                None => return Err(TraceParseError::new("unterminated object")),
-            }
-        }
-    }
-    scanner.skip_ws();
-    if scanner.peek().is_some() {
-        return Err(TraceParseError::new(format!(
-            "trailing bytes after record at byte {}",
-            scanner.pos
-        )));
-    }
-    Ok(fields)
-}
-
-fn find<'f, 'a>(
-    fields: &'f [(String, JsonValue<'a>)],
-    key: &str,
-) -> Result<&'f JsonValue<'a>, TraceParseError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+fn field<'a>(record: &'a Json, key: &str) -> Result<&'a Json, TraceParseError> {
+    record
+        .get(key)
         .ok_or_else(|| TraceParseError::new(format!("missing field `{key}`")))
 }
 
-fn get_u64(fields: &[(String, JsonValue<'_>)], key: &str) -> Result<u64, TraceParseError> {
-    match find(fields, key)? {
-        JsonValue::Number(raw) => raw
-            .parse::<u64>()
-            .map_err(|_| TraceParseError::new(format!("field `{key}`: `{raw}` is not a u64"))),
+fn get_u64(record: &Json, key: &str) -> Result<u64, TraceParseError> {
+    match field(record, key)? {
+        Json::Integer(n) => Ok(*n),
         _ => Err(TraceParseError::new(format!(
             "field `{key}`: expected an integer"
         ))),
     }
 }
 
-fn get_f64(fields: &[(String, JsonValue<'_>)], key: &str) -> Result<f64, TraceParseError> {
-    match find(fields, key)? {
-        JsonValue::Number(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| TraceParseError::new(format!("field `{key}`: `{raw}` is not a number"))),
+fn get_f64(record: &Json, key: &str) -> Result<f64, TraceParseError> {
+    match field(record, key)? {
         // JSON cannot express non-finite floats; the writer emits `null`.
-        JsonValue::Null => Ok(f64::NAN),
-        _ => Err(TraceParseError::new(format!(
-            "field `{key}`: expected a number or null"
-        ))),
+        Json::Null => Ok(f64::NAN),
+        value => value.as_f64().ok_or_else(|| {
+            TraceParseError::new(format!("field `{key}`: expected a number or null"))
+        }),
     }
 }
 
-fn get_bool(fields: &[(String, JsonValue<'_>)], key: &str) -> Result<bool, TraceParseError> {
-    match find(fields, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(TraceParseError::new(format!(
-            "field `{key}`: expected a boolean"
-        ))),
-    }
+fn get_bool(record: &Json, key: &str) -> Result<bool, TraceParseError> {
+    field(record, key)?
+        .as_bool()
+        .ok_or_else(|| TraceParseError::new(format!("field `{key}`: expected a boolean")))
 }
 
-fn get_str<'f>(
-    fields: &'f [(String, JsonValue<'_>)],
-    key: &str,
-) -> Result<&'f str, TraceParseError> {
-    match find(fields, key)? {
-        JsonValue::String(s) => Ok(s),
-        _ => Err(TraceParseError::new(format!(
-            "field `{key}`: expected a string"
-        ))),
-    }
+fn get_str<'a>(record: &'a Json, key: &str) -> Result<&'a str, TraceParseError> {
+    field(record, key)?
+        .as_str()
+        .ok_or_else(|| TraceParseError::new(format!("field `{key}`: expected a string")))
 }
 
 // ---------------------------------------------------------------------------
@@ -1386,13 +1178,20 @@ impl LogHistogram {
         LogHistogram::default()
     }
 
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = match value {
+    /// The bucket `value` falls in: 0 for 0, `ilog2(value) + 1` otherwise,
+    /// so always at most 64. The one statement of the rule, shared with the
+    /// service's lock-free histogram.
+    #[must_use]
+    pub const fn bucket(value: u64) -> usize {
+        match value {
             0 => 0,
             v => v.ilog2() as usize + 1,
-        };
-        if let Some(slot) = self.buckets.get_mut(bucket) {
+        }
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, value: u64) {
+        if let Some(slot) = self.buckets.get_mut(LogHistogram::bucket(value)) {
             *slot += 1;
         }
     }
@@ -1764,11 +1563,28 @@ mod tests {
 
     #[test]
     fn parse_ignores_unknown_fields() {
-        let line = "{\"v\":1,\"ev\":\"restart_start\",\"restart\":3,\"future_field\":42}";
-        assert_eq!(
-            TraceEvent::parse(line),
-            Ok(TraceEvent::RestartStart { restart: 3 })
-        );
+        for future in ["42", "[1,{\"a\":2}]"] {
+            let line = format!(
+                "{{\"v\":1,\"ev\":\"restart_start\",\"restart\":3,\"future_field\":{future}}}"
+            );
+            assert_eq!(
+                TraceEvent::parse(&line),
+                Ok(TraceEvent::RestartStart { restart: 3 })
+            );
+        }
+    }
+
+    #[test]
+    fn parse_rejects_non_integer_counts() {
+        for value in ["1.0", "-1", "1e3"] {
+            let line = format!("{{\"v\":2,\"ev\":\"restart_start\",\"restart\":{value}}}");
+            let err = TraceEvent::parse(&line).expect_err(&line);
+            assert!(
+                err.detail()
+                    .contains("field `restart`: expected an integer"),
+                "`{line}` -> `{err}`"
+            );
+        }
     }
 
     #[test]

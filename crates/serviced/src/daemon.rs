@@ -720,7 +720,7 @@ struct ProgressStream {
 fn progress_line(id: &str, event: &TraceEvent) -> String {
     let mut out = String::with_capacity(160);
     out.push_str("{\"ev\":\"progress\",\"id\":");
-    crate::json::write_escaped(&mut out, id);
+    sfq_partition::json::write_escaped(&mut out, id);
     out.push_str(",\"trace\":");
     event.write_jsonl_into(&mut out);
     out.push('}');

@@ -41,9 +41,11 @@
 //! JSONL schema as [`sfq_partition::telemetry`]) wrapped in `progress`
 //! frames.
 //!
-//! No external dependencies: framing is hand-rolled JSON ([`json`]),
-//! transport is `std::net` confined to [`net`] (lint rule I1), and all
-//! timing flows through the core crate's budget types (rule D2).
+//! No external dependencies: frames are read and written with the core
+//! crate's JSON codec ([`json`], re-exported from
+//! [`sfq_partition::json`]), transport is `std::net` confined to [`net`]
+//! (lint rule I1), and all timing flows through the core crate's budget
+//! types (rule D2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +55,6 @@ pub mod cache;
 pub mod client;
 pub mod daemon;
 pub mod job;
-pub mod json;
 pub mod net;
 pub mod ops;
 pub mod opslog;
@@ -68,3 +69,4 @@ pub use json::Json;
 pub use ops::OpsRegistry;
 pub use protocol::{FailureKind, ProblemSpec, Request, Response, SolveRequest, StatsSnapshot};
 pub use sched::{AdmitError, JobQueue};
+pub use sfq_partition::json;

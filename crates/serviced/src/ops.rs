@@ -34,8 +34,7 @@ use crate::job::{PhaseDurations, TerminalKind};
 use crate::protocol::StatsSnapshot;
 
 /// A [`LogHistogram`] with atomic buckets, recordable from any thread
-/// without a lock. Same bucketing: bucket 0 holds the value 0, bucket
-/// `i ≥ 1` holds `[2^(i−1), 2^i)`.
+/// without a lock. Same bucketing, through [`LogHistogram::bucket`].
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; 65],
@@ -52,14 +51,10 @@ impl Default for AtomicHistogram {
 impl AtomicHistogram {
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        // `ilog2` of a u64 is ≤ 63, so the bucket index is ≤ 64 — always
-        // in range for the 65-slot array (and A1-provably no-alloc, where
-        // a `.get()` would resolve ambiguously across the workspace).
-        let bucket = match value {
-            0 => 0,
-            v => v.ilog2() as usize + 1,
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        // The bucket index is ≤ 64 — always in range for the 65-slot array
+        // (and A1-provably no-alloc, where a `.get()` would resolve
+        // ambiguously across the workspace).
+        self.buckets[LogHistogram::bucket(value)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A plain-data snapshot of the current bucket counts.

@@ -12,10 +12,9 @@
 
 use std::fmt;
 
+use sfq_partition::json::{self, write_escaped, write_number, Json};
 use sfq_partition::telemetry::{parse_stop_reason, stop_reason_str, LogHistogram};
 use sfq_partition::{FaultInjection, SolverOptions, StopReason};
-
-use crate::json::{self, write_escaped, Json};
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -351,7 +350,9 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
         push(format!("\"iteration_budget\":{budget}"));
     }
     if o.margin != defaults.margin {
-        push(format!("\"margin\":{}", o.margin));
+        let mut margin = String::from("\"margin\":");
+        write_number(&mut margin, o.margin);
+        push(margin);
     }
     if o.refine != defaults.refine {
         push(format!("\"refine\":{}", o.refine));
@@ -403,13 +404,12 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
 }
 
 fn write_f64_array(out: &mut String, values: &[f64]) {
-    use fmt::Write;
     out.push('[');
-    for (i, v) in values.iter().enumerate() {
+    for (i, &v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{v}");
+        write_number(out, v);
     }
     out.push(']');
 }
@@ -666,7 +666,9 @@ impl Response {
                 out.push_str("{\"ev\":\"progress\",\"id\":");
                 write_escaped(&mut out, id);
                 out.push_str(",\"trace\":");
-                trace.write_into(&mut out);
+                // A path call, which sfqlint P2 follows into the codec on the
+                // settle path; it treats a cross-crate method call as ⊤.
+                Json::write_into(trace, &mut out);
                 out.push('}');
             }
             Response::Retrying { id, attempt } => {
@@ -693,9 +695,11 @@ impl Response {
                 }
                 let _ = write!(
                     out,
-                    "],\"stop\":\"{}\",\"iterations\":{iterations},\"discrete_cost\":{discrete_cost},\"cached\":{cached}}}",
+                    "],\"stop\":\"{}\",\"iterations\":{iterations},\"discrete_cost\":",
                     stop_reason_str(*stop)
                 );
+                write_number(&mut out, *discrete_cost);
+                let _ = write!(out, ",\"cached\":{cached}}}");
             }
             Response::Cancelled { id } => {
                 out.push_str("{\"ev\":\"cancelled\",\"id\":");
@@ -986,6 +990,37 @@ mod tests {
     }
 
     #[test]
+    fn integers_above_2_pow_53_round_trip_exactly() {
+        let above = (1u64 << 53) + 1;
+        for (seed, deadline_ms, progress_every) in
+            [(above, None, Some(above)), (u64::MAX, Some(u64::MAX), None)]
+        {
+            let mut solve = chain_request("big", 4);
+            solve.options.seed = seed;
+            solve.deadline_ms = deadline_ms;
+            solve.progress_every = progress_every;
+            let line = Request::Solve(Box::new(solve.clone())).to_line();
+            match parse_request(&line) {
+                Ok(Request::Solve(parsed)) => assert_eq!(*parsed, solve, "{line}"),
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_travel_as_null_and_are_refused() {
+        let mut solve = chain_request("nan", 3);
+        solve.problem.bias[1] = f64::NAN;
+        solve.options.margin = f64::INFINITY;
+        let line = Request::Solve(Box::new(solve)).to_line();
+        assert!(line.contains("\"bias\":[1,null,1]") && line.contains("\"margin\":null"));
+        let reason = |line: &str| parse_request(line).unwrap_err().reason;
+        assert_eq!(reason(&line), "problem: `bias` must hold numbers");
+        let line = line.replace("[1,null,1]", "[1,1,1]");
+        assert_eq!(reason(&line), "options: `margin` must be a number");
+    }
+
+    #[test]
     fn control_requests_round_trip() {
         for req in [
             Request::Cancel {
@@ -1084,7 +1119,7 @@ mod tests {
         let trace_line = "{\"v\":1,\"ev\":\"iter\",\"restart\":0,\"iter\":3,\"total\":1.5}";
         let frame = Response::Progress {
             id: "j".into(),
-            trace: crate::json::parse(trace_line).unwrap(),
+            trace: json::parse(trace_line).unwrap(),
         };
         let line = frame.to_line();
         let parsed = parse_response(&line).unwrap();
