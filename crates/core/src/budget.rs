@@ -1,16 +1,22 @@
 //! Wall-clock solve budgets — the only module that reads the clock.
 //!
-//! Determinism rule D2 (enforced by `sfqlint`) confines every
-//! nondeterministic source — `Instant::now`, `SystemTime`, entropy — to this
-//! module. The rest of the solver handles time exclusively through the
-//! opaque [`Deadline`] and [`Stopwatch`] types, so a reviewer can audit
-//! "what can make two runs differ" by reading this one file.
+//! The workspace `clippy.toml` bans `Instant` and `SystemTime` everywhere
+//! else, and this module carries the one exception. The vendored `rand` has
+//! no entropy source, so every RNG is seeded explicitly. The rest of the
+//! solver handles time exclusively through the opaque [`Deadline`] and
+//! [`Stopwatch`] types, so a reviewer can audit "what can make two runs
+//! differ" by reading this one file.
 //!
 //! A wall-clock deadline is *inherently* nondeterministic: a budgeted solve
 //! may truncate at a different iteration from run to run depending on
 //! machine load. What stays deterministic is everything else — the
 //! iterations that do complete are bit-identical, which is why clock reads
 //! must not leak into any arithmetic path.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one module that reads the clock"
+)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -185,8 +191,8 @@ impl Interrupt {
 /// per-phase metrics).
 ///
 /// Like [`Deadline`], this is the only clock handle the rest of the
-/// workspace may hold: rule D2 keeps `Instant` itself out of every other
-/// module, and the API deliberately exposes elapsed time only as data
+/// workspace may hold: `clippy.toml` keeps `Instant` itself out of every
+/// other module, and the API deliberately exposes elapsed time only as data
 /// (nanoseconds) — never as something a solve path could branch on without
 /// it being obvious in review that determinism is at stake.
 #[derive(Debug, Clone, Copy)]

@@ -795,14 +795,19 @@ impl<'a> CostEngine<'a> {
 /// [`SolveObserver::begin_restart`](crate::telemetry::SolveObserver::begin_restart)
 /// — into restart workers.
 ///
-/// Thread-confinement rule D3 (enforced by `sfqlint`) restricts thread
-/// creation to this module so that chunking and fold order — the two things
-/// that can silently reorder float accumulation — are auditable in one
-/// place. Restart-level parallelism in the solver goes through this helper
-/// instead of opening its own scope. Results are joined in spawn order, so
-/// the output is positionally identical to a serial `items.into_iter().map(f)`.
+/// The workspace `clippy.toml` bans thread creation, and this function
+/// carries the solver's one exception, so chunking and fold order — the two
+/// things that can silently reorder float accumulation — are auditable in
+/// one place. Restart-level parallelism in the solver goes through this
+/// helper instead of opening its own scope. Results are joined in spawn
+/// order, so the output is positionally identical to a serial
+/// `items.into_iter().map(f)`.
 ///
 /// Panics in a worker are re-raised on the calling thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the solver's one thread scope: one restart per thread, joined in spawn order"
+)]
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

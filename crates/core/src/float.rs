@@ -1,9 +1,10 @@
-//! Intent-revealing floating-point comparisons (lint rule F1) and the
+//! Intent-revealing floating-point comparisons (`clippy::float_cmp`) and the
 //! checked-math helpers (lint rule N1).
 //!
-//! A raw `==`/`!=` against a float literal is banned by `sfqlint`'s F1 rule:
-//! at the call site a reader cannot tell a deliberate bit-exact sentinel
-//! check from a sloppy tolerance. These helpers spell the intent out.
+//! A raw `==`/`!=` between floats is denied by `clippy::float_cmp` in CI's
+//! runtime-targets clippy step: at the call site a reader cannot tell a
+//! deliberate bit-exact sentinel check from a sloppy tolerance. These
+//! helpers spell the intent out.
 //!
 //! * [`exactly`] is a plain `==`. Use it where the compared value is a
 //!   sentinel *written by this codebase* (a learning rate initialised to
@@ -37,6 +38,7 @@
 /// ```
 #[inline]
 #[must_use]
+#[expect(clippy::float_cmp, reason = "the one sanctioned bit-exact comparison")]
 pub fn exactly(a: f64, b: f64) -> bool {
     a == b
 }

@@ -74,8 +74,9 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Integer(n) => Some(*n),
-            Json::Number(n) => ((0.0..=9_007_199_254_740_992.0).contains(n) && n.trunc() == *n)
-                .then_some(*n as u64),
+            Json::Number(n) => ((0.0..=9_007_199_254_740_992.0).contains(n)
+                && crate::float::exactly(n.trunc(), *n))
+            .then_some(*n as u64),
             _ => None,
         }
     }

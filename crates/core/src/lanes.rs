@@ -17,7 +17,7 @@
 //!   padding contributes exact `+0.0` terms (an IEEE-754 no-op against the
 //!   `+0.0`-initialized stripes), so the result depends only on the `K`
 //!   real entries. Because the order is fixed per row and per chunk, the
-//!   exactness suites — serial == parallel (lint rule D3),
+//!   exactness suites — serial == parallel (`engine::parallel_map`),
 //!   observer-on == observer-off, and the alloc sanitizer (A1) — can pin
 //!   the arithmetic bit for bit.
 //! * **Chunk boundaries align to lane blocks** — the engine's fixed chunk

@@ -61,6 +61,9 @@
 // Library code must propagate failures, never abort the process on them;
 // tests keep the ergonomic forms.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Unit tests may start threads (the pool and witness races); library code
+// starts them only in `engine::parallel_map`.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 mod assign;
 pub mod baselines;

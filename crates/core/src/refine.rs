@@ -282,7 +282,7 @@ pub(crate) fn refine_with_swaps_on(
         let mut f1_view = new_state(&current, connectivity_only);
         // BTreeMap, not HashMap: `pairs` below is built by iterating this
         // map, and swap order decides which trades win — hash order would
-        // make the refined partition differ run to run (rule D1).
+        // make the refined partition differ run to run (clippy.toml).
         let mut wishes: std::collections::BTreeMap<(u32, u32), Vec<usize>> =
             std::collections::BTreeMap::new();
         for gate in 0..problem.num_gates() {

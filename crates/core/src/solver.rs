@@ -578,7 +578,7 @@ impl Solver {
             .map(|(r, cap)| (r, cap, observer.begin_restart(r)))
             .collect();
         let outcomes: Vec<(usize, SolveResult, O::Restart)> = if opts.parallel && jobs.len() > 1 {
-            // Thread creation is confined to the engine (rule D3); results
+            // Thread creation is confined to the engine (clippy.toml); results
             // come back in restart order, matching the serial branch.
             crate::engine::parallel_map(jobs, |(r, cap, mut restart_observer)| {
                 let result = self.run_once(problem, r, cap, &interrupt, &mut restart_observer);

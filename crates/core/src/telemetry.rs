@@ -28,8 +28,8 @@
 //! line, schema [`TRACE_SCHEMA_VERSION`], documented in DESIGN.md
 //! §Observability) and [`SolveMetrics`] (counters plus log-scale
 //! histograms). Timing inside the metrics sink goes through
-//! [`budget::Stopwatch`](crate::budget::Stopwatch) — rule D2 keeps raw clock
-//! reads confined to `core::budget`.
+//! [`budget::Stopwatch`](crate::budget::Stopwatch) — `clippy.toml` keeps raw
+//! clock reads confined to `core::budget`.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -1287,8 +1287,8 @@ impl LogHistogram {
 /// summary with [`SolveMetrics::render`].
 ///
 /// Per-kernel wall time (descent loop vs. refinement pass, per restart) is
-/// measured with [`budget::Stopwatch`](crate::budget::Stopwatch) — the D2
-/// lint keeps this module free of raw clock reads. The timings are
+/// measured with [`budget::Stopwatch`](crate::budget::Stopwatch) —
+/// `clippy.toml` keeps this module free of raw clock reads. The timings are
 /// observational only and never feed back into any solve decision.
 #[derive(Debug, Default)]
 pub struct SolveMetrics {

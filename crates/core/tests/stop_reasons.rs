@@ -190,6 +190,10 @@ fn mid_run_cancellation_terminates_the_descent() {
         ..SolverOptions::default()
     };
     let token = CancelToken::new();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the canceller must run beside the solve it cancels"
+    )]
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || {

@@ -1,7 +1,5 @@
 //! Parser for the DEF subset.
 
-use std::collections::HashMap;
-
 use sfq_cells::{CellKind, CellLibrary};
 use sfq_netlist::{CellId, Netlist};
 
@@ -93,6 +91,14 @@ pub fn parse_def_with_limits(
     .run()
 }
 
+/// Component and pin names to cell ids. A `BTreeMap` would put string
+/// compares into every DEF parse.
+#[expect(
+    clippy::disallowed_types,
+    reason = "name lookup only: the index is never iterated"
+)]
+type NameIndex = std::collections::HashMap<String, CellId>;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
@@ -102,7 +108,7 @@ struct Parser {
 impl Parser {
     fn run(mut self) -> Result<Netlist, DefError> {
         let mut netlist = Netlist::new("unnamed", self.library.clone());
-        let mut by_name: HashMap<String, CellId> = HashMap::new();
+        let mut by_name = NameIndex::new();
         let mut net_counter = 0usize;
 
         while let Some(spanned) = self.peek().cloned() {
@@ -155,7 +161,7 @@ impl Parser {
     fn parse_components(
         &mut self,
         netlist: &mut Netlist,
-        by_name: &mut HashMap<String, CellId>,
+        by_name: &mut NameIndex,
     ) -> Result<usize, DefError> {
         let mut count = 0usize;
         loop {
@@ -192,7 +198,7 @@ impl Parser {
     fn parse_pins(
         &mut self,
         netlist: &mut Netlist,
-        by_name: &mut HashMap<String, CellId>,
+        by_name: &mut NameIndex,
     ) -> Result<usize, DefError> {
         let mut count = 0usize;
         loop {
@@ -267,7 +273,7 @@ impl Parser {
     fn parse_nets(
         &mut self,
         netlist: &mut Netlist,
-        by_name: &HashMap<String, CellId>,
+        by_name: &NameIndex,
         net_counter: &mut usize,
     ) -> Result<usize, DefError> {
         let mut count = 0usize;

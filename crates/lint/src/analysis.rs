@@ -1,23 +1,22 @@
 //! The lint pipeline: analyze each file once, share the results across
 //! every rule family.
 //!
-//! A run splits into a per-file **analyze** phase — lex once, run the
-//! token rules ([`crate::rules`]), extract the item model, census `unsafe`
-//! blocks — and a cross-file **lint** phase that builds each call graph
-//! once and hands it to every graph-rule family ([`crate::rules_graph`],
-//! [`crate::rules_value`], [`crate::rules_concurrency`]). The graph rules
-//! need every file's item model before any of them can run, which is what
-//! the split between the phases is for.
+//! A run splits into a per-file **analyze** phase — lex once, extract the
+//! item model, census `unsafe` blocks; it reports nothing — and a
+//! cross-file **lint** phase that builds each call graph once and hands it
+//! to every rule family ([`crate::rules_graph`], [`crate::rules_value`],
+//! [`crate::rules_concurrency`]). Every rule needs every file's item model
+//! before it can run, which is what the split between the phases is for.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::graph::Graph;
 use crate::items::{parse_items_tokens, FileItems};
 use crate::lexer::lex;
-use crate::rules::{check_file_tokens, classify, FileClass, FileTarget};
 use crate::rules_concurrency::{check_concurrency_graph, unsafe_block_sites};
 use crate::rules_graph::check_workspace_graph;
 use crate::rules_value::check_values_graph;
+use crate::target::{classify, FileClass, FileTarget};
 
 /// Per-file analysis artifacts — everything the cross-file phase needs,
 /// with the source text no longer required.
@@ -29,8 +28,6 @@ struct AnalyzedFile {
     explicit: bool,
     /// Path classification, derived from `path`.
     class: FileClass,
-    /// Token-rule diagnostics ([`crate::rules::check_file`]).
-    diags: Vec<Diagnostic>,
     /// Item model for the graph rules.
     items: FileItems,
     /// `unsafe` block positions for the S1 census.
@@ -39,7 +36,7 @@ struct AnalyzedFile {
 
 /// Runs the per-file phase over every target: each file is lexed once and
 /// every per-file artifact derives from the shared token stream.
-fn analyze_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<AnalyzedFile> {
+fn analyze_targets(targets: &[FileTarget<'_>]) -> Vec<AnalyzedFile> {
     targets
         .iter()
         .map(|t| {
@@ -48,7 +45,6 @@ fn analyze_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<AnalyzedFile
                 path: t.path.to_owned(),
                 explicit: t.explicit,
                 class: classify(t.path),
-                diags: check_file_tokens(t, cfg, &tokens),
                 items: parse_items_tokens(t.path, &tokens),
                 unsafe_sites: unsafe_block_sites(&tokens),
             }
@@ -90,16 +86,11 @@ fn unresolved_roots(graph: &Graph, cfg: &Config) -> Vec<UnresolvedRoot> {
         .collect()
 }
 
-/// Cross-file phase: builds the library graph once (shared by A1/I1/O1,
+/// Cross-file phase: builds the library graph once (shared by A1/I1,
 /// P2/N1/D4 and the root resolution check) and the library+binary graph
 /// once (L1/L2/S1), then merges all diagnostics into the canonical sorted
 /// order.
 fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    for f in files {
-        diags.extend(f.diags.iter().cloned());
-    }
-
     let explicit_paths: Vec<&str> = files
         .iter()
         .filter(|f| f.explicit)
@@ -112,7 +103,7 @@ fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
         .map(|f| (f.path.clone(), f.items.clone()))
         .collect();
     let lib_graph = Graph::build(lib_parsed);
-    diags.extend(check_workspace_graph(&lib_graph, cfg, &explicit_paths));
+    let mut diags = check_workspace_graph(&lib_graph, cfg, &explicit_paths);
     diags.extend(check_values_graph(&lib_graph, cfg, &explicit_paths));
     let unresolved_roots = unresolved_roots(&lib_graph, cfg);
 
@@ -137,11 +128,11 @@ fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {
 }
 
 /// Full pipeline: analyze + cross-file lint.
-/// Equivalent to running `check_file` per file plus `check_workspace`,
-/// `check_values`, and `check_concurrency`, but each file is lexed at
-/// most once and each graph is built exactly once.
+/// Equivalent to running `check_workspace`, `check_values`, and
+/// `check_concurrency`, but each file is lexed once and each graph is
+/// built exactly once.
 pub fn lint_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Report {
-    let analyzed = analyze_targets(targets, cfg);
+    let analyzed = analyze_targets(targets);
     lint_analyzed(&analyzed, cfg)
 }
 
@@ -149,7 +140,6 @@ pub fn lint_targets(targets: &[FileTarget<'_>], cfg: &Config) -> Report {
 mod tests {
     use super::*;
     use crate::config::repo_config;
-    use crate::rules::check_file;
     use crate::rules_concurrency::check_concurrency;
     use crate::rules_graph::check_workspace;
     use crate::rules_value::check_values;
@@ -157,8 +147,7 @@ mod tests {
     const FILES: &[(&str, &str)] = &[
         (
             "crates/core/src/metrics.rs",
-            "use std::collections::HashMap;\n\
-             pub fn stray(a: f64, b: f64) -> f64 { a / b }\n\
+            "pub fn stray(a: f64, b: f64) -> f64 { a / b }\n\
              pub fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
         ),
         (
@@ -182,11 +171,7 @@ mod tests {
     }
 
     fn legacy(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic> {
-        let mut diags: Vec<Diagnostic> = Vec::new();
-        for t in targets {
-            diags.extend(check_file(t, cfg));
-        }
-        diags.extend(check_workspace(targets, cfg));
+        let mut diags = check_workspace(targets, cfg);
         diags.extend(check_values(targets, cfg));
         diags.extend(check_concurrency(targets, cfg));
         diags.sort_by(|a, b| {

@@ -10,15 +10,13 @@
 use std::fmt;
 
 /// All rule identifiers, in report order.
-pub const RULE_IDS: &[&str] = &[
-    "A1", "D1", "D2", "D3", "D4", "F1", "I1", "L1", "L2", "N1", "O1", "P2", "S1", "U1",
-];
+pub const RULE_IDS: &[&str] = &["A1", "D4", "I1", "L1", "L2", "N1", "P2", "S1"];
 
 /// One `[[allow]]` entry: suppress findings of `rule` in `path`, optionally
 /// narrowed to a line and/or a message substring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule identifier (`D1`…`U1`).
+    /// Rule identifier (one of [`RULE_IDS`]).
     pub rule: String,
     /// Repo-relative path (forward slashes) the suppression applies to.
     pub path: String,
@@ -39,13 +37,6 @@ pub struct Config {
     pub roots: Vec<String>,
     /// Path prefixes excluded from the walk (fixtures, vendored code).
     pub exclude: Vec<String>,
-    /// Crates whose sources rule D1 (no order-nondeterministic containers)
-    /// applies to.
-    pub d1_crates: Vec<String>,
-    /// Files allowed to read wall clocks / entropy (rule D2).
-    pub d2_allowed_files: Vec<String>,
-    /// Files allowed to create threads (rule D3).
-    pub d3_allowed_files: Vec<String>,
     /// Hot-path roots for rule A1 (allocation-freedom): qualified function
     /// names (`Type::method` or `module::fn`) whose entire reachable call
     /// graph must be allocation-free.
@@ -54,13 +45,6 @@ pub struct Config {
     pub i1_crates: Vec<String>,
     /// Files exempt from I1: the designated telemetry/output sinks.
     pub i1_sink_files: Vec<String>,
-    /// Observer trait names whose impl methods rule O1 starts from.
-    pub o1_observer_traits: Vec<String>,
-    /// Types whose `&mut self` methods count as mutators for rule O1.
-    pub o1_mutator_types: Vec<String>,
-    /// Additional qualified function names that count as mutators for O1
-    /// regardless of receiver (e.g. re-entrant solver entry points).
-    pub o1_mutator_fns: Vec<String>,
     /// Condvar→Mutex association for L1/L2, as `condvar_class=mutex_class`
     /// entries: `.wait()` on the left-hand class is understood to release
     /// (and re-take) the right-hand lock class.
@@ -406,18 +390,6 @@ fn apply_key(
             "exclude" => cfg.exclude = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [workspace] key `{other}`"))),
         },
-        "rules.D1" => match key {
-            "crates" => cfg.d1_crates = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.D1] key `{other}`"))),
-        },
-        "rules.D2" => match key {
-            "allowed_files" => cfg.d2_allowed_files = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.D2] key `{other}`"))),
-        },
-        "rules.D3" => match key {
-            "allowed_files" => cfg.d3_allowed_files = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.D3] key `{other}`"))),
-        },
         "rules.A1" => match key {
             "roots" => cfg.a1_roots = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [rules.A1] key `{other}`"))),
@@ -426,12 +398,6 @@ fn apply_key(
             "crates" => cfg.i1_crates = expect_str_array(value, key, lineno)?,
             "sink_files" => cfg.i1_sink_files = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [rules.I1] key `{other}`"))),
-        },
-        "rules.O1" => match key {
-            "observer_traits" => cfg.o1_observer_traits = expect_str_array(value, key, lineno)?,
-            "mutator_types" => cfg.o1_mutator_types = expect_str_array(value, key, lineno)?,
-            "mutator_fns" => cfg.o1_mutator_fns = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.O1] key `{other}`"))),
         },
         "rules.L1" => match key {
             "condvars" => cfg.l1_condvars = expect_str_array(value, key, lineno)?,
@@ -502,16 +468,11 @@ mod tests {
     #[test]
     fn checked_in_config_scopes_every_rule() {
         let cfg = repo_config();
-        let scopes: [(&str, &[String]); 13] = [
+        let scopes: [(&str, &[String]); 8] = [
             ("[workspace] roots", &cfg.roots),
-            ("[rules.D1] crates", &cfg.d1_crates),
-            ("[rules.D2] allowed_files", &cfg.d2_allowed_files),
-            ("[rules.D3] allowed_files", &cfg.d3_allowed_files),
             ("[rules.D4] crates", &cfg.d4_crates),
             ("[rules.A1] roots", &cfg.a1_roots),
             ("[rules.I1] crates", &cfg.i1_crates),
-            ("[rules.O1] observer_traits", &cfg.o1_observer_traits),
-            ("[rules.O1] mutator_types", &cfg.o1_mutator_types),
             ("[rules.P2] roots", &cfg.p2_roots),
             ("[rules.N1] crates", &cfg.n1_crates),
             ("[rules.L2] blocking_calls", &cfg.l2_blocking_calls),
@@ -530,7 +491,7 @@ mod tests {
 [workspace]
 roots = ["crates", "src"]
 
-[rules.D1]
+[rules.D4]
 crates = ["core"]
 
 [[allow]]
@@ -540,7 +501,7 @@ reason = "dense index arithmetic"
 contains = "indexing"
 
 [[allow]]
-rule = "F1"
+rule = "N1"
 path = "crates/core/src/kernel.rs"
 line = 35
 reason = "exact dispatch"
@@ -548,7 +509,7 @@ reason = "exact dispatch"
         )
         .unwrap();
         assert_eq!(cfg.roots, vec!["crates", "src"]);
-        assert_eq!(cfg.d1_crates, vec!["core"]);
+        assert_eq!(cfg.d4_crates, vec!["core"]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].contains.as_deref(), Some("indexing"));
         assert_eq!(cfg.allows[1].line, Some(35));
@@ -556,15 +517,17 @@ reason = "exact dispatch"
 
     #[test]
     fn allow_without_reason_is_rejected() {
-        let e = Config::parse("[[allow]]\nrule = \"D1\"\npath = \"x.rs\"\n").unwrap_err();
+        let e = Config::parse("[[allow]]\nrule = \"P2\"\npath = \"x.rs\"\n").unwrap_err();
         assert!(e.message.contains("reason"), "{e}");
     }
 
     #[test]
     fn allow_with_unknown_rule_is_rejected() {
-        let e = Config::parse("[[allow]]\nrule = \"Z9\"\npath = \"x.rs\"\nreason = \"r\"\n")
-            .unwrap_err();
-        assert!(e.message.contains("unknown rule"), "{e}");
+        for rule in ["Z9", "D1"] {
+            let text = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"r\"\n");
+            let e = Config::parse(&text).unwrap_err();
+            assert!(e.message.contains("unknown rule"), "{e}");
+        }
     }
 
     #[test]
@@ -611,7 +574,7 @@ unsafe_blocks = ["src/x.rs -- handler stores an atomic"]
     #[test]
     fn comments_inside_strings_survive() {
         let cfg = Config::parse(
-            "[[allow]]\nrule = \"U1\"\npath = \"a.rs\"\nreason = \"see issue #42\"\n",
+            "[[allow]]\nrule = \"L2\"\npath = \"a.rs\"\nreason = \"see issue #42\"\n",
         )
         .unwrap();
         assert_eq!(cfg.allows[0].reason, "see issue #42");

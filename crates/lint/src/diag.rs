@@ -8,7 +8,7 @@ use crate::config::{AllowEntry, Config};
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`D1`…`U1`).
+    /// Rule identifier (one of [`crate::config::RULE_IDS`]).
     pub rule: &'static str,
     /// Repo-relative file path (forward slashes).
     pub file: String,
@@ -210,7 +210,7 @@ mod tests {
             diag("P2", "a.rs", 1, "slice indexing may panic"),
             diag("P2", "a.rs", 2, "`.unwrap()` in library code"),
             diag("P2", "b.rs", 1, "slice indexing may panic"),
-            diag("D1", "a.rs", 1, "slice indexing may panic"),
+            diag("N1", "a.rs", 1, "slice indexing may panic"),
         ];
         let (kept, suppressed, unused) = apply_allowlist(diags, &cfg);
         assert_eq!(suppressed.len(), 1);
@@ -223,7 +223,7 @@ mod tests {
     fn unused_allows_are_reported() {
         let mut cfg = Config::default();
         cfg.allows.push(AllowEntry {
-            rule: "D2".into(),
+            rule: "D4".into(),
             path: "never.rs".into(),
             reason: "r".into(),
             line: None,
@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn json_is_escaped() {
-        let d = diag("U1", "a\"b.rs", 1, "tab\there");
+        let d = diag("S1", "a\"b.rs", 1, "tab\there");
         let json = render_json(&[d], 0, &[], &[]);
         assert!(json.contains("a\\\"b.rs"));
         assert!(json.contains("tab\\there"));

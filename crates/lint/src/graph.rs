@@ -6,7 +6,8 @@
 //! **⊤ node** — "code sfqlint cannot see", which must be treated as *may
 //! allocate, may perform I/O*. Rules that need allocation-freedom treat ⊤
 //! as a violation unless the callee is on a vetted known-no-allocation
-//! list; rules that only track workspace-internal flows (O1) ignore ⊤.
+//! list; the lock rules, which track workspace-internal flows only, treat
+//! ⊤ as acquiring nothing.
 //!
 //! Resolution is name-based and deliberately over-approximate:
 //!
@@ -27,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use crate::items::{CallSite, FileItems};
-use crate::rules::crate_of;
+use crate::target::crate_of;
 
 /// Identifier of a function node: index into [`Graph::nodes`].
 pub type NodeId = usize;

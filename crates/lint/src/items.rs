@@ -1,5 +1,5 @@
 //! Item-level model of one source file: functions with qualified names,
-//! receivers, spans, and extracted call sites.
+//! spans, test-ness, and extracted call sites.
 //!
 //! This sits between the raw token stream ([`crate::lexer`]) and the
 //! workspace graph ([`crate::graph`]). It is *not* a Rust parser — it is a
@@ -21,7 +21,6 @@
 //!   sufficient because type position cannot contain braces.
 
 use crate::lexer::{lex, Token, TokenKind};
-use crate::rules::test_mask;
 
 /// Rust keywords that may directly precede a `[` without it being an index
 /// expression (`let [a, b] = …`, `if let [x] = …`, `return [0; 4]`, …).
@@ -145,11 +144,6 @@ pub struct FnItem {
     pub qname: String,
     /// Enclosing `impl`/`trait` type name, if any.
     pub impl_type: Option<String>,
-    /// Trait being implemented (`impl Trait for Type`), or the trait name
-    /// for default methods declared in a `trait` block.
-    pub impl_trait: Option<String>,
-    /// True when the receiver can mutate (`&mut self` or `mut self`).
-    pub mut_self: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// 1-based column of the `fn` keyword.
@@ -208,11 +202,9 @@ fn file_module(path: &str) -> Option<&str> {
 enum Frame {
     /// `mod name { … }`; the name extends the module path.
     Mod(String),
-    /// `impl Type { … }`, `impl Trait for Type { … }`, or `trait Name { … }`.
-    Impl {
-        type_name: String,
-        trait_name: Option<String>,
-    },
+    /// `impl Type { … }`, `impl Trait for Type { … }`, or `trait Name { … }`;
+    /// the name is the implementing type (or the trait's own name).
+    Impl(String),
 }
 
 /// Parses `src` into its item-level model. Never fails.
@@ -267,13 +259,7 @@ pub fn parse_items_tokens(path: &str, tokens: &[Token<'_>]) -> FileItems {
         }
         if t.is_ident("trait") {
             if let Some(name) = tok(i + 1).filter(|n| n.kind == TokenKind::Ident) {
-                frames.push((
-                    Frame::Impl {
-                        type_name: name.text.to_owned(),
-                        trait_name: Some(name.text.to_owned()),
-                    },
-                    depth + 1,
-                ));
+                frames.push((Frame::Impl(name.text.to_owned()), depth + 1));
                 // Skip supertrait bounds etc. up to the opening brace.
                 let mut j = i + 2;
                 while let Some(n) = tok(j) {
@@ -315,8 +301,8 @@ fn parse_impl_header(tokens: &[Token<'_>], sig: &[usize], start: usize) -> (Fram
     let tok = |s: usize| sig.get(s).map(|&i| tokens[i]);
     let mut angle = 0usize;
     let mut paren = 0usize;
-    let mut before_for: Vec<String> = Vec::new();
-    let mut after_for: Vec<String> = Vec::new();
+    let mut before_for: Option<&str> = None;
+    let mut after_for: Option<&str> = None;
     let mut saw_for = false;
     let mut in_where = false;
     let mut j = start;
@@ -341,30 +327,17 @@ fn parse_impl_header(tokens: &[Token<'_>], sig: &[usize], start: usize) -> (Fram
                 let keyword = matches!(t.text, "dyn" | "unsafe" | "const" | "crate" | "super");
                 if !keyword {
                     if saw_for {
-                        after_for.push(t.text.to_owned());
+                        after_for = Some(t.text);
                     } else {
-                        before_for.push(t.text.to_owned());
+                        before_for = Some(t.text);
                     }
                 }
             }
         }
         j += 1;
     }
-    let (type_name, trait_name) = if saw_for {
-        (
-            after_for.last().cloned().unwrap_or_default(),
-            before_for.last().cloned(),
-        )
-    } else {
-        (before_for.last().cloned().unwrap_or_default(), None)
-    };
-    (
-        Frame::Impl {
-            type_name,
-            trait_name,
-        },
-        j,
-    )
+    let type_name = if saw_for { after_for } else { before_for };
+    (Frame::Impl(type_name.unwrap_or_default().to_owned()), j)
 }
 
 /// Parses one `use` declaration starting after the `use` keyword; appends
@@ -528,12 +501,9 @@ fn parse_fn(
             j += 1;
         }
     }
-    // Parameters: detect a mutable receiver in the first argument.
-    let mut mut_self = false;
+    // Parameters.
     if tok(j).is_some_and(|t| t.is_punct("(")) {
         let mut paren = 0usize;
-        let mut saw_mut = false;
-        let mut first_arg = true;
         while let Some(t) = tok(j) {
             if t.is_punct("(") {
                 paren += 1;
@@ -542,16 +512,6 @@ fn parse_fn(
                 if paren == 0 {
                     j += 1;
                     break;
-                }
-            } else if paren == 1 {
-                if t.is_punct(",") {
-                    first_arg = false;
-                } else if first_arg {
-                    if t.is_ident("mut") {
-                        saw_mut = true;
-                    } else if t.is_ident("self") && saw_mut {
-                        mut_self = true;
-                    }
                 }
             }
             j += 1;
@@ -572,17 +532,10 @@ fn parse_fn(
     };
     let close = matching_brace(tokens, sig, open, sig.len());
 
-    let (impl_type, impl_trait) = frames
-        .iter()
-        .rev()
-        .find_map(|(f, _)| match f {
-            Frame::Impl {
-                type_name,
-                trait_name,
-            } => Some((Some(type_name.clone()), trait_name.clone())),
-            _ => None,
-        })
-        .unwrap_or((None, None));
+    let impl_type = frames.iter().rev().find_map(|(f, _)| match f {
+        Frame::Impl(type_name) => Some(type_name.clone()),
+        Frame::Mod(_) => None,
+    });
     let qname = match &impl_type {
         Some(t) => format!("{t}::{name}"),
         None => {
@@ -610,8 +563,6 @@ fn parse_fn(
             name: name.to_owned(),
             qname,
             impl_type,
-            impl_trait,
-            mut_self,
             line,
             col,
             in_test,
@@ -621,6 +572,102 @@ fn parse_fn(
         }),
         close + 1,
     )
+}
+
+/// Marks every token inside `#[cfg(test)]`- or `#[test]`-gated items.
+///
+/// Heuristic but robust for rustfmt'd code: on an outer attribute whose
+/// idents include `test` (and not `not`/`cfg_attr`), mask from the
+/// attribute through the end of the annotated item — the matching `}` of
+/// its first depth-0 brace, or the terminating `;`.
+fn test_mask(tokens: &[Token<'_>]) -> Vec<bool> {
+    let mut mask = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if !(tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("["))) {
+            i += 1;
+            continue;
+        }
+        let Some(close) = matching_bracket(tokens, i + 1) else {
+            break;
+        };
+        let attr = &tokens[i + 2..close];
+        if !attr_is_test(attr) {
+            i = close + 1;
+            continue;
+        }
+        let end = item_end(tokens, close + 1).unwrap_or(tokens.len() - 1);
+        for m in mask.iter_mut().take(end + 1).skip(i) {
+            *m = true;
+        }
+        i = end + 1;
+    }
+    mask
+}
+
+/// True for `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]` — but not
+/// `#[cfg(not(test))]` or `#[cfg_attr(…)]`.
+fn attr_is_test(attr: &[Token<'_>]) -> bool {
+    let idents: Vec<&str> = attr
+        .iter()
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text)
+        .collect();
+    match idents.first() {
+        Some(&"cfg_attr") => false,
+        _ => idents.contains(&"test") && !idents.contains(&"not"),
+    }
+}
+
+/// `open` indexes a `[`; returns the index of its matching `]`.
+fn matching_bracket(tokens: &[Token<'_>], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, tok) in tokens.iter().enumerate().skip(open) {
+        if tok.is_punct("[") {
+            depth += 1;
+        } else if tok.is_punct("]") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// Finds the end of the item starting at `start`: the matching `}` of its
+/// first depth-0 `{`, or a depth-0 `;` (e.g. `mod tests;`).
+fn item_end(tokens: &[Token<'_>], start: usize) -> Option<usize> {
+    let mut paren = 0i64;
+    let mut bracket = 0i64;
+    let mut i = start;
+    while i < tokens.len() {
+        let t = &tokens[i];
+        match t.text {
+            "(" if t.kind == TokenKind::Punct => paren += 1,
+            ")" if t.kind == TokenKind::Punct => paren -= 1,
+            "[" if t.kind == TokenKind::Punct => bracket += 1,
+            "]" if t.kind == TokenKind::Punct => bracket -= 1,
+            ";" if t.kind == TokenKind::Punct && paren == 0 && bracket == 0 => return Some(i),
+            "{" if t.kind == TokenKind::Punct && paren == 0 && bracket == 0 => {
+                let mut depth = 0i64;
+                for (j, tok) in tokens.iter().enumerate().skip(i) {
+                    if tok.is_punct("{") {
+                        depth += 1;
+                    } else if tok.is_punct("}") {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(j);
+                        }
+                    }
+                }
+                return None;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
 }
 
 /// True for a numeric literal token whose value is zero (`0`, `0.0`, `0.`,
@@ -1184,7 +1231,7 @@ mod tests {
         let f = items("pub fn pow_abs(x: f64) -> f64 { x.abs() }");
         assert_eq!(f.fns.len(), 1);
         assert_eq!(f.fns[0].qname, "example::pow_abs");
-        assert!(!f.fns[0].mut_self);
+        assert_eq!(f.fns[0].impl_type, None);
     }
 
     #[test]
@@ -1194,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_and_receivers() {
+    fn impl_methods_and_calls() {
         let f = items(
             "impl<'a> CostEngine<'a> {\n\
              pub fn evaluate(&mut self, w: &W) -> f64 { self.gate_pass(w) }\n\
@@ -1202,29 +1249,28 @@ mod tests {
              }",
         );
         assert_eq!(f.fns[0].qname, "CostEngine::evaluate");
-        assert!(f.fns[0].mut_self);
-        assert!(!f.fns[1].mut_self);
+        assert_eq!(f.fns[1].qname, "CostEngine::options");
         assert_eq!(f.fns[0].calls.len(), 1);
         assert!(f.fns[0].calls[0].is_method);
         assert_eq!(f.fns[0].calls[0].name, "gate_pass");
     }
 
     #[test]
-    fn trait_impls_record_the_trait() {
+    fn trait_impls_name_the_implementing_type() {
         let f = items(
             "impl<W: Write> SolveObserver for JsonlTraceWriter<W> {\n\
              fn on_solve_end(&mut self, e: &E) { self.emit(e); }\n\
              }",
         );
-        assert_eq!(f.fns[0].impl_trait.as_deref(), Some("SolveObserver"));
         assert_eq!(f.fns[0].impl_type.as_deref(), Some("JsonlTraceWriter"));
+        assert_eq!(f.fns[0].qname, "JsonlTraceWriter::on_solve_end");
     }
 
     #[test]
     fn trait_default_methods_count_as_trait_methods() {
         let f = items("trait Obs { fn on_x(&mut self) { helper(); } fn decl(&self); }");
         assert_eq!(f.fns.len(), 1);
-        assert_eq!(f.fns[0].impl_trait.as_deref(), Some("Obs"));
+        assert_eq!(f.fns[0].qname, "Obs::on_x");
         assert_eq!(f.fns[0].calls[0].name, "helper");
     }
 
@@ -1287,6 +1333,13 @@ mod tests {
         assert!(helper.in_test);
         let live = f.fns.iter().find(|x| x.name == "live").unwrap();
         assert!(!live.in_test);
+    }
+
+    #[test]
+    fn cfg_not_test_is_not_masked() {
+        let f = items("#[cfg(not(test))]\npub fn f(p: f64) -> bool { p > 1.0 }\n");
+        assert_eq!(f.fns.len(), 1);
+        assert!(!f.fns[0].in_test);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! hash fences and byte strings), char literals vs. lifetimes, numeric
 //! literals with suffixes/exponents, and multi-character operators.
 //!
-//! Comments are kept in the stream (rule U1 inspects them); rules that do
-//! not care skip them via [`Token::is_comment`].
+//! Comments are kept in the stream; the item scanner and the `unsafe`
+//! census skip them via [`Token::is_comment`].
 
 /// Classification of one lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -73,8 +73,8 @@ use crate::diag::Diagnostic;
 use crate::graph::{Callee, Graph, NodeId, KNOWN_NO_ALLOC};
 use crate::items::{parse_items, CallSite, FnItem};
 use crate::lexer::lex;
-use crate::rules::{classify, crate_of, FileClass, FileTarget};
 use crate::rules_graph::ALLOC_METHODS;
+use crate::target::{classify, crate_of, FileClass, FileTarget};
 
 /// What one call site means to the lock model.
 #[derive(Debug, Clone, PartialEq, Eq)]

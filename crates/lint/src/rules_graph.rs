@@ -11,18 +11,12 @@
 //!   covered crates may not print or touch `std::io`/`std::fs`; only the
 //!   configured sink files (telemetry) may. This is a direct scan over the
 //!   same call-site model, so the two rules police one vocabulary.
-//! * **O1 — observers must not mutate the solve.** Starting from every
-//!   method of an `impl <ObserverTrait> for …` block, no workspace path
-//!   may reach a mutator: a `&mut self` method of a configured solver type
-//!   or a configured re-entrant entry point. ⊤ is ignored here — O1
-//!   tracks workspace-internal flows only; external code cannot reach the
-//!   solver's state without going through one of those mutators.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::graph::{Callee, Graph, NodeId};
 use crate::items::{parse_items, CallSite, FileItems, UseDecl};
-use crate::rules::{classify, crate_of, FileClass, FileTarget};
+use crate::target::{classify, crate_of, FileClass, FileTarget};
 
 /// Macros that allocate.
 const ALLOC_MACROS: &[&str] = &["format", "vec"];
@@ -89,9 +83,9 @@ pub(crate) const IO_METHODS: &[&str] = &[
     "sync_data",
 ];
 
-/// Entry point: runs A1/I1/O1 over one file set. `targets` is the full
+/// Entry point: runs A1/I1 over one file set. `targets` is the full
 /// lint scope; only library files participate in the graph (explicit
-/// targets are treated as library files, mirroring the token rules).
+/// targets are treated as library files).
 pub fn check_workspace(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic> {
     let mut parsed: Vec<(String, FileItems)> = Vec::new();
     let mut explicit_paths: Vec<&str> = Vec::new();
@@ -108,7 +102,7 @@ pub fn check_workspace(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnost
     check_workspace_graph(&graph, cfg, &explicit_paths)
 }
 
-/// Runs A1/I1/O1 over an already-built library graph. The pipeline
+/// Runs A1/I1 over an already-built library graph. The pipeline
 /// ([`crate::analysis`]) builds the graph once and shares it with the
 /// value rules.
 pub(crate) fn check_workspace_graph(
@@ -119,7 +113,6 @@ pub(crate) fn check_workspace_graph(
     let mut diags = Vec::new();
     rule_a1(graph, cfg, &mut diags);
     rule_i1(graph, cfg, explicit_paths, &mut diags);
-    rule_o1(graph, cfg, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     diags.dedup();
     diags
@@ -287,57 +280,6 @@ fn io_construct(uses: &[UseDecl], call: &CallSite) -> Option<String> {
     }
 }
 
-/// O1: observer impl methods must not reach solver mutators.
-fn rule_o1(graph: &Graph, cfg: &Config, diags: &mut Vec<Diagnostic>) {
-    // Mutator set: `&mut self` methods of configured types + configured
-    // re-entrant entry points.
-    let is_mutator = |id: NodeId| -> bool {
-        let item = graph.item(id);
-        if cfg.o1_mutator_fns.iter().any(|m| m == &item.qname) {
-            return true;
-        }
-        item.mut_self
-            && item
-                .impl_type
-                .as_ref()
-                .is_some_and(|t| cfg.o1_mutator_types.iter().any(|m| m == t))
-    };
-    for id in 0..graph.nodes.len() {
-        let item = graph.item(id);
-        if item.in_test {
-            continue;
-        }
-        let Some(tr) = &item.impl_trait else { continue };
-        if !cfg.o1_observer_traits.iter().any(|t| t == tr) {
-            continue;
-        }
-        let pred = graph.reachable(&[id]);
-        let mut hits: Vec<NodeId> = pred
-            .keys()
-            .copied()
-            .filter(|&n| n != id && is_mutator(n))
-            .collect();
-        hits.sort_by(|&a, &b| graph.item(a).qname.cmp(&graph.item(b).qname));
-        for hit in hits {
-            let node = &graph.nodes[id];
-            diags.push(diag(
-                "O1",
-                &node.file,
-                item.line,
-                item.col,
-                format!(
-                    "observer method `{}::{}` (impl {tr}) reaches solve mutator `{}` \
-                     ({}); observers must only read the solve",
-                    item.impl_type.as_deref().unwrap_or("_"),
-                    item.name,
-                    graph.item(hit).qname,
-                    graph.witness(&pred, hit),
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,43 +375,6 @@ mod tests {
                     "#[cfg(test)]\nmod tests { fn t() { println!(\"x\"); } }",
                 ),
             ],
-            false,
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn o1_flags_observers_reaching_mutators() {
-        let d = run(
-            &[(
-                "crates/core/src/obs.rs",
-                "struct WeightMatrix;\n\
-                 impl WeightMatrix { pub fn set(&mut self, v: f64) {} }\n\
-                 struct Evil;\n\
-                 impl SolveObserver for Evil {\n\
-                 fn on_iteration(&mut self, w: &mut WeightMatrix) { w.set(0.0); }\n\
-                 }\n",
-            )],
-            false,
-        );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "O1");
-        assert!(d[0].message.contains("WeightMatrix::set"));
-    }
-
-    #[test]
-    fn o1_allows_read_only_observers() {
-        let d = run(
-            &[(
-                "crates/core/src/obs.rs",
-                "struct WeightMatrix;\n\
-                 impl WeightMatrix { pub fn get(&self) -> f64 { 0.0 } \
-                 pub fn set(&mut self, v: f64) {} }\n\
-                 struct Probe;\n\
-                 impl SolveObserver for Probe {\n\
-                 fn on_iteration(&mut self, w: &WeightMatrix) { let _ = w.get(); }\n\
-                 }\n",
-            )],
             false,
         );
         assert!(d.is_empty(), "{d:?}");

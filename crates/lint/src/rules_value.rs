@@ -30,8 +30,8 @@ use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::graph::{Callee, Graph, NodeId};
 use crate::items::{parse_items, CallSite, FileItems, SiteKind};
-use crate::rules::{classify, crate_of, FileClass, FileTarget};
 use crate::rules_graph::{alloc_construct, IO_METHODS};
+use crate::target::{classify, crate_of, FileClass, FileTarget};
 
 /// Macros that unwind when their condition fails (or unconditionally).
 /// `debug_assert*` compiles out of release builds and is the sanctioned
@@ -72,7 +72,7 @@ pub fn check_values(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic>
 }
 
 /// Runs P2/N1/D4 over an already-built library graph (shared with the
-/// A1/I1/O1 pass by the pipeline, [`crate::analysis`]).
+/// A1/I1 pass by the pipeline, [`crate::analysis`]).
 pub(crate) fn check_values_graph(
     graph: &Graph,
     cfg: &Config,

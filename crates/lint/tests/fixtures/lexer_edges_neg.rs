@@ -1,6 +1,6 @@
 // sfqlint fixture: lexer edge cases — raw identifiers, multi-char char
 // escapes, nested block comments. Must stay clean under every rule: the
-// commented-out thread spawn below must not trip D3, and raw identifiers
+// commented-out `println!` below must not trip I1, and raw identifiers
 // must not be misread as keywords.
 
 pub mod r#impl {
@@ -12,8 +12,7 @@ pub mod r#impl {
     }
 }
 
-/* outer /* nested */ still a comment: std::thread::spawn(|| ()) */
-
 pub fn describe(r#type: &str) -> usize {
+    /* outer /* nested */ still a comment: println!("{}", r#type) */
     r#type.len()
 }

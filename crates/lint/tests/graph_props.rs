@@ -1,5 +1,5 @@
-//! Property tests: the token rules, the item parser, graph construction,
-//! and the graph rules must never panic, whatever bytes they are fed. The
+//! Property tests: the item parser, graph construction, and the graph
+//! rules must never panic, whatever bytes they are fed. The
 //! lint gate runs on every push — a panic on a half-written file would
 //! wedge CI harder than any finding, so "tolerant scanner, conservative ⊤"
 //! is a hard invariant, not a best effort.
@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 use sfqlint::graph::Graph;
 use sfqlint::items::parse_items;
-use sfqlint::{check_file, check_values, check_workspace, Config, FileTarget};
+use sfqlint::{check_values, check_workspace, Config, FileTarget};
 
 /// Rust-ish token vocabulary: item keywords, delimiters, and the exact
-/// identifiers the A1/I1/O1 configurations key on, so random interleavings
+/// identifiers the A1/I1 configurations key on, so random interleavings
 /// reach deep into header parsing, call extraction, and rule evaluation.
 const VOCAB: &[&str] = &[
     "fn",
@@ -55,9 +55,6 @@ const VOCAB: &[&str] = &[
     "descend",
     "CostEngine",
     "WeightMatrix",
-    "SolveObserver",
-    "on_iteration",
-    "set",
     "println",
     "stdout",
     // Value-rule vocabulary (P2/N1/D4): panic constructs, non-finite
@@ -98,8 +95,6 @@ proptest! {
     ) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
         let path = "crates/core/src/fuzz.rs";
-        let target = FileTarget { path, src: &src, explicit: false };
-        let _ = check_file(&target, &repo_config());
         let items = parse_items(path, &src);
         let _ = Graph::build(vec![(path.to_owned(), items)]);
     }

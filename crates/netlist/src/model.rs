@@ -1,6 +1,5 @@
 //! Core netlist types: ids, cells, nets, and the [`Netlist`] container.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -354,7 +353,13 @@ impl Netlist {
     /// # Errors
     ///
     /// Returns the first violated invariant.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the four maps only test membership and are never iterated"
+    )]
     pub fn validate(&self) -> Result<(), NetlistError> {
+        use std::collections::HashMap;
+
         for cell in &self.cells {
             if self.library.get(cell.kind).is_none() {
                 return Err(NetlistError::MissingSpec {

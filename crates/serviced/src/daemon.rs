@@ -28,8 +28,14 @@
 //! (see `crates/serviced/tests/chaos.rs`, which storms this invariant).
 //!
 //! This module deliberately reads no wall clock: deadlines and drain
-//! timeouts all flow through [`sfq_partition::budget`] (lint rule D2), and
-//! all socket I/O lives in [`crate::net`] (lint rule I1).
+//! timeouts all flow through [`sfq_partition::budget`] (`clippy.toml`), and
+//! all socket I/O lives in [`crate::net`] (lint rule I1). It is the one
+//! service module that may start threads.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the daemon's threads: workers, accept loop, connection handlers and ops log"
+)]
 
 use sfq_partition::witness::{self, Mutex};
 use std::collections::BTreeMap;

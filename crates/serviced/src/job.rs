@@ -64,8 +64,8 @@ pub struct PhaseDurations {
 /// stamper wins and the boundaries are immutable afterwards — racing
 /// settlers (worker vs. canceller) cannot move a phase once recorded.
 /// Stamps are advisory telemetry: nothing in the scheduler branches on
-/// them (the D2 discipline — the span exposes elapsed time only as data,
-/// through the core crate's [`Stopwatch`]).
+/// them (the `clippy.toml` clock discipline — the span exposes elapsed time
+/// only as data, through the core crate's [`Stopwatch`]).
 #[derive(Debug)]
 pub struct JobSpan {
     watch: Stopwatch,

@@ -349,7 +349,7 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
     if let Some(budget) = o.iteration_budget {
         push(format!("\"iteration_budget\":{budget}"));
     }
-    if o.margin != defaults.margin {
+    if !sfq_partition::float::exactly(o.margin, defaults.margin) {
         let mut margin = String::from("\"margin\":");
         write_number(&mut margin, o.margin);
         push(margin);

@@ -89,7 +89,7 @@ impl std::error::Error for SimError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TickOutput {
     // BTreeMap so `iter()` yields pads in name order — fault-report diffs
-    // and golden outputs must not depend on hash order (rule D1).
+    // and golden outputs must not depend on hash order (clippy.toml).
     pulses: BTreeMap<String, bool>,
 }
 
