@@ -88,5 +88,6 @@ fn main() {
     );
 
     println!("Full solver (GD + discrete refinement) on the same instances:");
-    println!("{full}");
+    // The table ends its last row with a newline.
+    print!("{full}");
 }

@@ -39,8 +39,8 @@ fn main() {
         ]);
     }
     println!("{table}");
-    println!("c1 = 0 ignores connectivity entirely (balance-only, best I_comp, worst");
-    println!("locality); moderate c1 buys locality cheaply; very large c1 destabilises");
+    println!("c1 = 0 ignores connectivity entirely (balance-only: best I_comp, worst");
+    println!("d<=2); moderate c1 buys locality cheaply; very large c1 destabilises");
     println!("the descent (the quartic term's cliffs dominate the gradient) and loses");
     println!("on both axes. The paper's default (c1 = 1) sits at the knee.");
 }

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{CellKind, CellSpec};
 use crate::units::{MilliAmps, SquareMicrons};
 
@@ -31,7 +29,7 @@ use crate::units::{MilliAmps, SquareMicrons};
 /// ));
 /// assert_eq!(custom.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellLibrary {
     name: String,
     specs: BTreeMap<CellKind, CellSpec>,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::{MilliAmps, SquareMicrons};
 
 /// The catalogue of SFQ cell types understood by the workspace.
@@ -24,7 +22,7 @@ use crate::units::{MilliAmps, SquareMicrons};
 /// assert_eq!("XOR2".parse::<CellKind>()?, CellKind::Xor2);
 /// # Ok::<(), sfq_cells::ParseCellKindError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // Variant names are the cell names; per-variant docs add nothing.
 pub enum CellKind {
     /// Clocked two-input AND gate.
@@ -220,7 +218,7 @@ impl FromStr for CellKind {
 /// assert_eq!(dff.num_inputs, 1);
 /// assert!(dff.jj_count >= 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpec {
     /// Which cell this spec describes.
     pub kind: CellKind,

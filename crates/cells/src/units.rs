@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A DC bias current in milliamperes.
 ///
 /// # Example
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let b = MilliAmps::new(0.36);
 /// assert_eq!((a + b).as_milliamps(), 0.86);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MilliAmps(f64);
 
 impl MilliAmps {
@@ -75,7 +73,7 @@ impl MilliAmps {
 /// let cell = SquareMicrons::new(4_800.0);
 /// assert!((cell.as_square_millimeters() - 0.0048).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SquareMicrons(f64);
 
 impl SquareMicrons {

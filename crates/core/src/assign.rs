@@ -1,7 +1,5 @@
 //! Hard gate-to-plane assignments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::weights::WeightMatrix;
 
 /// A hard assignment of every gate to one of `K` ground planes.
@@ -23,7 +21,7 @@ use crate::weights::WeightMatrix;
 /// assert_eq!(part.gates_in_plane(0).count(), 2);
 /// # Ok::<(), sfq_partition::ProblemError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     labels: Vec<u32>,
     num_planes: usize,

@@ -17,8 +17,6 @@
 //! Note on `F₄` normalization: eq. 9 prints `F₄` without dividing by `N₄` but
 //! defines `N₄` alongside it; consistently with `F₁..F₃` we apply it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::problem::PartitionProblem;
 use crate::weights::WeightMatrix;
 
@@ -34,7 +32,7 @@ use crate::weights::WeightMatrix;
 /// let custom = CostWeights { c4: 8.0, ..CostWeights::default() };
 /// assert_eq!(custom.c4, 8.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the interconnect term `F₁`.
     pub c1: f64,
@@ -59,7 +57,7 @@ impl Default for CostWeights {
 }
 
 /// Values of the four cost terms and their weighted total.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Interconnect cost `F₁` (normalized, ≥ 0).
     pub f1: f64,

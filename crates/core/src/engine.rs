@@ -33,23 +33,17 @@
 //! * **Integer-exponent kernels** — label distances go through
 //!   [`kernel::pow_abs`]/[`kernel::pow_grad_abs`] (multiply chains for the
 //!   paper's `p = 4`) instead of transcendental `powf`.
-//! * **Fixed chunk layout** — on problems at or above
-//!   [`EngineOptions::chunk_min_items`], sweeps are split into
-//!   [`EngineOptions::num_chunks`] fixed ranges whose partial sums are
-//!   folded in chunk order. Gate-sweep chunks split on gate boundaries, so
-//!   their flat offsets (`start · stride`) stay lane-aligned by
-//!   construction; edge-gather chunks are contiguous gate ranges balanced
-//!   by incident-edge count. Every chunk runs on the calling thread. The
-//!   layout depends only on the problem and is part of the numerical
-//!   contract: it fixes the fold order, and with it every bit, of each
-//!   problem at or above the threshold, so changing either constant moves
-//!   those solves and their goldens.
+//! * **One sweep per pass** — each pass runs once over `0..G` on the
+//!   calling thread, so the per-plane bias and area loads accumulate in
+//!   gate order, as in the reference [`CostModel::evaluate`].
 //!
 //! Numerical contract: an evaluation is a pure function of the problem, the
 //! options and the iterate. Against the sequential-fold *reference*
 //! implementations — the oracle the parity tests compare against — the
-//! engine matches within `1e-12` relative: the stripes and the per-chunk
-//! fold reorder additions, and the power kernels differ in the last ulp.
+//! engine matches within `1e-12` relative: the stripes reorder additions
+//! and the power kernels differ in the last ulp. `F₂` and `F₃` are
+//! bit-equal to the reference's at every problem size: both add the plane
+//! loads in gate order and both call the same `cost::variance`.
 
 use crate::cost::{variance, CostBreakdown, CostModel, CostWeights};
 use crate::grad::GradientOptions;
@@ -64,21 +58,12 @@ pub struct EngineOptions {
     /// Gradient formula selection (exact vs as-printed), shared with the
     /// reference [`Gradient`](crate::grad::Gradient).
     pub gradient: GradientOptions,
-    /// Minimum work-item count (`G·K` for gate sweeps, `|E|` for the edge
-    /// sweep) before a sweep is split into chunks.
-    pub chunk_min_items: usize,
-    /// Number of fixed chunks a gated sweep is split into. Part of the
-    /// numerical contract: changing it changes fold order, so it is a
-    /// configuration constant, never derived from the machine.
-    pub num_chunks: usize,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             gradient: GradientOptions::exact(),
-            chunk_min_items: 8192,
-            num_chunks: 8,
         }
     }
 }
@@ -182,11 +167,6 @@ pub struct CostEngine<'a> {
     options: EngineOptions,
     /// Padded row stride of the weight matrix (multiple of [`LANE`]).
     stride: usize,
-    /// Fixed gate-sweep chunk boundaries (contiguous, covering `0..G`).
-    gate_bounds: Vec<(usize, usize)>,
-    /// Fixed edge-gather chunk boundaries: contiguous *gate* ranges covering
-    /// `0..G`, balanced by incident half-edge count.
-    edge_bounds: Vec<(usize, usize)>,
     /// CSR edge adjacency for the edge gather.
     csr: Csr,
     labels: Vec<f64>,
@@ -196,11 +176,6 @@ pub struct CostEngine<'a> {
     bias_sums: Vec<f64>,
     /// Per-plane area loads, padded to `stride`.
     area_sums: Vec<f64>,
-    /// Per-chunk partial accumulators for the gate sweep, laid out per chunk
-    /// as `[bias stride | area stride | f4]`.
-    gate_partials: Vec<f64>,
-    /// Per-chunk `F₁` partials for the edge gather.
-    f1_partials: Vec<f64>,
     /// Per-plane weighted `F₂` gradient coefficients
     /// (`c₂·2·(B_k − B̄)/(K·N₂)`), padded; recomputed each gradient call.
     coeff_bias: Vec<f64>,
@@ -215,65 +190,35 @@ pub struct CostEngine<'a> {
     mask: Vec<f64>,
 }
 
-/// Splits `0..len` into `chunks` contiguous ranges of near-equal size.
-fn chunk_bounds(len: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let chunks = chunks.max(1);
-    (0..chunks)
-        .map(|c| (c * len / chunks, (c + 1) * len / chunks))
-        .collect()
-}
-
-/// Splits `0..G` into `chunks` contiguous gate ranges of near-equal incident
-/// half-edge count, so the CSR edge gather balances work by degree rather
-/// than by gate count. Deterministic in the offsets alone; ranges may be
-/// empty on degenerate degree distributions.
-fn degree_balanced_bounds(offsets: &[u32], chunks: usize) -> Vec<(usize, usize)> {
-    let g = offsets.len() - 1;
-    let chunks = chunks.max(1);
-    let total = offsets[g] as usize;
-    let mut bounds = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for c in 1..=chunks {
-        let end = if c == chunks {
-            g
-        } else {
-            let target = c * total / chunks;
-            let mut e = start;
-            while e < g && (offsets[e] as usize) < target {
-                e += 1;
-            }
-            e
-        };
-        bounds.push((start, end));
-        start = end;
-    }
-    bounds
-}
-
-/// Gate sweep over one chunk: fixed `[f64; LANE]` blocks over the padded
-/// row, accumulated in the canonical striped fold order. The zero padding
-/// adds exact `+0.0` terms to every stripe and partial slot.
+/// Gate sweep: fills `labels` and `row_sums`, and adds every gate's
+/// weighted row into `bias_sums`/`area_sums` and its raw (unnormalized)
+/// `F₄` term into `f4_raw`, in gate order. Fixed `[f64; LANE]` blocks over
+/// the padded row, accumulated in the canonical striped fold order; the
+/// zero padding adds exact `+0.0` terms to every stripe and padding slot.
 ///
 /// `F₄`'s row variance uses the algebraically equivalent
 /// `Σw²/K − (Σw/K)²` so the row is read once; with entries in `[0,1]` the
 /// cancellation error is far below the engine's `1e-12` contract.
+// All three kernels stay out of line: inlined into their one caller,
+// `evaluate_with_gradient`, they made an isolated C1908@K=30 evaluation
+// about 15 % slower (median of 120 paired rounds, x86-64-v3). Returning
+// `F₄` instead of adding it into `f4_raw` cost about 10 % the same way.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-fn gate_pass_chunk(
+#[inline(never)]
+fn gate_pass(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     bias: &[f64],
     area: &[f64],
-    start: usize,
-    end: usize,
     labels: &mut [f64],
     row_sums: &mut [f64],
-    bias_part: &mut [f64],
-    area_part: &mut [f64],
-    f4_part: &mut f64,
+    bias_sums: &mut [f64],
+    area_sums: &mut [f64],
+    f4_raw: &mut f64,
 ) {
     let kf = w.num_planes() as f64;
     debug_assert_eq!(plane_coeff.len(), w.stride());
-    for i in start..end {
+    for i in 0..w.num_gates() {
         let row = w.padded_row(i);
         let bi = bias[i];
         let ai = area[i];
@@ -283,8 +228,8 @@ fn gate_pass_chunk(
         for (((rb, pb), bp), ap) in row
             .chunks_exact(LANE)
             .zip(plane_coeff.chunks_exact(LANE))
-            .zip(bias_part.chunks_exact_mut(LANE))
-            .zip(area_part.chunks_exact_mut(LANE))
+            .zip(bias_sums.chunks_exact_mut(LANE))
+            .zip(area_sums.chunks_exact_mut(LANE))
         {
             for j in 0..LANE {
                 let wk = rb[j];
@@ -295,39 +240,37 @@ fn gate_pass_chunk(
                 ap[j] += ai * wk;
             }
         }
-        labels[i - start] = lanes::fold(label);
+        labels[i] = lanes::fold(label);
         let rs = lanes::fold(row_sum);
-        row_sums[i - start] = rs;
+        row_sums[i] = rs;
         let mean = rs / kf;
         let var = lanes::fold(sum_sq) / kf - mean * mean;
         let dev = rs - 1.0;
-        *f4_part += dev * dev - var;
+        *f4_raw += dev * dev - var;
     }
 }
 
-/// Edge gather over one chunk of gates (`start..end`): accumulates raw `F₁`
-/// and writes each gate's interconnect force with a single store (no
-/// scatter).
+/// Edge gather: accumulates raw `F₁` into `f1_raw` and writes each gate's
+/// interconnect force with a single store (no scatter).
 ///
 /// The CSR visits each undirected edge from both endpoints with identical
 /// `|Δ|`, so the doubled `F₁` sum is halved at the end — an exact multiply
 /// by `0.5`. There is no K dimension here; the 4-way stripe runs over each
 /// gate's incident edges.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-fn edge_gather_chunk(
+#[inline(never)] // see `gate_pass`
+fn edge_gather(
     offsets: &[u32],
     neighbors: &[u32],
     labels: &[f64],
     exponent: f64,
     n1: f64,
     paper_f1_sign: bool,
-    start: usize,
-    end: usize,
-    f1_part: &mut f64,
+    f1_raw: &mut f64,
     force: &mut [f64],
 ) {
     let mut f1_acc = [0.0f64; LANE];
-    for u in start..end {
+    for u in 0..force.len() {
         let lu = labels[u];
         let lo = offsets[u] as usize;
         let hi = offsets[u + 1] as usize;
@@ -352,9 +295,9 @@ fn edge_gather_chunk(
             };
             facc[j] += s;
         }
-        force[u - start] = lanes::fold(facc);
+        force[u] = lanes::fold(facc);
     }
-    *f1_part += lanes::fold(f1_acc) * 0.5;
+    *f1_raw += lanes::fold(f1_acc) * 0.5;
 }
 
 /// Weighted per-iteration constants for the gradient write sweep; everything
@@ -393,21 +336,20 @@ impl GradConsts {
     }
 }
 
-/// Gradient write sweep over one chunk of gates: pure writes, no
-/// cross-gate accumulation. Fixed `[f64; LANE]` blocks over the padded row;
-/// each written entry is multiplied by the plane mask so padding slots land
-/// on `±0.0` (`x·1.0` is bit-exact for the real entries). `coeff_bias`/
-/// `coeff_area` carry the per-plane `F₂`/`F₃` coefficients with the term
-/// weights already folded in.
+/// Gradient write sweep: pure writes, no cross-gate accumulation. Fixed
+/// `[f64; LANE]` blocks over the padded row; each written entry is
+/// multiplied by the plane mask so padding slots land on `±0.0` (`x·1.0` is
+/// bit-exact for the real entries). `coeff_bias`/`coeff_area` carry the
+/// per-plane `F₂`/`F₃` coefficients with the term weights already folded
+/// in.
 #[allow(clippy::too_many_arguments)] // hot-loop plumbing, kept flat on purpose
-fn grad_pass_chunk(
+#[inline(never)] // see `gate_pass`
+fn grad_pass(
     w: &WeightMatrix,
     plane_coeff: &[f64],
     mask: &[f64],
     bias: &[f64],
     area: &[f64],
-    start: usize,
-    end: usize,
     row_sums: &[f64],
     force: &[f64],
     coeff_bias: &[f64],
@@ -416,15 +358,15 @@ fn grad_pass_chunk(
     out: &mut [f64],
 ) {
     let stride = w.stride();
-    for i in start..end {
+    for i in 0..w.num_gates() {
         let row = w.padded_row(i);
-        let row_sum = row_sums[i - start];
+        let row_sum = row_sums[i];
         let row_mean = row_sum / consts.kf;
         let fc1 = consts.c1 * force[i];
         let bi = bias[i];
         let ai = area[i];
         let (f4_base, f4_slope) = consts.f4_affine(row_sum, row_mean);
-        let base = (i - start) * stride;
+        let base = i * stride;
         let out_row = &mut out[base..base + stride];
         for ((ob, rb), ((pb, mb), (cbb, cab))) in out_row
             .chunks_exact_mut(LANE)
@@ -466,23 +408,9 @@ impl<'a> CostEngine<'a> {
         let model = CostModel::with_exponent(problem, weights, exponent);
         let g = problem.num_gates();
         let k = problem.num_planes();
-        let e = problem.num_edges();
         let stride = lanes::padded(k);
         debug_assert_eq!(stride % LANE, 0);
         let csr = Csr::new(problem);
-
-        let gate_chunks = if g * k >= options.chunk_min_items {
-            options.num_chunks.max(1)
-        } else {
-            1
-        };
-        let edge_chunks = if e >= options.chunk_min_items {
-            options.num_chunks.max(1)
-        } else {
-            1
-        };
-        let gate_bounds = chunk_bounds(g, gate_chunks);
-        let edge_bounds = degree_balanced_bounds(&csr.offsets, edge_chunks);
         let plane_coeff: Vec<f64> = (0..stride).map(|j| (j + 1) as f64).collect();
         let mask: Vec<f64> = (0..stride).map(|j| if j < k { 1.0 } else { 0.0 }).collect();
         CostEngine {
@@ -494,15 +422,11 @@ impl<'a> CostEngine<'a> {
             force: vec![0.0; g],
             bias_sums: vec![0.0; stride],
             area_sums: vec![0.0; stride],
-            gate_partials: vec![0.0; gate_chunks * (2 * stride + 1)],
-            f1_partials: vec![0.0; edge_chunks],
             coeff_bias: vec![0.0; stride],
             coeff_area: vec![0.0; stride],
             plane_coeff,
             mask,
             csr,
-            gate_bounds,
-            edge_bounds,
         }
     }
 
@@ -525,126 +449,6 @@ impl<'a> CostEngine<'a> {
     /// Replaces the term weights (the solver's `c₄` warm-up ramp).
     pub fn set_weights(&mut self, weights: CostWeights) {
         self.model.set_weights(weights);
-    }
-
-    /// True when at least one sweep is split into multiple chunks.
-    pub fn is_chunked(&self) -> bool {
-        self.gate_bounds.len() > 1 || self.edge_bounds.len() > 1
-    }
-
-    /// Fused gate sweep: fills `labels`, `row_sums`, `bias_sums`,
-    /// `area_sums` and returns the raw (unnormalized) `F₄`.
-    fn gate_pass(&mut self, w: &WeightMatrix) -> f64 {
-        let problem = self.model.problem();
-        let bias = problem.bias();
-        let area = problem.area();
-        let g = problem.num_gates();
-        let pstride = 2 * self.stride + 1;
-
-        self.bias_sums.fill(0.0);
-        self.area_sums.fill(0.0);
-        if self.gate_bounds.len() == 1 {
-            // Fast path: accumulate straight into the engine buffers. Same
-            // addition sequence as a one-chunk fold, minus the partial
-            // buffers, slice splitting, and copies.
-            let mut f4_raw = 0.0;
-            gate_pass_chunk(
-                w,
-                &self.plane_coeff,
-                bias,
-                area,
-                0,
-                g,
-                &mut self.labels,
-                &mut self.row_sums,
-                &mut self.bias_sums,
-                &mut self.area_sums,
-                &mut f4_raw,
-            );
-            return f4_raw;
-        }
-
-        self.gate_partials.fill(0.0);
-        for (idx, &(start, end)) in self.gate_bounds.iter().enumerate() {
-            let base = idx * pstride;
-            let partial = &mut self.gate_partials[base..base + pstride];
-            let (bias_part, rest) = partial.split_at_mut(self.stride);
-            let (area_part, f4_part) = rest.split_at_mut(self.stride);
-            gate_pass_chunk(
-                w,
-                &self.plane_coeff,
-                bias,
-                area,
-                start,
-                end,
-                &mut self.labels[start..end],
-                &mut self.row_sums[start..end],
-                bias_part,
-                area_part,
-                &mut f4_part[0],
-            );
-        }
-
-        // Fold partials in fixed chunk order.
-        let mut f4_raw = 0.0;
-        for partial in self.gate_partials.chunks(pstride) {
-            for (s, &p) in self.bias_sums.iter_mut().zip(&partial[..self.stride]) {
-                *s += p;
-            }
-            for (s, &p) in self
-                .area_sums
-                .iter_mut()
-                .zip(&partial[self.stride..2 * self.stride])
-            {
-                *s += p;
-            }
-            f4_raw += partial[2 * self.stride];
-        }
-        f4_raw
-    }
-
-    /// Fused edge gather: returns raw `F₁` (double-counted, pre-halved per
-    /// chunk) and writes `self.force` — one store per gate, no scatter, so
-    /// forces are identical for any chunk layout.
-    fn edge_pass(&mut self) -> f64 {
-        let g = self.model.problem().num_gates();
-        let exponent = self.model.exponent();
-        let (n1, ..) = self.model.normalizations();
-        let paper_sign = self.options.gradient.paper_f1_sign;
-
-        if self.edge_bounds.len() == 1 {
-            let mut f1_raw = 0.0;
-            edge_gather_chunk(
-                &self.csr.offsets,
-                &self.csr.neighbors,
-                &self.labels,
-                exponent,
-                n1,
-                paper_sign,
-                0,
-                g,
-                &mut f1_raw,
-                &mut self.force,
-            );
-            return f1_raw;
-        }
-
-        self.f1_partials.fill(0.0);
-        for (idx, &(start, end)) in self.edge_bounds.iter().enumerate() {
-            edge_gather_chunk(
-                &self.csr.offsets,
-                &self.csr.neighbors,
-                &self.labels,
-                exponent,
-                n1,
-                paper_sign,
-                start,
-                end,
-                &mut self.f1_partials[idx],
-                &mut self.force[start..end],
-            );
-        }
-        self.f1_partials.iter().sum()
     }
 
     /// Assembles the normalized [`CostBreakdown`] from raw term sums.
@@ -704,17 +508,40 @@ impl<'a> CostEngine<'a> {
         let stride = self.stride;
         assert_eq!(out.len(), g * stride, "gradient buffer size mismatch");
 
-        let f4_raw = self.gate_pass(w);
-        let f1_raw = self.edge_pass();
+        let bias = problem.bias();
+        let area = problem.area();
+        self.bias_sums.fill(0.0);
+        self.area_sums.fill(0.0);
+        let mut f4_raw = 0.0;
+        gate_pass(
+            w,
+            &self.plane_coeff,
+            bias,
+            area,
+            &mut self.labels,
+            &mut self.row_sums,
+            &mut self.bias_sums,
+            &mut self.area_sums,
+            &mut f4_raw,
+        );
+        let (n1, n2, n3, n4) = self.model.normalizations();
+        let mut f1_raw = 0.0;
+        edge_gather(
+            &self.csr.offsets,
+            &self.csr.neighbors,
+            &self.labels,
+            self.model.exponent(),
+            n1,
+            self.options.gradient.paper_f1_sign,
+            &mut f1_raw,
+            &mut self.force,
+        );
         let cost = self.breakdown(f1_raw, f4_raw);
 
         let kf = k as f64;
         let b_mean = self.bias_sums[..k].iter().sum::<f64>() / kf;
         let a_mean = self.area_sums[..k].iter().sum::<f64>() / kf;
-        let bias = problem.bias();
-        let area = problem.area();
         let weights = self.model.weights();
-        let (_, n2, n3, n4) = self.model.normalizations();
 
         // Fold the term weights and normalizations into per-plane (F₂/F₃)
         // and scalar (F₁/F₄) coefficients once per call, so the per-entry
@@ -738,52 +565,19 @@ impl<'a> CostEngine<'a> {
             pc: a4 * (kf - 1.0),
             kf,
         };
-        let row_sums = &self.row_sums[..];
-        let force = &self.force[..];
-        let coeff_bias = &self.coeff_bias[..];
-        let coeff_area = &self.coeff_area[..];
-
-        if self.gate_bounds.len() == 1 {
-            // Fast path: one write sweep over the whole matrix.
-            grad_pass_chunk(
-                w,
-                &self.plane_coeff,
-                &self.mask,
-                bias,
-                area,
-                0,
-                g,
-                row_sums,
-                force,
-                coeff_bias,
-                coeff_area,
-                consts,
-                out,
-            );
-            return cost;
-        }
-
-        for &(start, end) in &self.gate_bounds {
-            // Chunk offsets stay lane-aligned because the stride is a
-            // multiple of LANE — the alignment rule the lanes module
-            // documents.
-            debug_assert_eq!((start * stride) % LANE, 0);
-            grad_pass_chunk(
-                w,
-                &self.plane_coeff,
-                &self.mask,
-                bias,
-                area,
-                start,
-                end,
-                &row_sums[start..end],
-                force,
-                coeff_bias,
-                coeff_area,
-                consts,
-                &mut out[start * stride..end * stride],
-            );
-        }
+        grad_pass(
+            w,
+            &self.plane_coeff,
+            &self.mask,
+            bias,
+            area,
+            &self.row_sums,
+            &self.force,
+            &self.coeff_bias,
+            &self.coeff_area,
+            consts,
+            out,
+        );
         cost
     }
 }
@@ -796,12 +590,12 @@ impl<'a> CostEngine<'a> {
 /// — into restart workers.
 ///
 /// The workspace `clippy.toml` bans thread creation, and this function
-/// carries the solver's one exception, so chunking and fold order — the two
-/// things that can silently reorder float accumulation — are auditable in
-/// one place. Restart-level parallelism in the solver goes through this
-/// helper instead of opening its own scope. Results are joined in spawn
-/// order, so the output is positionally identical to a serial
-/// `items.into_iter().map(f)`.
+/// carries the solver's one exception, so which work runs on which thread
+/// is auditable in one place. Each worker runs one whole restart and no
+/// float reduction crosses threads. Restart-level parallelism in the solver
+/// goes through this helper instead of opening its own scope. Results are
+/// joined in spawn order, so the output is positionally identical to a
+/// serial `items.into_iter().map(f)`.
 ///
 /// Panics in a worker are re-raised on the calling thread.
 #[expect(
@@ -815,10 +609,10 @@ where
     F: Fn(T) -> R + Sync,
 {
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .into_iter()
-            .map(|item| scope.spawn(move |_| f(item)))
+            .map(|item| scope.spawn(move || f(item)))
             .collect();
         handles
             .into_iter()
@@ -828,7 +622,6 @@ where
             })
             .collect()
     })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]
@@ -872,7 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_reference_unchunked() {
+    fn fused_matches_reference() {
         // Includes the smallest legal K, K below, at, and above the lane
         // width, and a single-gate problem, so the padding lanes are
         // checked against the oracle. (K = 1 is rejected by
@@ -908,7 +701,6 @@ mod tests {
         let w = WeightMatrix::random(24, 3, &mut rng);
         let options = EngineOptions {
             gradient: GradientOptions::as_printed(),
-            ..EngineOptions::default()
         };
         let mut engine = CostEngine::new(&p, CostWeights::default(), 4.0, options);
         let mut grad = vec![0.0; w.padded_len()];
@@ -916,31 +708,6 @@ mod tests {
         let (_, expect_grad) = reference_pair(&p, &w, GradientOptions::as_printed());
         for (&a, &b) in grad.iter().zip(&expect_grad) {
             assert_close(a, b, "printed-formula gradient entry");
-        }
-    }
-
-    #[test]
-    fn chunked_matches_unchunked_within_tolerance() {
-        let p = random_problem(60, 5, 3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let w = WeightMatrix::random(60, 5, &mut rng);
-        let mut plain = CostEngine::new(&p, CostWeights::default(), 4.0, EngineOptions::default());
-        // Force chunking on a small problem.
-        let chunked_options = EngineOptions {
-            chunk_min_items: 1,
-            num_chunks: 7,
-            ..EngineOptions::default()
-        };
-        let mut chunked = CostEngine::new(&p, CostWeights::default(), 4.0, chunked_options);
-        assert!(chunked.is_chunked());
-        assert!(!plain.is_chunked());
-        let mut ga = vec![0.0; w.padded_len()];
-        let mut gb = vec![0.0; w.padded_len()];
-        let ca = plain.evaluate_with_gradient(&w, &mut ga);
-        let cb = chunked.evaluate_with_gradient(&w, &mut gb);
-        assert_close(ca.total, cb.total, "total");
-        for (&a, &b) in ga.iter().zip(&gb) {
-            assert_close(a, b, "gradient entry");
         }
     }
 
@@ -993,29 +760,6 @@ mod tests {
         let reference = model.evaluate(&w);
         assert_close(fused.total, reference.total, "p=2 total");
         assert_close(fused.f1, reference.f1, "p=2 f1");
-    }
-
-    #[test]
-    fn degree_balanced_bounds_partition_all_gates() {
-        // Skewed degrees: gate 0 touches everything.
-        let g = 20u32;
-        let edges: Vec<(u32, u32)> = (1..g).map(|i| (0, i)).collect();
-        let p =
-            PartitionProblem::new(vec![1.0; g as usize], vec![1.0; g as usize], edges, 2).unwrap();
-        let options = EngineOptions {
-            chunk_min_items: 1,
-            num_chunks: 4,
-            ..EngineOptions::default()
-        };
-        let engine = CostEngine::new(&p, CostWeights::default(), 4.0, options);
-        let bounds = &engine.edge_bounds;
-        assert_eq!(bounds.len(), 4);
-        assert_eq!(bounds[0].0, 0);
-        assert_eq!(bounds[bounds.len() - 1].1, g as usize);
-        for w in bounds.windows(2) {
-            assert_eq!(w[0].1, w[1].0, "ranges are contiguous");
-            assert!(w[0].0 <= w[0].1);
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one JSON reader and value writer.
 //!
-//! The workspace vendors `serde` only as an offline marker stub, so JSON is
-//! hand-rolled, once, here. Three readers share it: the trace schema's
+//! The workspace builds offline with no serialization framework, so JSON
+//! is hand-rolled, once, here. Three readers share it: the trace schema's
 //! [`TraceEvent::parse`](crate::telemetry::TraceEvent::parse), the
 //! `sfqpartd` wire protocol (nested frames: a solve request carries a
 //! problem object with arrays inside an object inside the frame) and

@@ -16,15 +16,13 @@
 //!   stripes as `((acc[0] + acc[1]) + acc[2]) + acc[3]` ([`fold`]). The
 //!   padding contributes exact `+0.0` terms (an IEEE-754 no-op against the
 //!   `+0.0`-initialized stripes), so the result depends only on the `K`
-//!   real entries. Because the order is fixed per row and per chunk, the
-//!   exactness suites — serial == parallel (`engine::parallel_map`),
-//!   observer-on == observer-off, and the alloc sanitizer (A1) — can pin
-//!   the arithmetic bit for bit.
-//! * **Chunk boundaries align to lane blocks** — the engine's fixed chunk
-//!   layout splits on *gate* boundaries and every row occupies a full number of
-//!   lane blocks (`stride % LANE == 0`), so a chunk's flat offset
-//!   `start · stride` is always lane-aligned by construction. The engine
-//!   debug-asserts this invariant.
+//!   real entries. Because the order is fixed per row, the exactness
+//!   suites — serial == parallel (`engine::parallel_map`), observer-on ==
+//!   observer-off, and the alloc sanitizer (A1) — can pin the arithmetic
+//!   bit for bit.
+//! * **Rows align to lane blocks** — every row occupies a full number of
+//!   lane blocks (`stride % LANE == 0`), so gate `i`'s flat offset
+//!   `i · stride` is always lane-aligned by construction.
 //!
 //! The kernels themselves live next to their callers (`engine.rs`,
 //! `weights.rs`); this module owns the layout constants and the folds so
@@ -118,11 +116,10 @@ pub fn all_finite(xs: &[f64]) -> bool {
 /// Canonical striped sum of a slice: lane-block accumulators combined with
 /// [`fold`], then the scalar tail added left to right.
 ///
-/// This is THE reduction order for f64 sums in the numeric crates (lint
-/// rule D4): serial and parallel restarts both use it, so routing a
-/// reduction through here keeps the serial == parallel bit-identity
-/// guarantee. A raw `.iter().sum::<f64>()` evaluates in a
-/// different association order and is a D4 finding outside this module.
+/// Its association order is fixed, so a sum computed here repeats bit for
+/// bit. A raw `.iter().sum::<f64>()` evaluates in a different association
+/// order, so switching a call site between the two moves its bits and the
+/// goldens that pin them (the trace digests, `tests/bit_identity.rs`).
 #[must_use]
 pub fn sum(xs: &[f64]) -> f64 {
     // Spelled directly (not via `sum_with(xs, |x| x)`) so the hot-path
@@ -230,8 +227,8 @@ mod tests {
         let striped = fold([xs[0] + xs[4], xs[1] + xs[5], xs[2] + xs[6], xs[3] + xs[7]]);
         assert_eq!(sum(&xs), striped);
         // The sequential order gives a DIFFERENT value on this input
-        // (3.6 vs 3.6000000000000005) — that difference is exactly what
-        // rule D4 guards against.
+        // (3.6 vs 3.6000000000000005): switching a call site between the
+        // two spellings moves its bits.
         let sequential: f64 = xs.iter().sum();
         assert_ne!(sum(&xs), sequential);
         assert_eq!(sum(&[]), 0.0);

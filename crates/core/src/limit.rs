@@ -8,14 +8,12 @@
 //! sweeps `K` upward from `K_LB`, partitions at each `K`, and returns the
 //! first `K_res` whose realized `B_max` fits under the cap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::PartitionMetrics;
 use crate::problem::{PartitionProblem, ProblemError};
 use crate::solver::{Solver, SolverOptions};
 
 /// Result of a successful [`BiasLimitPlanner::plan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasLimitOutcome {
     /// Lower bound `K_LB = ⌈B_cir / limit⌉` (clamped to ≥ 2).
     pub k_lower_bound: usize,

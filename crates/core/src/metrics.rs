@@ -9,8 +9,6 @@
 //! * **Area** — `A_k`, `A_max`, and the free space
 //!   `A_FS = Σ_k (A_max − A_k)` as a percentage of `A_cir`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::assign::Partition;
 use crate::problem::PartitionProblem;
 
@@ -30,7 +28,7 @@ use crate::problem::PartitionProblem;
 /// assert_eq!(m.i_comp_ma, 0.0); // perfectly balanced
 /// # Ok::<(), sfq_partition::ProblemError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionMetrics {
     /// Number of planes `K`.
     pub num_planes: usize,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sfq_netlist::{CellId, Netlist};
 
 /// Errors constructing a [`PartitionProblem`].
@@ -105,7 +104,7 @@ impl std::error::Error for ProblemError {}
 /// assert_eq!(p.total_bias(), 3.0);
 /// # Ok::<(), sfq_partition::ProblemError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionProblem {
     bias: Vec<f64>,
     area: Vec<f64>,

@@ -51,7 +51,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::assign::Partition;
 use crate::budget::{Deadline, Interrupt, StopCause};
@@ -79,7 +78,7 @@ pub const MAX_RECOVERIES: usize = 60;
 const MIN_LEARNING_RATE: f64 = 1e-18;
 
 /// Why the descent loop stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Relative cost change fell below the margin (Algorithm 1 line 14).
     Margin,
@@ -129,7 +128,7 @@ fn stop_reason_for(cause: StopCause) -> StopReason {
 /// advance the counter too), so a one-shot fault at call `n` is rescued by
 /// the retry at call `n + 1`. `None` (the default) costs one branch per
 /// evaluation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultInjection {
     /// Cost calls (0-based) that report `NaN` in place of the true cost.
     pub nan_cost_at: Vec<usize>,
@@ -171,7 +170,7 @@ impl FaultInjection {
 ///
 /// The default is the tuned configuration used by the table harnesses; for
 /// the paper's literal Algorithm 1 use [`SolverOptions::paper_exact`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
     /// Term weights `c₁..c₄` (eq. 8).
     pub weights: CostWeights,
@@ -337,7 +336,7 @@ impl SolverOptions {
 }
 
 /// Result of [`Solver::solve`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveResult {
     /// The winning hard partition.
     pub partition: Partition,
@@ -701,7 +700,6 @@ impl Solver {
             opts.exponent,
             EngineOptions {
                 gradient: grad_opts,
-                ..EngineOptions::default()
             },
         );
         let mut faults = opts

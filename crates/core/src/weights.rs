@@ -2,7 +2,6 @@
 
 use rand::distr::{Distribution, Uniform};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::lanes::{self, LANE};
 
@@ -38,7 +37,7 @@ use crate::lanes::{self, LANE};
 ///     assert!((sum - 1.0).abs() < 1e-12);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightMatrix {
     num_gates: usize,
     num_planes: usize,

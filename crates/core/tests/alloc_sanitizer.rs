@@ -1,11 +1,10 @@
 //! Dynamic cross-check of sfqlint's A1 rule: a counting global allocator
 //! proves that one full fused descent iteration — `evaluate_with_gradient`
 //! plus the weight update, in the swapped-buffer shape `Solver` runs —
-//! performs **zero** allocations after warm-up, on the roadmap benchmarks,
-//! unchunked and with the engine's fixed chunks. It also proves that a
-//! refine pass allocates nothing: `refine::refine` allocates the same
-//! number of times whether it may run one pass or forty, which is the
-//! runtime side of the `MoveState::*` A1 roots.
+//! performs **zero** allocations after warm-up, on the roadmap benchmarks.
+//! It also proves that a refine pass allocates nothing: `refine::refine`
+//! allocates the same number of times whether it may run one pass or
+//! forty, which is the runtime side of the `MoveState::*` A1 roots.
 //!
 //! A1 establishes allocation-freedom statically through the workspace call
 //! graph; this test is the runtime tripwire if the graph approximation ever
@@ -95,8 +94,7 @@ fn main() {
         "counting allocator is not intercepting allocations"
     );
 
-    // KSA16@K=5 runs unchunked; C1908@K=30 (G·K = 50 850) splits the gate
-    // sweeps into the engine's fixed chunks.
+    // KSA16@K=5 (G·K = 2 745) and C1908@K=30 (G·K = 50 850).
     for (bench, k, iters) in [(Benchmark::Ksa16, 5, 50), (Benchmark::C1908, 30, 20)] {
         let p = problem(bench, k);
         let g = p.num_gates();

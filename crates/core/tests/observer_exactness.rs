@@ -5,8 +5,8 @@
 //! gated on `RestartObserver::ENABLED`, but the weight updates themselves
 //! must stay character-for-character the detached arithmetic. This suite
 //! pins that on the paper benchmarks named in the roadmap — KSA16 at K=5
-//! and C1908 at K=30 (whose sweeps run in fixed chunks) — plus the
-//! serial-vs-parallel restart merge order of the trace stream itself.
+//! and C1908 at K=30 — plus the serial-vs-parallel restart merge order of
+//! the trace stream itself.
 
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_partition::telemetry::{SolveMetrics, TraceCollector, TraceEvent};

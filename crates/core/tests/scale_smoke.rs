@@ -1,7 +1,7 @@
 //! Smoke test for the scaling frontier: a 100k-gate synthetic problem must
-//! solve end to end — lane kernels, CSR gather, chunked sweeps, projection,
-//! snap — under a bounded iteration budget without panicking or producing
-//! non-finite cost.
+//! solve end to end — lane kernels, CSR gather, projection, snap — under
+//! a bounded iteration budget without panicking or producing non-finite
+//! cost.
 //!
 //! Too expensive for the default debug `cargo test` sweep, so it is
 //! `#[ignore]`d there; CI runs it explicitly in release:

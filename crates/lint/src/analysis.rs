@@ -87,7 +87,7 @@ fn unresolved_roots(graph: &Graph, cfg: &Config) -> Vec<UnresolvedRoot> {
 }
 
 /// Cross-file phase: builds the library graph once (shared by A1/I1,
-/// P2/N1/D4 and the root resolution check) and the library+binary graph
+/// P2/N1 and the root resolution check) and the library+binary graph
 /// once (L1/L2/S1), then merges all diagnostics into the canonical sorted
 /// order.
 fn lint_analyzed(files: &[AnalyzedFile], cfg: &Config) -> Report {

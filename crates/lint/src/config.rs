@@ -10,7 +10,7 @@
 use std::fmt;
 
 /// All rule identifiers, in report order.
-pub const RULE_IDS: &[&str] = &["A1", "D4", "I1", "L1", "L2", "N1", "P2", "S1"];
+pub const RULE_IDS: &[&str] = &["A1", "I1", "L1", "L2", "N1", "P2", "S1"];
 
 /// One `[[allow]]` entry: suppress findings of `rule` in `path`, optionally
 /// narrowed to a line and/or a message substring.
@@ -88,11 +88,6 @@ pub struct Config {
     /// Files exempt from N1: the checked-math helper modules themselves
     /// (`core::float`, `core::lanes`, the integer-exponent kernels).
     pub n1_helper_files: Vec<String>,
-    /// Crates whose library code rule D4 (canonical float folds) covers.
-    pub d4_crates: Vec<String>,
-    /// Files exempt from D4: the modules that *define* the canonical
-    /// striped reduction order and the fused kernels built on it.
-    pub d4_allowed_files: Vec<String>,
     /// Allowlist entries.
     pub allows: Vec<AllowEntry>,
 }
@@ -433,11 +428,6 @@ fn apply_key(
             "helper_files" => cfg.n1_helper_files = expect_str_array(value, key, lineno)?,
             other => return Err(err(lineno, format!("unknown [rules.N1] key `{other}`"))),
         },
-        "rules.D4" => match key {
-            "crates" => cfg.d4_crates = expect_str_array(value, key, lineno)?,
-            "allowed_files" => cfg.d4_allowed_files = expect_str_array(value, key, lineno)?,
-            other => return Err(err(lineno, format!("unknown [rules.D4] key `{other}`"))),
-        },
         other => {
             return Err(err(
                 lineno,
@@ -468,9 +458,8 @@ mod tests {
     #[test]
     fn checked_in_config_scopes_every_rule() {
         let cfg = repo_config();
-        let scopes: [(&str, &[String]); 8] = [
+        let scopes: [(&str, &[String]); 7] = [
             ("[workspace] roots", &cfg.roots),
-            ("[rules.D4] crates", &cfg.d4_crates),
             ("[rules.A1] roots", &cfg.a1_roots),
             ("[rules.I1] crates", &cfg.i1_crates),
             ("[rules.P2] roots", &cfg.p2_roots),
@@ -491,7 +480,7 @@ mod tests {
 [workspace]
 roots = ["crates", "src"]
 
-[rules.D4]
+[rules.N1]
 crates = ["core"]
 
 [[allow]]
@@ -509,7 +498,7 @@ reason = "exact dispatch"
         )
         .unwrap();
         assert_eq!(cfg.roots, vec!["crates", "src"]);
-        assert_eq!(cfg.d4_crates, vec!["core"]);
+        assert_eq!(cfg.n1_crates, vec!["core"]);
         assert_eq!(cfg.allows.len(), 2);
         assert_eq!(cfg.allows[0].contains.as_deref(), Some("indexing"));
         assert_eq!(cfg.allows[1].line, Some(35));
@@ -523,7 +512,7 @@ reason = "exact dispatch"
 
     #[test]
     fn allow_with_unknown_rule_is_rejected() {
-        for rule in ["Z9", "D1"] {
+        for rule in ["Z9", "D1", "D4"] {
             let text = format!("[[allow]]\nrule = \"{rule}\"\npath = \"x.rs\"\nreason = \"r\"\n");
             let e = Config::parse(&text).unwrap_err();
             assert!(e.message.contains("unknown rule"), "{e}");

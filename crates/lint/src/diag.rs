@@ -223,7 +223,7 @@ mod tests {
     fn unused_allows_are_reported() {
         let mut cfg = Config::default();
         cfg.allows.push(AllowEntry {
-            rule: "D4".into(),
+            rule: "N1".into(),
             path: "never.rs".into(),
             reason: "r".into(),
             line: None,

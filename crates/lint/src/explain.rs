@@ -23,19 +23,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              path is itself a finding unless it is on the known-no-allocation list. \
              The runtime cross-check is `crates/core/tests/alloc_sanitizer.rs`."
         }
-        "D4" => {
-            "D4 — canonical float folds. Raw f64 iterator reductions (`.sum::<f64>()`, \
-             `.product::<f64>()`, `.fold(0.0, …)`) and `acc +=` loops over an \
-             accumulator bound to a float literal, in library code of the \
-             `[rules.D4] crates`, are findings outside `[rules.D4] allowed_files` — \
-             the modules that define the canonical striped fold order (`core::lanes`, \
-             `core::float`, the kernels and the engine). An ad-hoc left-to-right \
-             reduction evaluates in a different association order than the striped \
-             lane fold the engine uses, silently breaking the \
-             serial == parallel bit-identity guarantee. Route reductions through \
-             `core::lanes::{sum, sum_with, max_abs, fold}`. Order-insensitive \
-             `max`/`min` folds are exempt."
-        }
         "I1" => {
             "I1 — I/O confinement. Library code of the `[rules.I1] crates` may not \
              print or touch `std::io`/`std::fs` outside `[rules.I1] sink_files` (the \
@@ -129,9 +116,8 @@ mod tests {
 
     /// The construct each rule's positive fixture
     /// (`tests/fixtures/<id>_pos.rs`) fires on.
-    const FIXTURE_CONSTRUCTS: [(&str, &str); 8] = [
+    const FIXTURE_CONSTRUCTS: [(&str, &str); 7] = [
         ("A1", "push"),
-        ("D4", ".sum::<f64>()"),
         ("I1", "println!"),
         ("L1", ".lock()"),
         ("L2", "sleep"),

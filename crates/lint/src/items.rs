@@ -31,9 +31,9 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 ];
 
 /// What a [`ValueSite`] records: one expression shape the value-flow rules
-/// (P2 panic-freedom, N1 non-finite confinement, D4 canonical folds) care
-/// about. The scanner is token-level and intentionally conservative — each
-/// kind documents its approximation.
+/// (P2 panic-freedom, N1 non-finite confinement) care about. The scanner
+/// is token-level and intentionally conservative — each kind documents its
+/// approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteKind {
     /// Unchecked index expression `expr[i]`: `[` preceded by a
@@ -53,13 +53,6 @@ pub enum SiteKind {
     ZeroDivLit,
     /// A non-finite constant path (`NAN`, `INFINITY`, `NEG_INFINITY`).
     NanConst,
-    /// `ident += …` where `ident` was let-bound to a float literal in the
-    /// same function: a raw sequential float accumulation loop.
-    FloatAccum,
-    /// Raw float iterator reduction: `.sum::<f64>()`, `.product::<f64>()`,
-    /// or `.fold(<float literal>, …)` whose combiner is not a plain
-    /// `max`/`min` path (those are order-insensitive).
-    FoldF64,
 }
 
 impl SiteKind {
@@ -72,8 +65,6 @@ impl SiteKind {
             SiteKind::ModNonLit => "remainder by a non-literal divisor",
             SiteKind::ZeroDivLit => "division by a zero literal",
             SiteKind::NanConst => "non-finite constant (`NAN`/`INFINITY`)",
-            SiteKind::FloatAccum => "sequential float accumulation `+=`",
-            SiteKind::FoldF64 => "raw float reduction (`.sum()`/`.fold()`)",
         }
     }
 }
@@ -708,8 +699,6 @@ fn scan_value_sites(
             col: t.col,
         });
     };
-    // Idents let-bound to a float literal in this body: `+=` targets.
-    let mut float_accs: Vec<String> = Vec::new();
     let mut k = start;
     while k < end {
         let Some(t) = tok(k) else { break };
@@ -720,82 +709,8 @@ fn scan_value_sites(
                     if let Some(open) = tok(k + 1).filter(|n| n.is_punct("[")) {
                         push(SiteKind::SlicePat, &open);
                     }
-                    // `let [mut] ident = <float literal>`: accumulator seed.
-                    let mut j = k + 1;
-                    if tok(j).is_some_and(|n| n.is_ident("mut")) {
-                        j += 1;
-                    }
-                    if let Some(name) = tok(j).filter(|n| n.kind == TokenKind::Ident) {
-                        let seeded = tok(j + 1).is_some_and(|n| n.is_punct("="))
-                            && tok(j + 2).is_some_and(|n| n.kind == TokenKind::Float)
-                            && tok(j + 3).is_some_and(|n| n.is_punct(";"));
-                        if seeded && !CALL_KEYWORDS.contains(&name.text) {
-                            float_accs.push(name.text.to_owned());
-                        }
-                    }
                 } else if matches!(t.text, "NAN" | "INFINITY" | "NEG_INFINITY") {
                     push(SiteKind::NanConst, &t);
-                } else if matches!(t.text, "sum" | "product")
-                    && tok(k.wrapping_sub(1)).is_some_and(|p| p.is_punct("."))
-                    && k > start
-                {
-                    // `.sum::<f64>(` / `.product::<f64>(`: scan the
-                    // turbofish for a float type.
-                    if tok(k + 1).is_some_and(|n| n.is_punct("::"))
-                        && tok(k + 2).is_some_and(|n| n.is_punct("<"))
-                    {
-                        let mut floats = false;
-                        let mut angle = 0usize;
-                        let mut p = k + 2;
-                        while let Some(a) = tok(p) {
-                            if a.is_punct("<") {
-                                angle += 1;
-                            } else if a.is_punct(">") {
-                                angle = angle.saturating_sub(1);
-                                if angle == 0 {
-                                    break;
-                                }
-                            } else if a.is_ident("f64") || a.is_ident("f32") {
-                                floats = true;
-                            }
-                            p += 1;
-                        }
-                        if floats {
-                            push(SiteKind::FoldF64, &t);
-                        }
-                    }
-                } else if t.text == "fold"
-                    && k > start
-                    && tok(k.wrapping_sub(1)).is_some_and(|p| p.is_punct("."))
-                    && tok(k + 1).is_some_and(|n| n.is_punct("("))
-                    && tok(k + 2).is_some_and(|n| n.kind == TokenKind::Float)
-                {
-                    // `.fold(<float literal>, combiner)`: a float reduction
-                    // unless the combiner is a plain `max`/`min` path
-                    // (order-insensitive).
-                    let close = matching_paren(tokens, sig, k + 1, end);
-                    let mut depth = 0usize;
-                    let mut comma = None;
-                    let mut q = k + 1;
-                    while q < close {
-                        let Some(n) = tok(q) else { break };
-                        if n.is_punct("(") || n.is_punct("[") || n.is_punct("{") {
-                            depth += 1;
-                        } else if n.is_punct(")") || n.is_punct("]") || n.is_punct("}") {
-                            depth = depth.saturating_sub(1);
-                        } else if n.is_punct(",") && depth == 1 {
-                            comma = Some(q);
-                            break;
-                        }
-                        q += 1;
-                    }
-                    let order_free = comma.is_some_and(|c| {
-                        let path = plain_path(tokens, sig, c + 1, close);
-                        matches!(path.last().map(String::as_str), Some("max" | "min"))
-                    });
-                    if !order_free {
-                        push(SiteKind::FoldF64, &t);
-                    }
                 }
             }
             TokenKind::Punct => match t.text {
@@ -834,15 +749,6 @@ fn scan_value_sites(
                             push(kind, &t);
                         }
                         None => {}
-                    }
-                }
-                "+=" if k > start => {
-                    if let Some(prev) = tok(k - 1) {
-                        if prev.kind == TokenKind::Ident
-                            && float_accs.iter().any(|a| a.as_str() == prev.text)
-                        {
-                            push(SiteKind::FloatAccum, &t);
-                        }
                     }
                 }
                 _ => {}

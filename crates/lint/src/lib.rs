@@ -20,8 +20,8 @@
 //!   async-signal-safety plus a registered-justification audit of every
 //!   `unsafe` block;
 //! * [`rules_value`]: P2 panic-freedom of the configured kernel/settle
-//!   roots, N1 confinement of NaN/Inf-capable operations to the
-//!   divergence-recovery scope, and D4 canonical striped float folds.
+//!   roots and N1 confinement of NaN/Inf-capable operations to the
+//!   divergence-recovery scope.
 //!
 //! A1, L1/L2 and P2 have runtime cross-checks in the core crate: the
 //! allocation sanitizer, the lock-witness shim (`--features lock_witness`)

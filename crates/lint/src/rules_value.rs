@@ -19,12 +19,6 @@
 //!   rollback machinery watches for divergence) or in the checked-math
 //!   helper files (`core::float`, `core::lanes`, the kernels). Everything
 //!   else must route through the `core::float` checked helpers.
-//! * **D4 — canonical float folds.** Raw f64 iterator reductions
-//!   (`.sum::<f64>()`, `.fold(0.0, …)`, sequential `acc +=` loops) outside
-//!   the modules that define the canonical striped fold order are
-//!   findings: an ad-hoc reduction order silently breaks the
-//!   serial==parallel bit-identity guarantee. Order-insensitive
-//!   `max`/`min` folds are exempt.
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
@@ -52,7 +46,7 @@ const NONFINITE_CALLS: &[&str] = &[
     "acos",
 ];
 
-/// Entry point: runs P2/N1/D4 over one file set. Mirrors
+/// Entry point: runs P2/N1 over one file set. Mirrors
 /// [`crate::rules_graph::check_workspace`]: only library files participate
 /// (explicit targets are treated as library files of a covered crate).
 pub fn check_values(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic> {
@@ -71,7 +65,7 @@ pub fn check_values(targets: &[FileTarget<'_>], cfg: &Config) -> Vec<Diagnostic>
     check_values_graph(&graph, cfg, &explicit_paths)
 }
 
-/// Runs P2/N1/D4 over an already-built library graph (shared with the
+/// Runs P2/N1 over an already-built library graph (shared with the
 /// A1/I1 pass by the pipeline, [`crate::analysis`]).
 pub(crate) fn check_values_graph(
     graph: &Graph,
@@ -81,7 +75,6 @@ pub(crate) fn check_values_graph(
     let mut diags = Vec::new();
     rule_p2(graph, cfg, &mut diags);
     rule_n1(graph, cfg, explicit_paths, &mut diags);
-    rule_d4(graph, cfg, explicit_paths, &mut diags);
     diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     diags.dedup();
     diags
@@ -304,41 +297,6 @@ fn rule_n1(graph: &Graph, cfg: &Config, explicit: &[&str], diags: &mut Vec<Diagn
     }
 }
 
-/// D4: raw float reductions outside the canonical-fold modules.
-fn rule_d4(graph: &Graph, cfg: &Config, explicit: &[&str], diags: &mut Vec<Diagnostic>) {
-    for (path, items) in &graph.files {
-        let covered =
-            explicit.contains(&path.as_str()) || cfg.d4_crates.iter().any(|c| c == crate_of(path));
-        if !covered || cfg.d4_allowed_files.iter().any(|f| f == path) {
-            continue;
-        }
-        for f in &items.fns {
-            if f.in_test {
-                continue;
-            }
-            for fact in &f.facts {
-                let what = match fact.kind {
-                    SiteKind::FoldF64 => "raw float iterator reduction",
-                    SiteKind::FloatAccum => "sequential float accumulation `+=`",
-                    _ => continue,
-                };
-                diags.push(diag(
-                    "D4",
-                    path,
-                    fact.line,
-                    fact.col,
-                    format!(
-                        "{what} in `{}`; float reductions in covered crates must use \
-                         the canonical striped fold (core::lanes::{{sum, sum_with, \
-                         max_abs, fold}}) so serial == parallel stays bit-identical",
-                        f.qname
-                    ),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,38 +401,6 @@ mod tests {
                 (
                     "crates/core/src/metrics.rs",
                     "pub fn halve(x: f64) -> f64 { x / 2.0 }\n",
-                ),
-            ],
-            false,
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn d4_flags_raw_folds_outside_canonical_modules() {
-        let d = run(
-            &[(
-                "crates/core/src/spectral.rs",
-                "pub fn mean(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
-            )],
-            false,
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "D4");
-        assert!(d[0].message.contains("lanes"));
-    }
-
-    #[test]
-    fn d4_exempts_lanes_and_max_folds() {
-        let d = run(
-            &[
-                (
-                    "crates/core/src/lanes.rs",
-                    "pub fn sum(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
-                ),
-                (
-                    "crates/core/src/spectral.rs",
-                    "pub fn peak(xs: &[f64]) -> f64 { xs.iter().copied().fold(0.0, f64::max) }\n",
                 ),
             ],
             false,

@@ -57,8 +57,8 @@ const VOCAB: &[&str] = &[
     "WeightMatrix",
     "println",
     "stdout",
-    // Value-rule vocabulary (P2/N1/D4): panic constructs, non-finite
-    // operations, and reduction shapes, plus the configured root names.
+    // Value-rule vocabulary (P2/N1): panic constructs, non-finite
+    // operations and arithmetic shapes, plus the configured root names.
     "sum",
     "fold",
     "sqrt",

@@ -2,16 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sfq_cells::{CellKind, CellLibrary, MilliAmps, SquareMicrons};
 
 use crate::error::NetlistError;
 use crate::stats::NetlistStats;
 
 /// Index of a cell instance within a [`Netlist`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct CellId(pub u32);
 
 impl CellId {
@@ -28,9 +25,7 @@ impl fmt::Display for CellId {
 }
 
 /// Index of a net within a [`Netlist`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NetId(pub u32);
 
 impl NetId {
@@ -47,7 +42,7 @@ impl fmt::Display for NetId {
 }
 
 /// A reference to one pin of one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PinRef {
     /// The cell owning the pin.
     pub cell: CellId,
@@ -64,7 +59,7 @@ impl PinRef {
 }
 
 /// One cell instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
     /// Instance name (unique within the netlist).
     pub name: String,
@@ -73,7 +68,7 @@ pub struct Cell {
 }
 
 /// One signal net: a single driver pin and any number of sink pins.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Net {
     /// Net name (unique within the netlist).
     pub name: String,
@@ -84,7 +79,7 @@ pub struct Net {
 }
 
 /// An ordered gate-to-gate connection, the paper's element of `E`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Connection {
     /// Driving gate.
     pub from: CellId,
@@ -102,7 +97,7 @@ impl Connection {
 /// A flat gate-level SFQ netlist.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     library: CellLibrary,

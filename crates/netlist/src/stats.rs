@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sfq_cells::{CellKind, MilliAmps, SquareMicrons};
 
 use crate::model::Netlist;
@@ -30,7 +29,7 @@ use crate::model::Netlist;
 /// assert_eq!(stats.num_connections, 1);
 /// # Ok::<(), sfq_netlist::NetlistError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetlistStats {
     /// Number of non-pad gates (`# Gates`).
     pub num_gates: usize,

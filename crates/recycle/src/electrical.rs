@@ -15,7 +15,6 @@
 //! * lead heating is `I²R_lead` per lead; a parallel feed splits `B_cir`
 //!   over `N = ⌈B_cir/limit⌉` pads, serial recycling carries `B_max` once.
 
-use serde::{Deserialize, Serialize};
 use sfq_cells::{CellKind, MilliAmps};
 use sfq_netlist::{ClockAnalysis, Netlist};
 use sfq_partition::{Partition, PartitionProblem};
@@ -23,7 +22,7 @@ use sfq_partition::{Partition, PartitionProblem};
 use crate::plan::{RecycleError, RecyclingPlan};
 
 /// Electrical model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectricalOptions {
     /// Bias-bus voltage per plane, mV (paper: "typically around 2.5 mV").
     pub bias_bus_voltage_mv: f64,
@@ -41,7 +40,7 @@ impl Default for ElectricalOptions {
 }
 
 /// Result of [`ElectricalReport::analyze`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElectricalReport {
     /// Supply voltage across the serial stack, mV (`K·V_b`).
     pub supply_voltage_mv: f64,
@@ -185,7 +184,7 @@ mod tests {
 
 /// Clock-frequency impact of a partition (the paper's §III-B3 remark that
 /// multi-boundary connections "decrease the operating frequency").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockImpact {
     /// Minimum clock period of the unpartitioned netlist, ps.
     pub base_period_ps: f64,

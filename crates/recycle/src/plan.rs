@@ -1,12 +1,11 @@
 //! The recycling plan proper.
 
-use serde::{Deserialize, Serialize};
 use sfq_cells::{MilliAmps, SquareMicrons};
 use sfq_partition::{Partition, PartitionProblem};
 use std::fmt;
 
 /// Physical-model knobs for the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecycleOptions {
     /// Maximum current one bias pad sustains; sets the parallel-feeding
     /// bias-line count the savings are measured against (paper: 100 mA,
@@ -83,7 +82,7 @@ impl std::error::Error for RecycleError {
 }
 
 /// Per-plane slice of the plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaneReport {
     /// 0-based plane index (plane 0 receives the external supply).
     pub index: usize,
@@ -102,7 +101,7 @@ pub struct PlaneReport {
 }
 
 /// Per-boundary coupler requirements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundaryReport {
     /// Boundary between plane `index` and plane `index + 1`.
     pub index: usize,
@@ -113,7 +112,7 @@ pub struct BoundaryReport {
 
 /// Stacked-strip floorplan estimate (planes are horizontal strips, current
 /// flows top to bottom as in the paper's Fig. 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     /// Chip width in µm.
     pub chip_width_um: f64,
@@ -124,7 +123,7 @@ pub struct Floorplan {
 }
 
 /// A complete current-recycling plan (see the crate docs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecyclingPlan {
     planes: Vec<PlaneReport>,
     boundaries: Vec<BoundaryReport>,

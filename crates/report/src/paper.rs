@@ -1,9 +1,7 @@
 //! The paper's published numbers (Tables I–III), for side-by-side reporting.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of the paper's Table I (partition results at K = 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableOneRow {
     /// Circuit name as printed.
     pub circuit: &'static str,
@@ -203,7 +201,7 @@ pub const TABLE_ONE: [TableOneRow; 13] = [
 ];
 
 /// One row of the paper's Table II (KSA4 swept over K).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableTwoRow {
     /// Number of ground planes.
     pub k: usize,
@@ -280,7 +278,7 @@ pub const TABLE_TWO: [TableTwoRow; 6] = [
 ];
 
 /// One row of the paper's Table III (minimum-K under a 100 mA cap).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableThreeRow {
     /// Circuit name as printed.
     pub circuit: &'static str,

@@ -78,7 +78,7 @@ pub struct DaemonConfig {
     pub addr: String,
     /// Worker threads (jobs executing concurrently; level 1).
     pub workers: usize,
-    /// Restart/chunk slots shared by all running jobs (level 2).
+    /// Restart slots shared by all running jobs (level 2).
     pub slots: usize,
     /// Admission queue capacity; pushes beyond it are `Overloaded`.
     pub queue_capacity: usize,

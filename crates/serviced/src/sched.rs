@@ -4,7 +4,7 @@
 //! occupy a worker thread (admission control: a full queue refuses loudly
 //! with `Overloaded` instead of buffering without bound), and the
 //! [`SlotPool`](sfq_partition::SlotPool) in the core crate decides *how
-//! many restart/chunk threads* an admitted job may fan out to. Workers
+//! many restart threads* an admitted job may fan out to. Workers
 //! block on [`JobQueue::pop`]; closing the queue lets them drain what was
 //! already admitted and then exit — which is exactly the SIGTERM story.
 

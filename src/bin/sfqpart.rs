@@ -205,11 +205,30 @@ fn solver_from(args: &[&String]) -> Result<SolverOptions, CliError> {
     Ok(options)
 }
 
+/// Flags followed by a value; [`positional`] skips the word after each.
+const VALUE_FLAGS: [&str; 8] = [
+    "-k",
+    "-o",
+    "--solver",
+    "--seed",
+    "--budget",
+    "--deadline-ms",
+    "--trace",
+    "--limit",
+];
+
+/// The input argument: the first word that is neither a flag nor the value
+/// of one, wherever the flags stand.
 fn positional<'a>(args: &'a [&String]) -> Result<&'a str, CliError> {
-    args.iter()
-        .find(|a| !a.starts_with('-'))
-        .map(|s| s.as_str())
-        .ok_or_else(|| CliError::usage("missing circuit or .def input"))
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if VALUE_FLAGS.contains(&word.as_str()) {
+            words.next();
+        } else if !word.starts_with('-') {
+            return Ok(word.as_str());
+        }
+    }
+    Err(CliError::usage("missing circuit or .def input"))
 }
 
 fn k_from(args: &[&String]) -> Result<usize, CliError> {
@@ -471,4 +490,42 @@ fn cmd_diagram(args: &[&String]) -> Result<(), CliError> {
     .map_err(|e| CliError::Solve(e.to_string()))?;
     println!("{}", render_chip_diagram(&plan));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::positional;
+
+    fn input_of(words: &[&str]) -> Option<String> {
+        let owned: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        let args: Vec<&String> = owned.iter().collect();
+        positional(&args).ok().map(str::to_owned)
+    }
+
+    #[test]
+    fn positional_skips_flag_values_wherever_flags_stand() {
+        let invocations: [&[&str]; 6] = [
+            &["KSA8", "-k", "5"],
+            &["-k", "5", "KSA8"],
+            &["--seed", "3", "KSA8", "-k", "5"],
+            &["--limit", "100", "KSA8"],
+            &["-o", "x.def", "KSA8"],
+            &[
+                "--solver",
+                "repro",
+                "--budget",
+                "4",
+                "--deadline-ms",
+                "9",
+                "--trace",
+                "t.jsonl",
+                "--metrics",
+                "KSA8",
+            ],
+        ];
+        for words in invocations {
+            assert_eq!(input_of(words).as_deref(), Some("KSA8"), "{words:?}");
+        }
+        assert_eq!(input_of(&["-k", "5", "--metrics"]), None);
+    }
 }

@@ -127,8 +127,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // The fused engine must reproduce the reference CostModel + Gradient
-        // oracle within 1e-12 relative — in its plain layout, and in the
-        // chunked layout.
+        // oracle within 1e-12 relative.
         let g = problem.num_gates();
         let k = problem.num_planes();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -141,22 +140,17 @@ proptest! {
         reference.compute(&model, &w, &mut expect_grad);
 
         let close = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1.0) < 1e-12;
-        // Forced chunking exercises the fixed-fold partial sums.
-        let chunked = EngineOptions { chunk_min_items: 1, num_chunks: 5, ..EngineOptions::default() };
-        let layouts = [EngineOptions::default(), chunked];
-        for options in layouts {
-            let mut engine =
-                CostEngine::new(&problem, CostWeights::default(), 4.0, options);
-            let mut grad = vec![0.0; w.padded_len()];
-            let cost = engine.evaluate_with_gradient(&w, &mut grad);
-            prop_assert!(close(cost.f1, expect_cost.f1), "f1 {} vs {}", cost.f1, expect_cost.f1);
-            prop_assert!(close(cost.f2, expect_cost.f2), "f2 {} vs {}", cost.f2, expect_cost.f2);
-            prop_assert!(close(cost.f3, expect_cost.f3), "f3 {} vs {}", cost.f3, expect_cost.f3);
-            prop_assert!(close(cost.f4, expect_cost.f4), "f4 {} vs {}", cost.f4, expect_cost.f4);
-            prop_assert!(close(cost.total, expect_cost.total));
-            for (i, (&a, &b)) in grad.iter().zip(&expect_grad).enumerate() {
-                prop_assert!(close(a, b), "grad[{}]: {} vs {}", i, a, b);
-            }
+        let mut engine =
+            CostEngine::new(&problem, CostWeights::default(), 4.0, EngineOptions::default());
+        let mut grad = vec![0.0; w.padded_len()];
+        let cost = engine.evaluate_with_gradient(&w, &mut grad);
+        prop_assert!(close(cost.f1, expect_cost.f1), "f1 {} vs {}", cost.f1, expect_cost.f1);
+        prop_assert!(close(cost.f2, expect_cost.f2), "f2 {} vs {}", cost.f2, expect_cost.f2);
+        prop_assert!(close(cost.f3, expect_cost.f3), "f3 {} vs {}", cost.f3, expect_cost.f3);
+        prop_assert!(close(cost.f4, expect_cost.f4), "f4 {} vs {}", cost.f4, expect_cost.f4);
+        prop_assert!(close(cost.total, expect_cost.total));
+        for (i, (&a, &b)) in grad.iter().zip(&expect_grad).enumerate() {
+            prop_assert!(close(a, b), "grad[{}]: {} vs {}", i, a, b);
         }
     }
 
