@@ -9,13 +9,15 @@
 //! 4. **Discrete refinement** on/off and **restart count** — the practical
 //!    additions on top of Algorithm 1.
 //! 5. **Baselines** — random, levelized chunking, balance-only greedy, and
-//!    simulated annealing on the same discrete objective.
+//!    simulated annealing on the same discrete objective, and the flat
+//!    descent + refine the solver ran before its V-cycle.
+//! 6. **Clock impact** of the couplers a partition inserts.
 
 use sfq_bench::{load_circuit, pct, pcts};
 use sfq_circuits::registry::{generate, Benchmark};
 use sfq_netlist::ClockAnalysis;
 use sfq_partition::baselines::{self, AnnealingOptions};
-use sfq_partition::multilevel::{multilevel_partition, MultilevelOptions};
+use sfq_partition::refine::{refine, RefineOptions};
 use sfq_partition::spectral::{spectral_partition, SpectralOptions};
 use sfq_partition::{CostWeights, PartitionMetrics, Solver, SolverOptions};
 use sfq_recycle::clock_impact;
@@ -129,11 +131,22 @@ fn main() {
         &spectral_partition(&run.problem, &SpectralOptions::default()),
     );
     add(&mut t, "spectral ordering", &m);
-    let m = PartitionMetrics::evaluate(
-        &run.problem,
-        &multilevel_partition(&run.problem, &MultilevelOptions::default()),
+    // The flat path: descent on the whole problem, then one refine. With
+    // refinement off the solver keeps the input problem, and the default
+    // refine options are the default solve's weights and exponent.
+    let flat = Solver::new(SolverOptions {
+        refine: false,
+        ..SolverOptions::default()
+    })
+    .solve(&run.problem);
+    let (flat, _) = refine(&run.problem, &flat.partition, &RefineOptions::default());
+    add(
+        &mut t,
+        "flat GD + refine",
+        &PartitionMetrics::evaluate(&run.problem, &flat),
     );
-    add(&mut t, "multilevel (HEM)", &m);
+    let m = measure(&run, SolverOptions::default());
+    add(&mut t, "V-cycle GD + refine", &m);
     let m = measure(&run, SolverOptions::reproduction());
     add(&mut t, "GD (paper config)", &m);
     let m = measure(&run, SolverOptions::tuned(8));

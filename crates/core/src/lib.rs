@@ -47,7 +47,9 @@
 //!   solver's only inner loop); [`kernel`] holds the shared
 //!   integer-exponent power kernels and [`lanes`] the padded-lane layout
 //!   constants and canonical fold order.
-//! * [`solver`] — Algorithm 1 (projected gradient descent) plus restarts.
+//! * [`solver`] — Algorithm 1 (projected gradient descent) plus restarts;
+//!   with refinement on, run as a V-cycle: descent on a heavy-edge
+//!   coarsening of the problem, polish at every level on the way back.
 //! * [`telemetry`] — zero-cost observer hooks, JSONL traces, solve metrics.
 //! * [`json`] — the one JSON reader: trace records, `sfqpartd` frames,
 //!   sfqbench results; integers read back exactly.
@@ -68,6 +70,7 @@
 mod assign;
 pub mod baselines;
 pub mod budget;
+mod coarsen;
 pub mod cost;
 pub mod engine;
 pub mod error;
@@ -78,7 +81,6 @@ pub mod kernel;
 pub mod lanes;
 pub mod limit;
 pub mod metrics;
-pub mod multilevel;
 pub mod pool;
 mod problem;
 pub mod refine;

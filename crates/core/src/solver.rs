@@ -21,9 +21,23 @@
 //! 3. **Restarts + discrete polish.** Non-convex descent from a random start
 //!    benefits from [`SolverOptions::restarts`] independent runs (scored by
 //!    the discrete objective) and a final [`refine`](crate::refine) pass.
+//! 4. **The V-cycle.** With the polish on and more than 120 gates (and
+//!    more than `4·K`), the solve first coarsens the problem by heavy-edge
+//!    matching, level by level, as in Karypis–Kumar multilevel K-way
+//!    (which §IV-A cites), then runs the descent on the coarsest level
+//!    only. Each restart polishes its snap there, projects the labels one
+//!    level finer, polishes again, and so on down to the input problem. A
+//!    coarse gate carries the summed bias and area of its fine gates and
+//!    the coarse edge list keeps every fine edge between two coarse gates,
+//!    so a coarse labelling and its projection have the same plane loads
+//!    and the same raw `Σ_E |Δ|^p`: the coarse descent minimizes the fine
+//!    objective up to `F₁`'s normalization `N₁ = |E|·(K−1)^p`. The levels
+//!    are built once per solve and shared by every restart; the restart
+//!    selection scores each restart on the input problem.
 //!
 //! Every deviation can be switched off to reproduce the paper's literal
-//! Algorithm 1; the `ablations` bench in `sfq-bench` quantifies each one.
+//! Algorithm 1 ([`SolverOptions::refine`] off also keeps the solve on one
+//! level); the `ablations` bench in `sfq-bench` quantifies each one.
 //!
 //! # Failure modes & recovery
 //!
@@ -54,8 +68,9 @@ use rand::SeedableRng;
 
 use crate::assign::Partition;
 use crate::budget::{Deadline, Interrupt, StopCause};
+use crate::coarsen::Hierarchy;
 use crate::cost::{CostBreakdown, CostWeights};
-use crate::engine::{CostEngine, EngineOptions};
+use crate::engine::{CostEngine, Csr, EngineOptions};
 use crate::error::SolveError;
 use crate::float;
 use crate::grad::GradientOptions;
@@ -64,7 +79,7 @@ use crate::problem::PartitionProblem;
 use crate::refine::{discrete_cost, refine_on, refine_with_swaps_on, RefineOptions};
 use crate::telemetry::{
     IterationEvent, NoopObserver, RecoveryEvent, RefineEvent, RestartEndEvent, RestartObserver,
-    SolveEndEvent, SolveObserver, SolveStartEvent,
+    SolveEndEvent, SolveObserver, SolveStartEvent, UncoarsenEvent,
 };
 use crate::weights::WeightMatrix;
 
@@ -198,7 +213,10 @@ pub struct SolverOptions {
     /// Use the gradient formulas exactly as printed in the paper's eq. 10
     /// (including its two typos) instead of the exact derivatives.
     pub paper_gradients: bool,
-    /// Polish the snapped partition with discrete local moves.
+    /// Polish the snapped partition with discrete local moves. On a
+    /// problem of more than 120 gates (and more than `4·K`) this also runs
+    /// the solve as a V-cycle (see the module docs); off, the descent runs
+    /// on the input problem, as the paper's Algorithm 1 does.
     pub refine: bool,
     /// Additionally attempt cross-plane pair swaps during the polish
     /// ([`refine_with_swaps`](crate::refine::refine_with_swaps)) — escapes
@@ -342,7 +360,8 @@ pub struct SolveResult {
     pub partition: Partition,
     /// Relaxed-cost trace of the winning restart (one entry per iteration).
     pub cost_history: Vec<f64>,
-    /// Iterations used by the winning restart.
+    /// Descent iterations used by the winning restart (on the coarsest
+    /// level under the V-cycle).
     pub iterations: usize,
     /// Why the winning restart stopped.
     pub stop_reason: StopReason,
@@ -350,7 +369,8 @@ pub struct SolveResult {
     pub discrete_cost: f64,
     /// Index of the winning restart.
     pub best_restart: usize,
-    /// Moves applied by the refinement pass (0 if refinement disabled).
+    /// Moves applied by the refinement pass, summed over every V-cycle
+    /// level (0 if refinement disabled).
     pub refine_moves: usize,
     /// How many restarts ended in terminal divergence
     /// ([`StopReason::NonFinite`]) or produced a non-finite discrete cost
@@ -543,6 +563,15 @@ impl Solver {
             parallel: opts.parallel,
         });
 
+        // The V-cycle's levels, built once and read by every restart. With
+        // refinement off there is nothing to refine the levels with, so
+        // the paper's literal Algorithm 1 keeps the input problem.
+        let hierarchy = if opts.refine {
+            Hierarchy::build(problem, &interrupt, |event| observer.on_coarsen(event))
+        } else {
+            Hierarchy::default()
+        };
+
         // Pre-allocate the iteration budget to restarts in index order.
         // This is what keeps budgets deterministic: restart r's cap depends
         // only on the options, never on how fast other threads progress.
@@ -580,13 +609,27 @@ impl Solver {
             // Thread creation is confined to the engine (clippy.toml); results
             // come back in restart order, matching the serial branch.
             crate::engine::parallel_map(jobs, |(r, cap, mut restart_observer)| {
-                let result = self.run_once(problem, r, cap, &interrupt, &mut restart_observer);
+                let result = self.run_once(
+                    problem,
+                    &hierarchy,
+                    r,
+                    cap,
+                    &interrupt,
+                    &mut restart_observer,
+                );
                 (r, result, restart_observer)
             })
         } else {
             jobs.into_iter()
                 .map(|(r, cap, mut restart_observer)| {
-                    let result = self.run_once(problem, r, cap, &interrupt, &mut restart_observer);
+                    let result = self.run_once(
+                        problem,
+                        &hierarchy,
+                        r,
+                        cap,
+                        &interrupt,
+                        &mut restart_observer,
+                    );
                     (r, result, restart_observer)
                 })
                 .collect()
@@ -635,8 +678,12 @@ impl Solver {
         Ok(best)
     }
 
-    /// One gradient-descent run from the `restart`-th random start, capped
-    /// at `iter_cap` iterations (its share of any solve-wide budget).
+    /// One restart: a gradient-descent run from the `restart`-th random
+    /// start on the hierarchy's coarsest problem, capped at `iter_cap`
+    /// iterations (its share of any solve-wide budget), then the polish at
+    /// that level and, after projecting the labels one level finer, at
+    /// every finer level down to `problem`. With no levels this is the
+    /// flat run: descent and polish on `problem` itself.
     ///
     /// Telemetry-only work (projection clip counting, the pre-refine
     /// discrete cost) is gated on [`RestartObserver::ENABLED`], so the
@@ -645,27 +692,30 @@ impl Solver {
     fn run_once<R: RestartObserver>(
         &self,
         problem: &PartitionProblem,
+        hierarchy: &Hierarchy,
         restart: usize,
         iter_cap: usize,
         interrupt: &Interrupt,
         observer: &mut R,
     ) -> SolveResult {
         let opts = &self.options;
-        let g = problem.num_gates();
-        let k = problem.num_planes();
+        let coarsest = hierarchy.coarsest(problem);
+        let g = coarsest.num_gates();
+        let k = coarsest.num_planes();
         let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(restart as u64));
         let mut w = WeightMatrix::random_spread(g, k, opts.init_spread, &mut rng);
 
         // Checked *between restart forks*: a restart that starts after the
         // interrupt fired (deadline expired or job cancelled while an
         // earlier restart ran) skips engine construction, descent, and
-        // refinement entirely — it snaps its random init and returns, so a
-        // fired interrupt costs at most one O(G·K) snap per remaining
-        // restart (plus the snap's O(G + E) discrete cost, which builds no
-        // adjacency) instead of a CSR build plus a full refinement sweep.
+        // refinement entirely — it snaps its random init, projects it onto
+        // `problem` and returns, so a fired interrupt costs at most one
+        // O(G·K) snap per remaining restart (plus the O(G + E) discrete
+        // cost, which builds no adjacency) instead of a CSR build plus a
+        // full refinement sweep.
         if let Some(cause) = interrupt.poll() {
             let stop_reason = stop_reason_for(cause);
-            let snapped = Partition::from_weights(&w);
+            let snapped = hierarchy.project_to_input(Partition::from_weights(&w));
             let dc = discrete_cost(problem, &snapped, opts.weights, opts.exponent);
             observer.on_refine(&RefineEvent {
                 moves: 0,
@@ -695,7 +745,7 @@ impl Solver {
             GradientOptions::exact()
         };
         let mut engine = CostEngine::new(
-            problem,
+            coarsest,
             opts.weights,
             opts.exponent,
             EngineOptions {
@@ -891,19 +941,47 @@ impl Solver {
             max_passes: 40,
         };
         // Telemetry-only: the pre-refine discrete cost exists solely for the
-        // refine event, so the disabled path never computes it.
+        // refine event, so the disabled path never computes it. It is the
+        // snap's cost on `problem`, whatever level the snap labels.
         let cost_before = if R::ENABLED {
-            discrete_cost(problem, &snapped, opts.weights, opts.exponent)
+            let projected = hierarchy.project_to_input(snapped.clone());
+            discrete_cost(problem, &projected, opts.weights, opts.exponent)
         } else {
             f64::NAN
         };
-        let (partition, refine_moves, refine_stop) = if opts.refine && opts.swap_refine {
-            refine_with_swaps_on(problem, &csr, &snapped, &refine_options, interrupt)
-        } else if opts.refine {
-            refine_on(problem, &csr, &snapped, &refine_options, interrupt)
+        let polish = |level: &PartitionProblem, csr: &Csr, start: &Partition| {
+            if opts.swap_refine {
+                refine_with_swaps_on(level, csr, start, &refine_options, interrupt)
+            } else {
+                refine_on(level, csr, start, &refine_options, interrupt)
+            }
+        };
+        let (mut partition, mut refine_moves, mut refine_stop) = if opts.refine {
+            polish(coarsest, &csr, &snapped)
         } else {
             (snapped, 0, None)
         };
+        drop(csr);
+        // Uncoarsening: project the labels one level finer and polish them
+        // there, down to `problem`. Once an interrupt has cut a polish
+        // short, the remaining levels are projected only.
+        for level in (0..hierarchy.depth()).rev() {
+            let (finer, csr) = hierarchy.finer(level, problem);
+            let projected = hierarchy.project(level, &partition);
+            let (refined, moves, stop) = if refine_stop.is_none() {
+                polish(finer, csr, &projected)
+            } else {
+                (projected, 0, None)
+            };
+            observer.on_uncoarsen(&UncoarsenEvent {
+                level,
+                gates: finer.num_gates(),
+                refine_moves: moves,
+            });
+            partition = refined;
+            refine_moves += moves;
+            refine_stop = refine_stop.or(stop);
+        }
         // An interrupt that truncated refinement overrides the descent's
         // stop reason — the run did not finish its polish, and a service
         // needs Cancelled/BudgetExhausted to surface. NonFinite stays

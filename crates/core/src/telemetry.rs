@@ -7,7 +7,7 @@
 //!
 //! * [`SolveObserver`] / [`RestartObserver`] are the hook traits the solver
 //!   calls at every pipeline boundary (solve start/end, restart start/end,
-//!   descent iteration, divergence recovery, refinement pass, multilevel
+//!   descent iteration, divergence recovery, refinement pass, V-cycle
 //!   coarsening/uncoarsening). All methods default to no-ops and the solver
 //!   is monomorphized over the observer type, so the detached path
 //!   ([`NoopObserver`], `ENABLED == false`) compiles to nothing:
@@ -111,13 +111,16 @@ pub struct RecoveryEvent {
     pub learning_rate: f64,
 }
 
-/// Emitted once per restart after the (possibly disabled) refinement pass.
+/// Emitted once per restart after the (possibly disabled) refinement pass;
+/// under the V-cycle, after the polish of every level.
 #[derive(Debug, Clone, Copy)]
 pub struct RefineEvent {
-    /// Local moves the pass applied (0 when refinement is disabled).
+    /// Local moves the pass applied, summed over every level (0 when
+    /// refinement is disabled).
     pub moves: usize,
-    /// Discrete cost of the snapped partition before refinement. Computed
-    /// only when [`RestartObserver::ENABLED`]; NaN otherwise.
+    /// Discrete cost of the snapped partition before refinement, projected
+    /// onto the input problem. Computed only when
+    /// [`RestartObserver::ENABLED`]; NaN otherwise.
     pub cost_before: f64,
     /// Discrete cost after refinement (equals `cost_before` when disabled).
     pub cost_after: f64,
@@ -134,7 +137,9 @@ pub struct RestartEndEvent {
     pub discrete_cost: f64,
 }
 
-/// Emitted per coarsening level of a multilevel solve.
+/// Emitted once per level of the solve's V-cycle hierarchy, after
+/// `solve_start` and before any restart runs (none when the solve runs on
+/// the input problem).
 #[derive(Debug, Clone, Copy)]
 pub struct CoarsenEvent {
     /// Level index (0 = first contraction of the input problem).
@@ -149,14 +154,16 @@ pub struct CoarsenEvent {
     pub coarse_edges: usize,
 }
 
-/// Emitted per uncoarsening level of a multilevel solve.
+/// Emitted by each restart per level of the V-cycle, coarsest first, once
+/// its labels are projected onto the level's finer problem and polished
+/// there; all of them precede the restart's [`RefineEvent`].
 #[derive(Debug, Clone, Copy)]
 pub struct UncoarsenEvent {
     /// Level index being projected back (matches the coarsen event).
     pub level: usize,
-    /// Gates of the fine problem at this level.
+    /// Gates of the finer problem the labels were projected onto.
     pub gates: usize,
-    /// Local moves the per-level refinement applied.
+    /// Local moves the polish applied at this level.
     pub refine_moves: usize,
 }
 
@@ -196,6 +203,8 @@ pub trait RestartObserver: Send {
     fn on_iteration(&mut self, _event: &IterationEvent<'_>) {}
     /// One divergence-recovery retry.
     fn on_recovery(&mut self, _event: &RecoveryEvent) {}
+    /// One V-cycle level projected and polished.
+    fn on_uncoarsen(&mut self, _event: &UncoarsenEvent) {}
     /// The refinement pass finished (also emitted, with zero moves, when
     /// refinement is disabled).
     fn on_refine(&mut self, _event: &RefineEvent) {}
@@ -229,10 +238,8 @@ pub trait SolveObserver {
     /// Merges a finished restart observer back. Called in restart-index
     /// order after all restarts complete.
     fn absorb_restart(&mut self, restart: usize, observer: Self::Restart);
-    /// One multilevel coarsening contraction.
+    /// One V-cycle coarsening contraction.
     fn on_coarsen(&mut self, _event: &CoarsenEvent) {}
-    /// One multilevel uncoarsening projection + refinement.
-    fn on_uncoarsen(&mut self, _event: &UncoarsenEvent) {}
     /// The solve finished and selected its winner; final event.
     fn on_solve_end(&mut self, _event: &SolveEndEvent) {}
 }
@@ -279,6 +286,11 @@ impl<A: RestartObserver, B: RestartObserver> RestartObserver for PairRestart<A, 
         self.1.on_recovery(event);
     }
 
+    fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
+        self.0.on_uncoarsen(event);
+        self.1.on_uncoarsen(event);
+    }
+
     fn on_refine(&mut self, event: &RefineEvent) {
         self.0.on_refine(event);
         self.1.on_refine(event);
@@ -311,11 +323,6 @@ impl<A: SolveObserver, B: SolveObserver> SolveObserver for PairObserver<A, B> {
     fn on_coarsen(&mut self, event: &CoarsenEvent) {
         self.0.on_coarsen(event);
         self.1.on_coarsen(event);
-    }
-
-    fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
-        self.0.on_uncoarsen(event);
-        self.1.on_uncoarsen(event);
     }
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
@@ -411,7 +418,7 @@ pub enum TraceEvent {
         /// Final discrete cost of the restart.
         discrete_cost: f64,
     },
-    /// `"ev":"coarsen"` — one multilevel contraction.
+    /// `"ev":"coarsen"` — one V-cycle contraction, at solve scope.
     Coarsen {
         /// Level index.
         level: u64,
@@ -424,7 +431,9 @@ pub enum TraceEvent {
         /// Edges after contraction.
         coarse_edges: u64,
     },
-    /// `"ev":"uncoarsen"` — one multilevel projection + refinement.
+    /// `"ev":"uncoarsen"` — one V-cycle projection + polish, inside the
+    /// block of the restart it belongs to (the record itself carries no
+    /// restart index).
     Uncoarsen {
         /// Level index.
         level: u64,
@@ -634,7 +643,7 @@ impl TraceEvent {
         }
     }
 
-    /// The `coarsen` record of a multilevel contraction event.
+    /// The `coarsen` record of a V-cycle contraction event.
     #[must_use]
     pub fn coarsen(event: &CoarsenEvent) -> Self {
         TraceEvent::Coarsen {
@@ -646,7 +655,7 @@ impl TraceEvent {
         }
     }
 
-    /// The `uncoarsen` record of a multilevel projection event.
+    /// The `uncoarsen` record of a V-cycle projection event.
     #[must_use]
     pub fn uncoarsen(event: &UncoarsenEvent) -> Self {
         TraceEvent::Uncoarsen {
@@ -978,6 +987,10 @@ impl RestartObserver for RestartTrace {
         self.events.push(TraceEvent::recovery(self.restart, event));
     }
 
+    fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
+        self.events.push(TraceEvent::uncoarsen(event));
+    }
+
     fn on_refine(&mut self, event: &RefineEvent) {
         self.events.push(TraceEvent::refine(self.restart, event));
     }
@@ -1043,10 +1056,6 @@ impl SolveObserver for TraceCollector {
 
     fn on_coarsen(&mut self, event: &CoarsenEvent) {
         self.events.push(TraceEvent::coarsen(event));
-    }
-
-    fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
-        self.events.push(TraceEvent::uncoarsen(event));
     }
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
@@ -1140,10 +1149,6 @@ impl<W: Write> SolveObserver for JsonlTraceWriter<W> {
 
     fn on_coarsen(&mut self, event: &CoarsenEvent) {
         self.write_record(&TraceEvent::coarsen(event));
-    }
-
-    fn on_uncoarsen(&mut self, event: &UncoarsenEvent) {
-        self.write_record(&TraceEvent::uncoarsen(event));
     }
 
     fn on_solve_end(&mut self, event: &SolveEndEvent) {
@@ -1316,7 +1321,7 @@ pub struct SolveMetrics {
     pub step_vanished: u64,
     /// Restarts that ended terminally non-finite.
     pub nonfinite_restarts: u64,
-    /// Multilevel coarsening contractions observed.
+    /// V-cycle coarsening contractions observed.
     pub coarsen_levels: u64,
     /// Iterations-to-converge distribution (one sample per restart).
     pub iterations_hist: LogHistogram,

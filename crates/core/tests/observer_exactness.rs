@@ -30,7 +30,9 @@ fn options(max_iterations: usize) -> SolverOptions {
 
 /// Structural sanity of a collected trace: one solve_start/solve_end pair
 /// bracketing per-restart blocks whose iteration-event counts match their
-/// own restart_end records.
+/// own restart_end records. The V-cycle's coarsen records sit at solve
+/// scope, before the first block, and every block projects through all of
+/// the levels, coarsest first, before its refine record.
 fn assert_trace_consistent(events: &[TraceEvent], result: &SolveResult) {
     assert!(
         matches!(events.first(), Some(TraceEvent::SolveStart { .. })),
@@ -57,8 +59,27 @@ fn assert_trace_consistent(events: &[TraceEvent], result: &SolveResult) {
     // restart's own restart_end record.
     let mut iter_counts: Vec<(u64, u64)> = Vec::new();
     let mut current: Option<(u64, u64)> = None;
+    let mut levels = 0u64;
+    let mut uncoarsened: Vec<u64> = Vec::new();
     for event in events {
         match event {
+            TraceEvent::Coarsen { level, .. } => {
+                assert!(
+                    current.is_none() && iter_counts.is_empty(),
+                    "coarsen inside or after a restart block"
+                );
+                assert_eq!(*level, levels);
+                levels += 1;
+            }
+            TraceEvent::Uncoarsen { level, .. } => {
+                assert!(current.is_some(), "uncoarsen outside a restart block");
+                uncoarsened.push(*level);
+            }
+            TraceEvent::Refine { .. } => {
+                let expected: Vec<u64> = (0..levels).rev().collect();
+                assert_eq!(uncoarsened, expected, "every level, coarsest first");
+                uncoarsened.clear();
+            }
             TraceEvent::RestartStart { restart } => {
                 assert!(current.is_none(), "nested restart block");
                 current = Some((*restart, 0));
@@ -85,6 +106,10 @@ fn assert_trace_consistent(events: &[TraceEvent], result: &SolveResult) {
         }
     }
     assert!(current.is_none(), "unclosed restart block");
+    assert!(
+        levels > 0,
+        "the default solve of a suite circuit is a V-cycle"
+    );
     // Restart blocks arrive in index order regardless of threading.
     let order: Vec<u64> = iter_counts.iter().map(|&(r, _)| r).collect();
     let mut sorted = order.clone();

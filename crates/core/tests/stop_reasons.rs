@@ -98,18 +98,22 @@ fn budget_exhausted_by_deadline() {
 
 #[test]
 fn non_finite_stop_under_terminal_poisoning() {
-    let p = chain(20, 2);
-    let opts = SolverOptions {
-        fault_injection: Some(FaultInjection {
-            poison_from: Some(0),
-            ..FaultInjection::default()
-        }),
-        ..SolverOptions::default()
-    };
-    let result = Solver::new(opts).try_solve(&p).unwrap();
-    assert_eq!(result.stop_reason, StopReason::NonFinite);
-    // Terminal divergence still rolls back to finite weights.
-    assert_valid(&result, 20, 2);
+    // 400 gates run as a V-cycle: the poisoned descent is the coarse one,
+    // and the refine at every level must not wash out its stop reason.
+    for gates in [20, 400] {
+        let p = chain(gates, 2);
+        let opts = SolverOptions {
+            fault_injection: Some(FaultInjection {
+                poison_from: Some(0),
+                ..FaultInjection::default()
+            }),
+            ..SolverOptions::default()
+        };
+        let result = Solver::new(opts).try_solve(&p).unwrap();
+        assert_eq!(result.stop_reason, StopReason::NonFinite, "G = {gates}");
+        // Terminal divergence still rolls back to finite weights.
+        assert_valid(&result, gates as usize, 2);
+    }
 }
 
 #[test]

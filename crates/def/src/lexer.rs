@@ -2,13 +2,13 @@
 
 use crate::error::DefError;
 
-/// One DEF token.
-#[derive(Debug, Clone, PartialEq)]
+/// The kind of a DEF token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Token {
     /// Identifier, keyword, or number (DEF keywords are plain words).
-    Word(String),
-    /// Double-quoted string (quotes stripped).
-    Quoted(String),
+    Word,
+    /// Double-quoted string; its text excludes the quotes.
+    Quoted,
     /// `(`
     LParen,
     /// `)`
@@ -21,12 +21,44 @@ pub(crate) enum Token {
     Semi,
 }
 
-/// A token plus its 1-based source position.
-#[derive(Debug, Clone, PartialEq)]
+/// A token and the byte range `start..end` of its text in the source
+/// (quotes excluded). The token borrows nothing and owns nothing: a DEF
+/// file lexes to one 12-byte entry per token, and [`position`] recovers a
+/// token's line and column when an error needs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Spanned {
     pub token: Token,
-    pub line: usize,
-    pub column: usize,
+    start: u32,
+    end: u32,
+}
+
+impl Spanned {
+    /// The token's text in `source`, the string it was lexed from.
+    pub fn text<'a>(&self, source: &'a str) -> &'a str {
+        source
+            .get(self.start as usize..self.end as usize)
+            .unwrap_or_default()
+    }
+
+    /// The byte offset the token starts at (its opening quote for
+    /// [`Token::Quoted`]).
+    pub fn offset(&self) -> usize {
+        match self.token {
+            Token::Quoted => self.start as usize - 1,
+            _ => self.start as usize,
+        }
+    }
+}
+
+/// The 1-based line and column of byte `offset` in `source`; columns
+/// count bytes from the start of the line, as [`str::lines`] splits it.
+pub(crate) fn position(source: &str, offset: usize) -> (usize, usize) {
+    let before = source.get(..offset).unwrap_or(source);
+    let line_start = before.rfind('\n').map_or(0, |nl| nl + 1);
+    (
+        before.matches('\n').count() + 1,
+        before.len() - line_start + 1,
+    )
 }
 
 /// Tokenizes DEF text; `#` starts a comment running to end-of-line.
@@ -36,11 +68,37 @@ pub(crate) struct Spanned {
 ///
 /// `max_tokens` caps the token stream; the token that crosses the cap is
 /// reported as a positioned [`DefError`]. This bounds the memory an
-/// attacker-controlled input can make the lexer allocate.
+/// attacker-controlled input can make the lexer allocate. Token offsets are
+/// `u32`, so a text of 4 GiB or more is refused before lexing.
 pub(crate) fn tokenize(text: &str, max_tokens: usize) -> Result<Vec<Spanned>, DefError> {
+    if u32::try_from(text.len()).is_err() {
+        return Err(DefError::new(
+            1,
+            1,
+            format!(
+                "input of {} bytes exceeds the lexer's 4 GiB range",
+                text.len()
+            ),
+        ));
+    }
     let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
+    let mut base = 0usize;
+    // `split_inclusive` keeps each line's terminator, so `base` tracks its
+    // offset in `text`; the content is what `str::lines` would yield.
+    for (lineno, raw) in text.split_inclusive('\n').enumerate() {
         let line_no = lineno + 1;
+        let line = match raw.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => raw,
+        };
+        let line_base = base;
+        base += raw.len();
+        // In range: the whole text is under 4 GiB.
+        let span = |token: Token, start: usize, end: usize| Spanned {
+            token,
+            start: (line_base + start) as u32,
+            end: (line_base + end) as u32,
+        };
         let mut i = 0usize;
         while i < line.len() {
             let Some(c) = line[i..].chars().next() else {
@@ -59,47 +117,21 @@ pub(crate) fn tokenize(text: &str, max_tokens: usize) -> Result<Vec<Spanned>, De
                 c if c.is_whitespace() => {
                     i += c.len_utf8();
                 }
-                '(' => {
-                    out.push(Spanned {
-                        token: Token::LParen,
-                        line: line_no,
-                        column: col,
-                    });
-                    i += 1;
-                }
-                ')' => {
-                    out.push(Spanned {
-                        token: Token::RParen,
-                        line: line_no,
-                        column: col,
-                    });
-                    i += 1;
-                }
-                ';' => {
-                    out.push(Spanned {
-                        token: Token::Semi,
-                        line: line_no,
-                        column: col,
-                    });
-                    i += 1;
-                }
-                '+' => {
-                    out.push(Spanned {
-                        token: Token::Plus,
-                        line: line_no,
-                        column: col,
-                    });
+                '(' | ')' | ';' | '+' => {
+                    let token = match c {
+                        '(' => Token::LParen,
+                        ')' => Token::RParen,
+                        ';' => Token::Semi,
+                        _ => Token::Plus,
+                    };
+                    out.push(span(token, i, i + 1));
                     i += 1;
                 }
                 '"' => {
                     let start = i + 1;
                     match line[start..].find('"') {
                         Some(rel) => {
-                            out.push(Spanned {
-                                token: Token::Quoted(line[start..start + rel].to_owned()),
-                                line: line_no,
-                                column: col,
-                            });
+                            out.push(span(Token::Quoted, start, start + rel));
                             i = start + rel + 1;
                         }
                         None => {
@@ -111,32 +143,19 @@ pub(crate) fn tokenize(text: &str, max_tokens: usize) -> Result<Vec<Spanned>, De
                     // A lone dash is the item marker; a dash glued to more
                     // characters (e.g. negative coordinates) is part of a word.
                     let next = line[i + 1..].chars().next();
-                    let is_lone = next.is_none_or(|c| c.is_whitespace());
-                    if is_lone {
-                        out.push(Spanned {
-                            token: Token::Dash,
-                            line: line_no,
-                            column: col,
-                        });
+                    if next.is_none_or(|c| c.is_whitespace()) {
+                        out.push(span(Token::Dash, i, i + 1));
                         i += 1;
                     } else {
-                        let (word, next) = take_word(line, i);
-                        out.push(Spanned {
-                            token: Token::Word(word),
-                            line: line_no,
-                            column: col,
-                        });
-                        i = next;
+                        let end = word_end(line, i);
+                        out.push(span(Token::Word, i, end));
+                        i = end;
                     }
                 }
                 _ => {
-                    let (word, next) = take_word(line, i);
-                    out.push(Spanned {
-                        token: Token::Word(word),
-                        line: line_no,
-                        column: col,
-                    });
-                    i = next;
+                    let end = word_end(line, i);
+                    out.push(span(Token::Word, i, end));
+                    i = end;
                 }
             }
         }
@@ -144,7 +163,8 @@ pub(crate) fn tokenize(text: &str, max_tokens: usize) -> Result<Vec<Spanned>, De
     Ok(out)
 }
 
-fn take_word(line: &str, start: usize) -> (String, usize) {
+/// The end of the word starting at byte `start` of `line`.
+fn word_end(line: &str, start: usize) -> usize {
     let mut j = start;
     for c in line[start..].chars() {
         if c.is_whitespace() || matches!(c, '(' | ')' | ';' | '"' | '#' | '+') {
@@ -152,18 +172,22 @@ fn take_word(line: &str, start: usize) -> (String, usize) {
         }
         j += c.len_utf8();
     }
-    (line[start..j].to_owned(), j)
+    j
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn words(text: &str) -> Vec<Token> {
-        tokenize(text, usize::MAX)
+    fn words(text: &str) -> Vec<(Token, &str)> {
+        words2(text, usize::MAX)
+    }
+
+    fn words2(text: &str, cap: usize) -> Vec<(Token, &str)> {
+        tokenize(text, cap)
             .unwrap()
             .into_iter()
-            .map(|s| s.token)
+            .map(|s| (s.token, s.text(text)))
             .collect()
     }
 
@@ -172,9 +196,9 @@ mod tests {
         assert_eq!(
             words("DESIGN top ;"),
             vec![
-                Token::Word("DESIGN".into()),
-                Token::Word("top".into()),
-                Token::Semi
+                (Token::Word, "DESIGN"),
+                (Token::Word, "top"),
+                (Token::Semi, ";")
             ]
         );
     }
@@ -182,11 +206,11 @@ mod tests {
     #[test]
     fn component_line() {
         let toks = words("- u1 AND2 + PLACED ( 100 200 ) N ;");
-        assert_eq!(toks[0], Token::Dash);
-        assert_eq!(toks[1], Token::Word("u1".into()));
-        assert_eq!(toks[3], Token::Plus);
-        assert!(toks.contains(&Token::LParen));
-        assert_eq!(*toks.last().unwrap(), Token::Semi);
+        assert_eq!(toks[0].0, Token::Dash);
+        assert_eq!(toks[1], (Token::Word, "u1"));
+        assert_eq!(toks[3].0, Token::Plus);
+        assert!(toks.iter().any(|t| t.0 == Token::LParen));
+        assert_eq!(toks.last().unwrap().0, Token::Semi);
     }
 
     #[test]
@@ -194,9 +218,9 @@ mod tests {
         assert_eq!(
             words("VERSION 5.8 ; # a comment ; ( )"),
             vec![
-                Token::Word("VERSION".into()),
-                Token::Word("5.8".into()),
-                Token::Semi
+                (Token::Word, "VERSION"),
+                (Token::Word, "5.8"),
+                (Token::Semi, ";")
             ]
         );
     }
@@ -206,9 +230,9 @@ mod tests {
         assert_eq!(
             words("DIVIDERCHAR \"/\" ;"),
             vec![
-                Token::Word("DIVIDERCHAR".into()),
-                Token::Quoted("/".into()),
-                Token::Semi
+                (Token::Word, "DIVIDERCHAR"),
+                (Token::Quoted, "/"),
+                (Token::Semi, ";")
             ]
         );
     }
@@ -233,31 +257,25 @@ mod tests {
         assert_eq!(words2("a b  # trailing", 2).len(), 2);
     }
 
-    fn words2(text: &str, cap: usize) -> Vec<Token> {
-        tokenize(text, cap)
-            .unwrap()
-            .into_iter()
-            .map(|s| s.token)
-            .collect()
-    }
-
     #[test]
     fn negative_numbers_are_words() {
         assert_eq!(
             words("( -100 200 )"),
             vec![
-                Token::LParen,
-                Token::Word("-100".into()),
-                Token::Word("200".into()),
-                Token::RParen
+                (Token::LParen, "("),
+                (Token::Word, "-100"),
+                (Token::Word, "200"),
+                (Token::RParen, ")")
             ]
         );
     }
 
     #[test]
     fn positions_are_one_based() {
-        let toks = tokenize("a b", usize::MAX).unwrap();
-        assert_eq!((toks[0].line, toks[0].column), (1, 1));
-        assert_eq!((toks[1].line, toks[1].column), (1, 3));
+        let text = "a b\r\n  \"q\" c\nd";
+        let toks = tokenize(text, usize::MAX).unwrap();
+        let at: Vec<(usize, usize)> = toks.iter().map(|t| position(text, t.offset())).collect();
+        assert_eq!(at, vec![(1, 1), (1, 3), (2, 3), (2, 7), (3, 1)]);
+        assert_eq!(toks[2].text(text), "q");
     }
 }

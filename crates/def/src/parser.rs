@@ -4,7 +4,7 @@ use sfq_cells::{CellKind, CellLibrary};
 use sfq_netlist::{CellId, Netlist};
 
 use crate::error::DefError;
-use crate::lexer::{tokenize, Spanned, Token};
+use crate::lexer::{position, tokenize, Spanned, Token};
 use crate::resolve_pin;
 
 /// Input-size caps for [`parse_def_with_limits`].
@@ -84,6 +84,7 @@ pub fn parse_def_with_limits(
     }
     let tokens = tokenize(text, limits.max_tokens)?;
     Parser {
+        text,
         tokens,
         pos: 0,
         library,
@@ -99,23 +100,25 @@ pub fn parse_def_with_limits(
 )]
 type NameIndex = std::collections::HashMap<String, CellId>;
 
-struct Parser {
+struct Parser<'a> {
+    /// The source the tokens index into.
+    text: &'a str,
     tokens: Vec<Spanned>,
     pos: usize,
     library: CellLibrary,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn run(mut self) -> Result<Netlist, DefError> {
         let mut netlist = Netlist::new("unnamed", self.library.clone());
         let mut by_name = NameIndex::new();
         let mut net_counter = 0usize;
 
-        while let Some(spanned) = self.peek().cloned() {
-            let Token::Word(word) = &spanned.token else {
+        while let Some(spanned) = self.peek().copied() {
+            if spanned.token != Token::Word {
                 return Err(self.err_at(&spanned, "expected a statement keyword"));
-            };
-            match word.as_str() {
+            }
+            match spanned.text(self.text) {
                 "VERSION" | "DIVIDERCHAR" | "BUSBITCHARS" | "UNITS" | "DIEAREA" => {
                     self.skip_statement();
                 }
@@ -167,9 +170,9 @@ impl Parser {
         loop {
             let spanned = self
                 .peek()
-                .cloned()
+                .copied()
                 .ok_or_else(|| DefError::new(0, 0, "unterminated COMPONENTS section"))?;
-            match &spanned.token {
+            match spanned.token {
                 Token::Dash => {
                     self.next();
                     let name = self.expect_word("component name")?;
@@ -177,15 +180,15 @@ impl Parser {
                     let kind: CellKind = kind_name.parse().map_err(|_| {
                         self.err_at(&spanned, format!("unknown cell `{kind_name}`"))
                     })?;
-                    if by_name.contains_key(&name) {
+                    if by_name.contains_key(name) {
                         return Err(self.err_at(&spanned, format!("duplicate component `{name}`")));
                     }
-                    let id = netlist.add_cell(name.clone(), kind);
-                    by_name.insert(name, id);
+                    let id = netlist.add_cell(name, kind);
+                    by_name.insert(name.to_owned(), id);
                     self.skip_to_semi()?; // placement / attributes ignored
                     count += 1;
                 }
-                Token::Word(w) if w == "END" => {
+                Token::Word if spanned.text(self.text) == "END" => {
                     self.next();
                     self.expect_keyword("COMPONENTS")?;
                     return Ok(count);
@@ -204,16 +207,16 @@ impl Parser {
         loop {
             let spanned = self
                 .peek()
-                .cloned()
+                .copied()
                 .ok_or_else(|| DefError::new(0, 0, "unterminated PINS section"))?;
-            match &spanned.token {
+            match spanned.token {
                 Token::Dash => {
                     self.next();
                     let name = self.expect_word("pin name")?;
                     // Attributes: we care about + DIRECTION.
-                    let mut direction: Option<String> = None;
+                    let mut direction: Option<&str> = None;
                     loop {
-                        match self.peek().map(|s| s.token.clone()) {
+                        match self.peek().map(|s| s.token) {
                             Some(Token::Plus) => {
                                 self.next();
                                 let attr = self.expect_word("pin attribute")?;
@@ -241,7 +244,7 @@ impl Parser {
                             }
                         }
                     }
-                    let kind = match direction.as_deref() {
+                    let kind = match direction {
                         Some("INPUT") => CellKind::InputPad,
                         Some("OUTPUT") => CellKind::OutputPad,
                         Some(other) => {
@@ -253,14 +256,14 @@ impl Parser {
                             return Err(self.err_at(&spanned, "pin missing + DIRECTION"));
                         }
                     };
-                    if by_name.contains_key(&name) {
+                    if by_name.contains_key(name) {
                         return Err(self.err_at(&spanned, format!("duplicate pin `{name}`")));
                     }
-                    let id = netlist.add_cell(name.clone(), kind);
-                    by_name.insert(name, id);
+                    let id = netlist.add_cell(name, kind);
+                    by_name.insert(name.to_owned(), id);
                     count += 1;
                 }
-                Token::Word(w) if w == "END" => {
+                Token::Word if spanned.text(self.text) == "END" => {
                     self.next();
                     self.expect_keyword("PINS")?;
                     return Ok(count);
@@ -280,9 +283,9 @@ impl Parser {
         loop {
             let spanned = self
                 .peek()
-                .cloned()
+                .copied()
                 .ok_or_else(|| DefError::new(0, 0, "unterminated NETS section"))?;
-            match &spanned.token {
+            match spanned.token {
                 Token::Dash => {
                     self.next();
                     let net_name = self.expect_word("net name")?;
@@ -290,20 +293,20 @@ impl Parser {
                     let mut driver: Option<(CellId, usize)> = None;
                     let mut sinks: Vec<(CellId, usize)> = Vec::new();
                     loop {
-                        match self.peek().map(|s| s.token.clone()) {
+                        match self.peek().map(|s| s.token) {
                             Some(Token::LParen) => {
                                 self.next();
                                 let first = self.expect_word("component or PIN")?;
                                 let (cell, is_output, pin) = if first == "PIN" {
                                     let pad = self.expect_word("pad name")?;
-                                    let id = *by_name.get(&pad).ok_or_else(|| {
+                                    let id = *by_name.get(pad).ok_or_else(|| {
                                         self.err_at(&spanned, format!("unknown pin `{pad}`"))
                                     })?;
                                     let is_out = netlist.cell(id).kind == CellKind::InputPad;
                                     (id, is_out, 0usize)
                                 } else {
                                     let pin_name = self.expect_word("pin name")?;
-                                    let id = *by_name.get(&first).ok_or_else(|| {
+                                    let id = *by_name.get(first).ok_or_else(|| {
                                         self.err_at(
                                             &spanned,
                                             format!("unknown component `{first}`"),
@@ -311,7 +314,7 @@ impl Parser {
                                     })?;
                                     let kind = netlist.cell(id).kind;
                                     let (is_out, pin) =
-                                        resolve_pin(kind, &pin_name).ok_or_else(|| {
+                                        resolve_pin(kind, pin_name).ok_or_else(|| {
                                             self.err_at(
                                                 &spanned,
                                                 format!("invalid pin `{pin_name}` for {kind}"),
@@ -350,12 +353,12 @@ impl Parser {
                         self.err_at(&spanned, format!("net `{net_name}` has no driver"))
                     })?;
                     netlist
-                        .connect(net_name.clone(), dcell, dpin, &sinks)
+                        .connect(net_name, dcell, dpin, &sinks)
                         .map_err(|e| self.err_at(&spanned, e.to_string()))?;
                     *net_counter += 1;
                     count += 1;
                 }
-                Token::Word(w) if w == "END" => {
+                Token::Word if spanned.text(self.text) == "END" => {
                     self.next();
                     self.expect_keyword("NETS")?;
                     return Ok(count);
@@ -380,7 +383,8 @@ impl Parser {
     }
 
     fn err_at(&self, spanned: &Spanned, message: impl Into<String>) -> DefError {
-        DefError::new(spanned.line, spanned.column, message)
+        let (line, column) = position(self.text, spanned.offset());
+        DefError::new(line, column, message)
     }
 
     fn err_here(&self, message: impl Into<String>) -> DefError {
@@ -388,14 +392,14 @@ impl Parser {
             .tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
         {
-            Some(s) => DefError::new(s.line, s.column, message),
+            Some(s) => self.err_at(s, message),
             None => DefError::new(0, 0, message),
         }
     }
 
-    fn expect_word(&mut self, what: &str) -> Result<String, DefError> {
-        match self.next().map(|s| s.token.clone()) {
-            Some(Token::Word(w)) => Ok(w),
+    fn expect_word(&mut self, what: &str) -> Result<&'a str, DefError> {
+        match self.next().copied() {
+            Some(s) if s.token == Token::Word => Ok(s.text(self.text)),
             _ => {
                 self.pos = self.pos.saturating_sub(1);
                 Err(self.err_here(format!("expected {what}")))
@@ -413,7 +417,7 @@ impl Parser {
     }
 
     fn expect_semi(&mut self) -> Result<(), DefError> {
-        match self.next().map(|s| s.token.clone()) {
+        match self.next().map(|s| s.token) {
             Some(Token::Semi) => Ok(()),
             _ => {
                 self.pos = self.pos.saturating_sub(1);
@@ -423,7 +427,7 @@ impl Parser {
     }
 
     fn expect_rparen(&mut self) -> Result<(), DefError> {
-        match self.next().map(|s| s.token.clone()) {
+        match self.next().map(|s| s.token) {
             Some(Token::RParen) => Ok(()),
             _ => {
                 self.pos = self.pos.saturating_sub(1);

@@ -19,7 +19,9 @@
 //! and failures under `--strict-allow`, which CI sets.
 //!
 //! Exit codes: `0` clean, `1` findings (or stale entries under
-//! `--strict-allow`), `2` usage error, `3` I/O or configuration error.
+//! `--strict-allow`), `2` usage error, `3` I/O or configuration error. A
+//! reader that closes stdout early (`sfqlint … | head`) ends the output,
+//! not the run: the exit code is still the one the findings decide.
 //! Explicitly named files are linted with every rule active (crate/class
 //! scoping bypassed) and form their own mini-workspace for the graph rules
 //! — that is how the rule fixtures under `crates/lint/tests/fixtures/` are
@@ -29,6 +31,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -37,6 +40,53 @@ use sfqlint::{apply_allowlist, explain, lint_targets, render_json, Config, FileT
 const USAGE: &str = "usage: sfqlint [--workspace] [--root DIR] [--config FILE] \
                      [--format text|json|github] [--strict-allow] [FILE...]\n\
                      \x20      sfqlint --explain RULE";
+
+/// The run's standard output. Once a write fails with `BrokenPipe` (the
+/// reader has gone away) the rest of the output is dropped without an
+/// error, so the run ends with the exit code it would have returned.
+struct Output<W: Write> {
+    sink: W,
+    closed: bool,
+}
+
+impl<W: Write> Output<W> {
+    fn new(sink: W) -> Self {
+        Output {
+            sink,
+            closed: false,
+        }
+    }
+
+    /// Runs `op` on the sink unless the reader has gone away; a broken
+    /// pipe marks it gone and reads as success.
+    fn guard<T>(&mut self, done: T, op: impl FnOnce(&mut W) -> io::Result<T>) -> io::Result<T> {
+        if self.closed {
+            return Ok(done);
+        }
+        match op(&mut self.sink) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(done)
+            }
+            other => other,
+        }
+    }
+}
+
+impl<W: Write> Write for Output<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.guard(buf.len(), |sink| sink.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.guard((), Write::flush)
+    }
+}
+
+/// Any other failure to write standard output is an I/O error (exit 3).
+fn stdout_failed(e: io::Error) -> (u8, String) {
+    (3, format!("cannot write to standard output: {e}"))
+}
 
 enum Format {
     Text,
@@ -128,7 +178,7 @@ fn load(path_for_rules: &str, disk_path: &Path, explicit: bool) -> Result<Loaded
     })
 }
 
-fn run() -> Result<ExitCode, (u8, String)> {
+fn run(out: &mut impl Write) -> Result<ExitCode, (u8, String)> {
     let args = parse_args().map_err(|msg| {
         let text = if msg.is_empty() {
             USAGE.to_owned()
@@ -147,7 +197,7 @@ fn run() -> Result<ExitCode, (u8, String)> {
                 ),
             )
         })?;
-        println!("{text}");
+        writeln!(out, "{text}").map_err(stdout_failed)?;
         return Ok(ExitCode::SUCCESS);
     }
     let cfg = load_config(&args).map_err(|e| (3, e))?;
@@ -191,13 +241,15 @@ fn run() -> Result<ExitCode, (u8, String)> {
     };
 
     match args.format {
-        Format::Json => println!(
+        Format::Json => writeln!(
+            out,
             "{}",
             render_json(&kept, suppressed.len(), &unused, &unresolved)
-        ),
+        )
+        .map_err(stdout_failed)?,
         Format::Github => {
             for d in &kept {
-                println!("{}", d.render_github());
+                writeln!(out, "{}", d.render_github()).map_err(stdout_failed)?;
             }
             // One `--explain` pointer per fired rule, so the annotation's
             // rationale is a single command away.
@@ -205,29 +257,35 @@ fn run() -> Result<ExitCode, (u8, String)> {
             fired.sort_unstable();
             fired.dedup();
             for r in fired {
-                println!(
+                writeln!(
+                    out,
                     "::notice title=sfqlint {r}::run `sfqlint --explain {r}` for this \
                      rule's rationale and the workspace invariant it protects"
-                );
+                )
+                .map_err(stdout_failed)?;
             }
             for entry in &unused {
-                println!(
+                writeln!(
+                    out,
                     "::{level} title=sfqlint stale allow::unused allowlist entry {} at `{}` — \
                      remove it from lint.toml",
                     entry.rule, entry.path
-                );
+                )
+                .map_err(stdout_failed)?;
             }
             for r in &unresolved {
-                println!(
+                writeln!(
+                    out,
                     "::{level} title=sfqlint unresolved root::[rules.{}] root `{}` names no \
                      function in the workspace — fix or remove it in lint.toml",
                     r.rule, r.root
-                );
+                )
+                .map_err(stdout_failed)?;
             }
         }
         Format::Text => {
             for d in &kept {
-                println!("{}", d.render_text());
+                writeln!(out, "{}", d.render_text()).map_err(stdout_failed)?;
             }
             for entry in &unused {
                 eprintln!(
@@ -269,11 +327,68 @@ fn run() -> Result<ExitCode, (u8, String)> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = Output::new(io::stdout().lock());
+    let result = run(&mut out);
+    let flushed = out.flush().map_err(stdout_failed);
+    match result.and_then(|code| flushed.map(|()| code)) {
         Ok(code) => code,
         Err((code, message)) => {
             eprintln!("{message}");
             ExitCode::from(code)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink whose reader has gone away: every write and flush fails
+    /// with `kind`, and each attempt is counted.
+    struct Failing {
+        kind: io::ErrorKind,
+        attempts: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            self.attempts += 1;
+            Err(self.kind.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.attempts += 1;
+            Err(self.kind.into())
+        }
+    }
+
+    #[test]
+    fn a_broken_pipe_drops_the_rest_of_the_output() {
+        let mut out = Output::new(Failing {
+            kind: io::ErrorKind::BrokenPipe,
+            attempts: 0,
+        });
+        assert!(writeln!(out, "first finding").is_ok());
+        assert!(writeln!(out, "second finding").is_ok());
+        assert!(out.flush().is_ok());
+        assert_eq!(
+            out.sink.attempts, 1,
+            "nothing is written after the pipe breaks"
+        );
+    }
+
+    #[test]
+    fn other_write_errors_still_fail_the_run() {
+        let mut out = Output::new(Failing {
+            kind: io::ErrorKind::PermissionDenied,
+            attempts: 0,
+        });
+        match writeln!(out, "finding") {
+            Err(err) => {
+                assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+                assert_eq!(stdout_failed(err).0, 3);
+            }
+            Ok(()) => panic!("a write error other than a broken pipe must surface"),
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Compares the gradient-descent partitioner against the baselines the
 //! library ships: random assignment, levelized chunking, balance-only
-//! greedy, and simulated annealing — all on the same discrete objective.
+//! greedy, simulated annealing and spectral ordering — all on the same
+//! discrete objective. With refinement on, the solver runs its V-cycle
+//! (descent on a heavy-edge coarsening, refine at every level).
 //!
 //! Run with:
 //!
@@ -10,7 +12,6 @@
 
 use current_recycling::circuits::registry::{generate, Benchmark};
 use current_recycling::partition::baselines::{self, AnnealingOptions};
-use current_recycling::partition::multilevel::{multilevel_partition, MultilevelOptions};
 use current_recycling::partition::refine::discrete_cost;
 use current_recycling::partition::spectral::{spectral_partition, SpectralOptions};
 use current_recycling::partition::{
@@ -65,17 +66,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &spectral_partition(&problem, &SpectralOptions::default()),
     );
     add(
-        "multilevel (HEM)",
-        &multilevel_partition(&problem, &MultilevelOptions::default()),
-    );
-    add(
         "GD (paper config)",
         &Solver::new(SolverOptions::reproduction())
             .solve(&problem)
             .partition,
     );
     add(
-        "GD + refine",
+        "GD + refine, 1 restart",
+        &Solver::new(SolverOptions::default())
+            .solve(&problem)
+            .partition,
+    );
+    add(
+        "GD + refine, 4 restarts",
         &Solver::new(SolverOptions::tuned(4))
             .solve(&problem)
             .partition,

@@ -20,9 +20,12 @@
 //! Stream discipline: machine-readable output (DEF text, partition
 //! summaries, convergence tables) goes to stdout; diagnostics (the
 //! `--metrics` summary, deadline warnings, progress notes) go to stderr, so
-//! piping stdout never captures telemetry chatter.
+//! piping stdout never captures telemetry chatter. A reader that closes
+//! stdout early (`sfqpart generate C3540 | head`) ends the output, not the
+//! run: the exit code is the one the run would have returned anyway.
 //!
 //! Failures are classified, not dumped as usage text: a bad invocation
+//! (unknown command, a flag the command does not take, a bad flag value)
 //! prints the usage and exits 2, a bad input (malformed DEF, unknown
 //! circuit, unreadable file, and trace-file I/O or schema failures) prints
 //! the typed error — with line/column for DEF, line number for traces —
@@ -34,7 +37,7 @@
 //! that run alone, identifiably.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use current_recycling::cells::CellLibrary;
@@ -80,6 +83,57 @@ impl CliError {
     }
 }
 
+/// The one `io::Error` conversion: a failed write to standard output
+/// (other than a broken pipe, which [`Output`] absorbs) is an I/O failure
+/// like an unwritable file. Every file operation maps its own error.
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Input(format!("cannot write to standard output: {e}"))
+    }
+}
+
+/// The run's standard output. Once a write fails with `BrokenPipe` (the
+/// reader has gone away) the rest of the output is dropped without an
+/// error, so the run ends with the exit code it would have returned.
+struct Output<W: Write> {
+    sink: W,
+    closed: bool,
+}
+
+impl<W: Write> Output<W> {
+    fn new(sink: W) -> Self {
+        Output {
+            sink,
+            closed: false,
+        }
+    }
+
+    /// Runs `op` on the sink unless the reader has gone away; a broken
+    /// pipe marks it gone and reads as success.
+    fn guard<T>(&mut self, done: T, op: impl FnOnce(&mut W) -> io::Result<T>) -> io::Result<T> {
+        if self.closed {
+            return Ok(done);
+        }
+        match op(&mut self.sink) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(done)
+            }
+            other => other,
+        }
+    }
+}
+
+impl<W: Write> Write for Output<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.guard(buf.len(), |sink| sink.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.guard((), Write::flush)
+    }
+}
+
 /// Maps solver errors onto the CLI taxonomy: a rejected problem is an input
 /// defect, everything else is a solve-stage failure.
 impl From<SolveError> for CliError {
@@ -93,7 +147,10 @@ impl From<SolveError> for CliError {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = Output::new(io::stdout().lock());
+    let result = run(&args, &mut out);
+    let flushed = out.flush();
+    match result.and(flushed.map_err(CliError::from)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
@@ -129,26 +186,44 @@ exit codes: 2 usage error, 3 input error (incl. trace-file I/O and malformed
 traces), 4 solve error, 5 solve truncated by --budget/--deadline-ms
 (partition output is still printed; see the `stop:` line)";
 
-fn run(args: &[String]) -> Result<(), CliError> {
+/// Runs one command, writing its machine-readable output to `out`.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut it = args.iter();
     let command = it
         .next()
         .ok_or_else(|| CliError::usage("missing command"))?;
     let rest: Vec<&String> = it.collect();
     match command.as_str() {
-        "generate" => cmd_generate(&rest),
-        "stats" => cmd_stats(&rest),
-        "partition" => cmd_partition(&rest),
-        "plan" => cmd_plan(&rest),
-        "diagram" => cmd_diagram(&rest),
+        "generate" => cmd_generate(&rest, out),
+        "stats" => cmd_stats(&rest, out),
+        "partition" => cmd_partition(&rest, out),
+        "plan" => cmd_plan(&rest, out),
+        "diagram" => cmd_diagram(&rest, out),
         "trace-check" => cmd_trace_check(&rest),
-        "trace-report" => cmd_trace_report(&rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "trace-report" => cmd_trace_report(&rest, out),
+        "help" | "--help" | "-h" => Ok(writeln!(out, "{USAGE}")?),
         other => Err(CliError::usage(format!("unknown command `{other}`"))),
     }
+}
+
+/// Fails on a word that looks like a flag but is not one `command` takes,
+/// so a misspelt `--seed` cannot run a different solve unnoticed. The
+/// word after each accepted value flag is its value, whatever it looks
+/// like.
+fn accept_flags(args: &[&String], command: &str, allowed: &[&str]) -> Result<(), CliError> {
+    let mut words = args.iter();
+    while let Some(word) = words.next() {
+        if allowed.contains(&word.as_str()) {
+            if VALUE_FLAGS.contains(&word.as_str()) {
+                words.next();
+            }
+        } else if word.starts_with('-') {
+            return Err(CliError::usage(format!(
+                "unknown flag `{word}` for `{command}`"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Fetches the value following a flag.
@@ -242,7 +317,8 @@ fn k_from(args: &[&String]) -> Result<usize, CliError> {
     Ok(k)
 }
 
-fn cmd_generate(args: &[&String]) -> Result<(), CliError> {
+fn cmd_generate(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(args, "generate", &["-o"])?;
     let name = positional(args)?;
     let bench: Benchmark = name
         .parse()
@@ -260,14 +336,15 @@ fn cmd_generate(args: &[&String]) -> Result<(), CliError> {
                 netlist.stats().num_connections
             );
         }
-        None => print!("{def_text}"),
+        None => out.write_all(def_text.as_bytes())?,
     }
     Ok(())
 }
 
-fn cmd_stats(args: &[&String]) -> Result<(), CliError> {
+fn cmd_stats(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(args, "stats", &[])?;
     let netlist = load(positional(args)?)?;
-    print!("{}", netlist.stats());
+    write!(out, "{}", netlist.stats())?;
     Ok(())
 }
 
@@ -326,7 +403,21 @@ fn solve_with_telemetry(
     }
 }
 
-fn cmd_partition(args: &[&String]) -> Result<(), CliError> {
+fn cmd_partition(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(
+        args,
+        "partition",
+        &[
+            "-k",
+            "-o",
+            "--solver",
+            "--seed",
+            "--budget",
+            "--deadline-ms",
+            "--trace",
+            "--metrics",
+        ],
+    )?;
     let netlist = load(positional(args)?)?;
     let k = k_from(args)?;
     let options = solver_from(args)?;
@@ -342,12 +433,13 @@ fn cmd_partition(args: &[&String]) -> Result<(), CliError> {
         );
     }
     let m = PartitionMetrics::evaluate(&problem, &result.partition);
-    println!(
+    writeln!(
+        out,
         "{}: G = {}, |E| = {}, K = {k}",
         netlist.name(),
         problem.num_gates(),
         problem.num_edges()
-    );
+    )?;
     // `stop:` uses the trace schema's stable spelling (`margin`,
     // `budget_exhausted`, …), so scripts can grep one line instead of
     // parsing a trace; `converged`/`truncated`/`not converged` is the
@@ -359,39 +451,43 @@ fn cmd_partition(args: &[&String]) -> Result<(), CliError> {
             "not converged"
         }
     };
-    println!(
+    writeln!(
+        out,
         "stop: {} ({gloss}) after {} iterations, {} refinement moves",
         stop_reason_str(result.stop_reason),
         result.iterations,
         result.refine_moves
-    );
+    )?;
     if result.diverged_restarts > 0 {
         eprintln!(
             "warning: {} restart(s) diverged and were excluded",
             result.diverged_restarts
         );
     }
-    println!(
+    writeln!(
+        out,
         "d<=1: {:.1}%   d<=2: {:.1}%   d<=floor(K/2): {:.1}%",
         100.0 * m.cumulative_fraction(1),
         100.0 * m.cumulative_fraction(2),
         100.0 * m.cumulative_fraction_half_k()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "B_max: {:.2} mA ({:.2}% I_comp)   A_max: {:.4} mm^2 ({:.2}% A_FS)",
         m.b_max,
         m.i_comp_pct,
         m.a_max * 1e-6,
         m.a_fs_pct
-    );
+    )?;
     for (plane, (bias, area)) in m.plane_bias.iter().zip(&m.plane_area).enumerate() {
-        println!(
+        writeln!(
+            out,
             "  GP {:>2}: {:>9.2} mA  {:>9.4} mm^2  {} gates",
             plane + 1,
             bias,
             area * 1e-6,
             result.partition.gates_in_plane(plane).count()
-        );
+        )?;
     }
     if let Some(path) = flag_value(args, "-o") {
         let mut out = String::new();
@@ -415,7 +511,8 @@ fn cmd_partition(args: &[&String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_plan(args: &[&String]) -> Result<(), CliError> {
+fn cmd_plan(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(args, "plan", &["--limit"])?;
     let netlist = load(positional(args)?)?;
     let limit: f64 = flag_value(args, "--limit")
         .unwrap_or("100")
@@ -426,19 +523,22 @@ fn cmd_plan(args: &[&String]) -> Result<(), CliError> {
     let outcome = planner
         .plan(&problem)
         .ok_or_else(|| CliError::Solve("no feasible plane count under this limit".to_owned()))?;
-    println!(
+    writeln!(
+        out,
         "{}: B_cir = {:.2} mA, limit = {limit} mA",
         netlist.name(),
         problem.total_bias()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "K_LB = {}, K_res = {}, realized B_max = {:.2} mA",
         outcome.k_lower_bound, outcome.k_result, outcome.metrics.b_max
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "bias lines saved vs parallel feed: {}",
         outcome.bias_lines_saved()
-    );
+    )?;
     Ok(())
 }
 
@@ -452,6 +552,7 @@ fn load_trace(args: &[&String]) -> Result<Vec<current_recycling::partition::Trac
 }
 
 fn cmd_trace_check(args: &[&String]) -> Result<(), CliError> {
+    accept_flags(args, "trace-check", &[])?;
     let events = load_trace(args)?;
     // Validation verdict is a diagnostic, not machine output: stderr.
     eprintln!(
@@ -468,13 +569,15 @@ fn cmd_trace_check(args: &[&String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_trace_report(args: &[&String]) -> Result<(), CliError> {
+fn cmd_trace_report(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(args, "trace-report", &[])?;
     let events = load_trace(args)?;
-    print!("{}", convergence_table(&events));
+    write!(out, "{}", convergence_table(&events))?;
     Ok(())
 }
 
-fn cmd_diagram(args: &[&String]) -> Result<(), CliError> {
+fn cmd_diagram(args: &[&String], out: &mut dyn Write) -> Result<(), CliError> {
+    accept_flags(args, "diagram", &["-k"])?;
     let netlist = load(positional(args)?)?;
     let k = k_from(args)?;
     let problem = PartitionProblem::from_netlist(&netlist, k).map_err(CliError::input)?;
@@ -488,13 +591,13 @@ fn cmd_diagram(args: &[&String]) -> Result<(), CliError> {
         },
     )
     .map_err(|e| CliError::Solve(e.to_string()))?;
-    println!("{}", render_chip_diagram(&plan));
+    writeln!(out, "{}", render_chip_diagram(&plan))?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::positional;
+    use super::{positional, run, CliError};
 
     fn input_of(words: &[&str]) -> Option<String> {
         let owned: Vec<String> = words.iter().map(|w| w.to_string()).collect();
@@ -527,5 +630,32 @@ mod tests {
             assert_eq!(input_of(words).as_deref(), Some("KSA8"), "{words:?}");
         }
         assert_eq!(input_of(&["-k", "5", "--metrics"]), None);
+    }
+
+    #[test]
+    fn each_command_refuses_flags_it_does_not_take() {
+        let invocations: [(&[&str], &str); 7] = [
+            (&["partition", "KSA8", "-k", "5", "--sed", "3"], "--sed"),
+            (&["partition", "KSA8", "-k", "5", "--limit", "3"], "--limit"),
+            (&["plan", "KSA8", "-k", "5"], "-k"),
+            (&["diagram", "KSA8", "-k", "5", "--seed", "1"], "--seed"),
+            (&["generate", "KSA8", "-k", "5"], "-k"),
+            (&["stats", "KSA8", "--metrics"], "--metrics"),
+            (&["trace-report", "t.jsonl", "-o", "x"], "-o"),
+        ];
+        for (words, flag) in invocations {
+            let args: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+            let mut stdout = Vec::new();
+            match run(&args, &mut stdout) {
+                Err(CliError::Usage(message)) => {
+                    assert!(
+                        message.contains(&format!("`{flag}`")),
+                        "{words:?}: {message}"
+                    );
+                }
+                _ => panic!("{words:?} must be a usage error naming {flag}"),
+            }
+            assert!(stdout.is_empty(), "{words:?} printed before failing");
+        }
     }
 }

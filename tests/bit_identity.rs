@@ -2,21 +2,24 @@
 //!
 //! A budgeted solve of the 10⁴-gate `ScaleTier::S10k` circuit at K = 5 is
 //! the shape of sfqbench's `s1m_k5` workload at 1% of its size: eight
-//! descent iterations, then many refine passes over a poorly converged
-//! snap. Each test folds the winning labels, the discrete cost's bits, the
-//! iteration count and the refine move count into one FNV-1a digest and
-//! compares it with the value pinned here. A change that alters a single
-//! move, a single label or a single bit of the cost fails these tests; a
-//! change that only makes the solve faster leaves them green.
+//! descent iterations, then the polish. Each test folds the winning labels,
+//! the discrete cost's bits, the iteration count and the refine move count
+//! into one FNV-1a digest and compares it with the value pinned here. A
+//! change that alters a single move, a single label or a single bit of the
+//! cost fails these tests; a change that only makes the solve faster leaves
+//! them green.
 //!
-//! The plain and the `swap_refine` polish are pinned separately. At the
-//! default weights the swap phase runs but finds no improving pair, so the
-//! two digests are equal; with `c₂ = c₃ = 10` swaps fire (17 143 moves
-//! against 15 869 without them), and that solve is pinned as well.
+//! With refinement on, the solve is a V-cycle: eight descent iterations on
+//! the coarsest level of a heavy-edge coarsening, then refine at every
+//! level on the way back. The plain and the `swap_refine` polish are pinned
+//! separately, and so is the swap polish with `c₂ = c₃ = 10`. With
+//! refinement off the solve is the paper's flat Algorithm 1 on the whole
+//! problem; its digests are pinned too and must never move, since the
+//! reproduction columns of the paper's tables run that path.
 //!
 //! The full-size shape, `ScaleTier::S1m` at K = 5 under the same budget, is
-//! pinned too. It takes seconds in release and much longer in debug, so it
-//! is `#[ignore]`d; run it with
+//! pinned both ways. It takes seconds in release and much longer in debug,
+//! so those tests are `#[ignore]`d; run them with
 //! `cargo test -q --release --test bit_identity -- --ignored`.
 
 use current_recycling::circuits::scale::{scale_problem, ScaleTier};
@@ -48,18 +51,31 @@ fn digest(result: &SolveResult) -> u64 {
 }
 
 fn solve_s10k_k5(weights: CostWeights, swap_refine: bool) -> SolveResult {
-    solve_budgeted(ScaleTier::S10k, weights, swap_refine)
+    solve_budgeted(
+        ScaleTier::S10k,
+        SolverOptions {
+            weights,
+            swap_refine,
+            ..SolverOptions::default()
+        },
+    )
 }
 
-fn solve_budgeted(tier: ScaleTier, weights: CostWeights, swap_refine: bool) -> SolveResult {
+/// The default solve with refinement off: flat descent, no polish.
+fn refine_off() -> SolverOptions {
+    SolverOptions {
+        refine: false,
+        ..SolverOptions::default()
+    }
+}
+
+fn solve_budgeted(tier: ScaleTier, options: SolverOptions) -> SolveResult {
     let generated = scale_problem(&tier.spec());
     let problem = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5)
         .expect("scale problems are valid");
     Solver::new(SolverOptions {
-        weights,
         iteration_budget: Some(8),
-        swap_refine,
-        ..SolverOptions::default()
+        ..options
     })
     .solve(&problem)
 }
@@ -81,14 +97,14 @@ fn assert_pinned(result: &SolveResult, expected: u64) {
 fn s10k_k5_budgeted_solve_is_pinned() {
     let result = solve_s10k_k5(CostWeights::default(), false);
     assert_eq!(result.iterations, 8);
-    assert_pinned(&result, 0x18c2_8398_cb09_608a);
+    assert_pinned(&result, 0x20f3_c470_ec12_3e9a);
 }
 
 #[test]
 fn s10k_k5_budgeted_swap_refine_solve_is_pinned() {
     let result = solve_s10k_k5(CostWeights::default(), true);
     assert_eq!(result.iterations, 8);
-    assert_pinned(&result, 0x18c2_8398_cb09_608a);
+    assert_pinned(&result, 0x3d58_8b7b_3758_8422);
 }
 
 #[test]
@@ -99,15 +115,30 @@ fn s10k_k5_heavy_balance_swap_refine_solve_is_pinned() {
         ..CostWeights::default()
     };
     let result = solve_s10k_k5(heavy, true);
-    assert_eq!(result.refine_moves, 17_143);
-    assert_pinned(&result, 0x9f9d_41d4_7d3e_bdb8);
+    assert_eq!(result.refine_moves, 772);
+    assert_pinned(&result, 0x4e67_f773_8314_24f5);
+}
+
+#[test]
+fn s10k_k5_budgeted_refine_off_solve_is_pinned() {
+    let result = solve_budgeted(ScaleTier::S10k, refine_off());
+    assert_eq!((result.iterations, result.refine_moves), (8, 0));
+    assert_pinned(&result, 0xb1fb_890f_4807_56fe);
 }
 
 #[test]
 #[ignore = "1M gates: run in release with --ignored"]
 fn s1m_k5_budgeted_solve_is_pinned() {
-    let result = solve_budgeted(ScaleTier::S1m, CostWeights::default(), false);
+    let result = solve_budgeted(ScaleTier::S1m, SolverOptions::default());
     assert_eq!(result.iterations, 8);
-    assert_eq!(result.refine_moves, 1_604_055);
-    assert_pinned(&result, 0xbdb4_c076_53f5_5a94);
+    assert_eq!(result.refine_moves, 43_124);
+    assert_pinned(&result, 0x17b3_3b8f_8d80_66d7);
+}
+
+#[test]
+#[ignore = "1M gates: run in release with --ignored"]
+fn s1m_k5_budgeted_refine_off_solve_is_pinned() {
+    let result = solve_budgeted(ScaleTier::S1m, refine_off());
+    assert_eq!((result.iterations, result.refine_moves), (8, 0));
+    assert_pinned(&result, 0xe796_e4df_f3cb_08f5);
 }

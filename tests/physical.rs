@@ -1,13 +1,12 @@
 //! Integration tests for the physical-design layer: coupler insertion,
-//! strip placement, placed DEF, and the electrical model — plus the
-//! alternative partitioners (spectral, multilevel) on real circuits.
+//! strip placement, placed DEF, and the electrical model — plus spectral
+//! ordering and the solver's multilevel V-cycle on real circuits.
 
 use current_recycling::cells::CellLibrary;
 use current_recycling::circuits::registry::{generate, Benchmark};
 use current_recycling::def::{parse_def, write_def_placed};
 use current_recycling::netlist::sweep_dangling;
 use current_recycling::netlist::ClockAnalysis;
-use current_recycling::partition::multilevel::{multilevel_partition, MultilevelOptions};
 use current_recycling::partition::spectral::{spectral_partition, SpectralOptions};
 use current_recycling::partition::{PartitionMetrics, PartitionProblem, Solver, SolverOptions};
 use current_recycling::recycle::{
@@ -109,8 +108,9 @@ fn spectral_and_multilevel_handle_real_circuits() {
         ms.cumulative_fraction(1)
     );
 
-    let ml = multilevel_partition(&problem, &MultilevelOptions::default());
-    let mm = PartitionMetrics::evaluate(&problem, &ml);
+    // The default solve coarsens MULT4 and refines at every level.
+    let ml = Solver::new(SolverOptions::default()).solve(&problem);
+    let mm = PartitionMetrics::evaluate(&problem, &ml.partition);
     assert!(
         mm.cumulative_fraction(1) > 0.9,
         "multilevel d<=1 {}",
