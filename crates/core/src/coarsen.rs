@@ -46,6 +46,7 @@ use crate::assign::Partition;
 use crate::budget::Interrupt;
 use crate::engine::{Csr, SRC_BIT};
 use crate::problem::PartitionProblem;
+use crate::refine::GateSet;
 use crate::telemetry::CoarsenEvent;
 
 /// Coarsening stops once a level has at most this many gates, or `4·K` if
@@ -187,6 +188,28 @@ impl Hierarchy {
             .unwrap_or_else(|_| unreachable!("projected labels stay in range"))
     }
 
+    /// Projects a set of level `level`'s coarse gates onto the problem it
+    /// was coarsened from: a fine gate is a member when its coarse gate is.
+    /// An empty set projects to an empty one without a bit per fine gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is not below [`Self::depth`] or a member of
+    /// `coarse` is not a gate of that level.
+    pub(crate) fn project_set(&self, level: usize, coarse: &GateSet) -> GateSet {
+        if coarse.is_empty() {
+            return GateSet::default();
+        }
+        let map = &self.levels[level].map;
+        let mut fine = GateSet::empty(map.len());
+        for (gate, &c) in map.iter().enumerate() {
+            if coarse.contains(c as usize) {
+                fine.insert(gate);
+            }
+        }
+        fine
+    }
+
     /// Projects a labelling of the coarsest problem through every level
     /// onto the input problem.
     pub(crate) fn project_to_input(&self, coarsest: Partition) -> Partition {
@@ -207,6 +230,8 @@ fn coarsen_once(problem: &PartitionProblem, csr: &Csr) -> Option<Level> {
     // neighbors reads each count once and resets it.
     let mut mate = vec![UNMATCHED; n];
     let mut shared = vec![0u32; n];
+    // The edges inside the pairs, which the coarse edge list drops.
+    let mut internal = 0;
     for u in 0..n {
         if mate[u] != UNMATCHED {
             continue;
@@ -229,6 +254,7 @@ fn coarsen_once(problem: &PartitionProblem, csr: &Csr) -> Option<Level> {
         if best != UNMATCHED {
             mate[u] = best;
             mate[best as usize] = u as u32;
+            internal += best_weight as usize;
         }
     }
 
@@ -276,12 +302,17 @@ fn coarsen_once(problem: &PartitionProblem, csr: &Csr) -> Option<Level> {
         bias[c as usize] += problem.bias()[u];
         area[c as usize] += problem.area()[u];
     }
-    let edges: Vec<(u32, u32)> = problem
-        .edges()
-        .iter()
-        .map(|&(u, v)| (map[u as usize], map[v as usize]))
-        .filter(|&(a, b)| a != b)
-        .collect();
+    // Two-hop partners share no edge, so the coarse edge list is sized
+    // exactly and filled without a reallocation.
+    let mut edges = Vec::with_capacity(problem.num_edges() - internal);
+    edges.extend(
+        problem
+            .edges()
+            .iter()
+            .map(|&(u, v)| (map[u as usize], map[v as usize]))
+            .filter(|&(a, b)| a != b),
+    );
+    debug_assert_eq!(edges.len(), problem.num_edges() - internal);
     // Only a load that overflows to infinity when summed is refused.
     let coarse = PartitionProblem::new(bias, area, edges, problem.num_planes()).ok()?;
     let csr = Csr::new(&coarse);

@@ -146,22 +146,18 @@ impl PartitionProblem {
             }
         }
         let n = bias.len();
-        let mut kept = Vec::with_capacity(edges.len());
-        for &(u, v) in &edges {
-            if u as usize >= n || v as usize >= n {
-                return Err(ProblemError::EdgeOutOfRange {
-                    edge: (u, v),
-                    num_gates: n,
-                });
-            }
-            if u != v {
-                kept.push((u, v));
-            }
+        if let Some(&edge) = edges
+            .iter()
+            .find(|&&(u, v)| u as usize >= n || v as usize >= n)
+        {
+            return Err(ProblemError::EdgeOutOfRange { edge, num_gates: n });
         }
+        let mut edges = edges;
+        edges.retain(|&(u, v)| u != v);
         Ok(PartitionProblem {
             bias,
             area,
-            edges: kept,
+            edges,
             k,
             gate_cells: None,
         })

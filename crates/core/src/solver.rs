@@ -26,14 +26,17 @@
 //!    matching, level by level, as in Karypis–Kumar multilevel K-way
 //!    (which §IV-A cites), then runs the descent on the coarsest level
 //!    only. Each restart polishes its snap there, projects the labels one
-//!    level finer, polishes again, and so on down to the input problem. A
-//!    coarse gate carries the summed bias and area of its fine gates and
-//!    the coarse edge list keeps every fine edge between two coarse gates,
-//!    so a coarse labelling and its projection have the same plane loads
-//!    and the same raw `Σ_E |Δ|^p`: the coarse descent minimizes the fine
-//!    objective up to `F₁`'s normalization `N₁ = |E|·(K−1)^p`. The levels
-//!    are built once per solve and shared by every restart; the restart
-//!    selection scores each restart on the input problem.
+//!    level finer, polishes again, and so on down to the input problem;
+//!    each polish hands the gates it settled down to the next one (see
+//!    [`refine`](crate::refine)), so a finer level prices only what the
+//!    coarser one could not settle. A coarse gate carries the summed bias
+//!    and area of its fine gates and the coarse edge list keeps every fine
+//!    edge between two coarse gates, so a coarse labelling and its
+//!    projection have the same plane loads and the same raw `Σ_E |Δ|^p`:
+//!    the coarse descent minimizes the fine objective up to `F₁`'s
+//!    normalization `N₁ = |E|·(K−1)^p`. The levels are built once per solve
+//!    and shared by every restart; the restart selection scores each
+//!    restart on the input problem.
 //!
 //! Every deviation can be switched off to reproduce the paper's literal
 //! Algorithm 1 ([`SolverOptions::refine`] off also keeps the solve on one
@@ -76,7 +79,9 @@ use crate::float;
 use crate::grad::GradientOptions;
 use crate::lanes;
 use crate::problem::PartitionProblem;
-use crate::refine::{discrete_cost, refine_on, refine_with_swaps_on, RefineOptions};
+use crate::refine::{
+    discrete_cost, refine_on, refine_with_swaps_on, GateSet, Polished, RefineOptions, Tally,
+};
 use crate::telemetry::{
     IterationEvent, NoopObserver, RecoveryEvent, RefineEvent, RestartEndEvent, RestartObserver,
     SolveEndEvent, SolveObserver, SolveStartEvent, UncoarsenEvent,
@@ -935,11 +940,6 @@ impl Solver {
         // memory is the descent's alone.
         let csr = engine.into_csr();
         drop((w, w_prev, step, prev_step));
-        let refine_options = RefineOptions {
-            weights: opts.weights,
-            exponent: opts.exponent,
-            max_passes: 40,
-        };
         // Telemetry-only: the pre-refine discrete cost exists solely for the
         // refine event, so the disabled path never computes it. It is the
         // snap's cost on `problem`, whatever level the snap labels.
@@ -949,39 +949,27 @@ impl Solver {
         } else {
             f64::NAN
         };
-        let polish = |level: &PartitionProblem, csr: &Csr, start: &Partition| {
-            if opts.swap_refine {
-                refine_with_swaps_on(level, csr, start, &refine_options, interrupt)
-            } else {
-                refine_on(level, csr, start, &refine_options, interrupt)
-            }
-        };
-        let (mut partition, mut refine_moves, mut refine_stop) = if opts.refine {
-            polish(coarsest, &csr, &snapped)
+        // With refinement off the hierarchy has no levels, so the snap
+        // already labels `problem`.
+        let (partition, refine_moves, refine_stop) = if opts.refine {
+            self.polish_levels(
+                problem,
+                hierarchy,
+                csr,
+                &snapped,
+                interrupt,
+                |level, gates, tally| {
+                    observer.on_uncoarsen(&UncoarsenEvent {
+                        level,
+                        gates,
+                        refine_moves: tally.moves,
+                    });
+                },
+            )
         } else {
+            drop(csr);
             (snapped, 0, None)
         };
-        drop(csr);
-        // Uncoarsening: project the labels one level finer and polish them
-        // there, down to `problem`. Once an interrupt has cut a polish
-        // short, the remaining levels are projected only.
-        for level in (0..hierarchy.depth()).rev() {
-            let (finer, csr) = hierarchy.finer(level, problem);
-            let projected = hierarchy.project(level, &partition);
-            let (refined, moves, stop) = if refine_stop.is_none() {
-                polish(finer, csr, &projected)
-            } else {
-                (projected, 0, None)
-            };
-            observer.on_uncoarsen(&UncoarsenEvent {
-                level,
-                gates: finer.num_gates(),
-                refine_moves: moves,
-            });
-            partition = refined;
-            refine_moves += moves;
-            refine_stop = refine_stop.or(stop);
-        }
         // An interrupt that truncated refinement overrides the descent's
         // stop reason — the run did not finish its polish, and a service
         // needs Cancelled/BudgetExhausted to surface. NonFinite stays
@@ -1012,6 +1000,62 @@ impl Solver {
             refine_moves,
             diverged_restarts: 0,
         }
+    }
+
+    /// The polish of one restart. Refines `snapped`, a labelling of the
+    /// hierarchy's coarsest problem (whose adjacency is `csr`), there; then
+    /// projects the labels one level finer and refines them again, level by
+    /// level down to `problem`, handing the gates each plain polish settled
+    /// to the next level (see [`crate::refine`]). Calls `on_level` with each
+    /// finer level's index, gate count and tally. Once an interrupt has cut
+    /// a polish short, the remaining levels are projected only. Returns the
+    /// labels of `problem`, the moves of every level and the interrupt
+    /// cause.
+    fn polish_levels(
+        &self,
+        problem: &PartitionProblem,
+        hierarchy: &Hierarchy,
+        csr: Csr,
+        snapped: &Partition,
+        interrupt: &Interrupt,
+        mut on_level: impl FnMut(usize, usize, &Tally),
+    ) -> (Partition, usize, Option<StopCause>) {
+        let options = RefineOptions {
+            weights: self.options.weights,
+            exponent: self.options.exponent,
+            max_passes: 40,
+        };
+        let polish =
+            |level: &PartitionProblem, csr: &Csr, start: &Partition, handed_down: &GateSet| {
+                if self.options.swap_refine {
+                    refine_with_swaps_on(level, csr, start, &options, interrupt)
+                } else {
+                    refine_on(level, csr, start, &options, interrupt, handed_down)
+                }
+            };
+        let coarsest = hierarchy.coarsest(problem);
+        let mut polished = polish(coarsest, &csr, snapped, &GateSet::default());
+        drop(csr);
+        let mut moves = polished.tally.moves;
+        for level in (0..hierarchy.depth()).rev() {
+            let (finer, csr) = hierarchy.finer(level, problem);
+            let projected = hierarchy.project(level, &polished.partition);
+            polished = match polished.stopped {
+                None => {
+                    let handed_down = hierarchy.project_set(level, &polished.settled);
+                    polish(finer, csr, &projected, &handed_down)
+                }
+                stopped => Polished {
+                    partition: projected,
+                    tally: Tally::default(),
+                    stopped,
+                    settled: GateSet::default(),
+                },
+            };
+            on_level(level, finer.num_gates(), &polished.tally);
+            moves += polished.tally.moves;
+        }
+        (polished.partition, moves, polished.stopped)
     }
 }
 
@@ -1372,5 +1416,60 @@ mod tests {
         assert_eq!(result.diverged_restarts, 1);
         assert!(result.discrete_cost.is_finite());
         assert_eq!(result.partition.num_gates(), 10);
+    }
+
+    /// Exact work counts of the V-cycle's finest polish at the 10⁶-gate
+    /// tier, sfqbench's first `s1m_k5` flow at seed 7 (`ScaleSpec` and
+    /// solver seeded 7, budget 8): the polish is replayed level by level
+    /// from the coarse snap the solve descends to, and it must end on the
+    /// solve's labels. Level 0 prices under 1 % of its gates and visits
+    /// under 5 % of its `passes × G` scan. Seconds in release, far longer
+    /// in debug: `cargo test -q --release -p sfq-partition --lib --
+    /// --ignored`.
+    #[test]
+    #[ignore = "S1M: run in release"]
+    fn s1m_finest_polish_prices_and_visits_few_gates() {
+        use sfq_circuits::scale::{scale_problem, ScaleSpec};
+        let generated = scale_problem(&ScaleSpec::new("S1M", 1_000_000, 7));
+        let p = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5).unwrap();
+        let options = SolverOptions {
+            seed: 7,
+            iteration_budget: Some(8),
+            ..SolverOptions::default()
+        };
+        let hierarchy = Hierarchy::build(&p, &Interrupt::none(), |_| {});
+        let coarsest = hierarchy.coarsest(&p);
+        // The solve's one restart descends on the coarsest level exactly
+        // as a refine-off solve of that level does.
+        let snapped = Solver::new(SolverOptions {
+            refine: false,
+            ..options.clone()
+        })
+        .solve(coarsest)
+        .partition;
+        let solver = Solver::new(options);
+        let mut finest = None;
+        let (partition, _, stopped) = solver.polish_levels(
+            &p,
+            &hierarchy,
+            Csr::new(coarsest),
+            &snapped,
+            &Interrupt::none(),
+            |level, _, tally| {
+                if level == 0 {
+                    finest = Some(*tally);
+                }
+            },
+        );
+        assert!(stopped.is_none());
+        assert_eq!(partition, solver.solve(&p).partition);
+        let tally = finest.expect("S1M coarsens");
+        let g = p.num_gates();
+        assert_eq!(
+            (tally.moves, tally.passes, tally.priced, tally.visits),
+            (229, 6, 8_491, 131_594)
+        );
+        assert!(100 * tally.priced <= g);
+        assert!(20 * tally.visits <= tally.passes * g);
     }
 }

@@ -277,6 +277,11 @@ fn random_problem(rng: &mut StdRng) -> PartitionProblem {
     } else {
         rng.random_range(2..301)
     };
+    random_problem_of(rng, g)
+}
+
+/// [`random_problem`] with `g` gates.
+fn random_problem_of(rng: &mut StdRng, g: usize) -> PartitionProblem {
     let k = rng.random_range(2..10);
     let isolated: Vec<bool> = (0..g).map(|_| rng.random_bool(0.1)).collect();
     let mut edges = Vec::new();
@@ -407,6 +412,66 @@ fn refine_matches_the_naive_oracle() {
         swaps_fired >= 100,
         "swaps fired in only {swaps_fired} cases"
     );
+}
+
+/// Near-balanced starts: a converged `refine` of a random labelling with
+/// one to three gates moved. The plane loads' spreads, and so the visit
+/// set's caps, are then a few gate loads wide, and most clean gates leave
+/// the set on their certificate alone; the oracle still prices every gate
+/// on every pass. Problems reach 1500 gates, where an interior gate's `F₁`
+/// floor outweighs the balance terms at such caps.
+#[test]
+fn refine_matches_the_naive_oracle_from_near_balanced_starts() {
+    let mut rng = StdRng::seed_from_u64(0xba1a_2ced);
+    for problem_index in 0..120 {
+        let g = rng.random_range(2..1501);
+        let problem = random_problem_of(&mut rng, g);
+        let k = problem.num_planes();
+        for weights in weight_sets() {
+            let options = RefineOptions {
+                weights,
+                exponent: EXPONENT,
+                max_passes: 40,
+            };
+            let random: Vec<u32> = (0..g).map(|_| rng.random_range(0..k as u32)).collect();
+            let converged = refine(
+                &problem,
+                &Partition::from_labels(random, k).expect("labels in range"),
+                &options,
+            )
+            .0;
+            let mut start = converged.labels().to_vec();
+            for _ in 0..rng.random_range(1..4) {
+                start[rng.random_range(0..g)] = rng.random_range(0..k as u32);
+            }
+            let partition = Partition::from_labels(start.clone(), k).expect("labels in range");
+            let oracles: [(&str, Library, Naive); 2] = [
+                ("refine", refine, naive_refine),
+                (
+                    "refine_with_swaps",
+                    refine_with_swaps,
+                    naive_refine_with_swaps,
+                ),
+            ];
+            for (name, library, naive) in oracles {
+                let (refined, moves) = library(&problem, &partition, &options);
+                let (expected, expected_moves) = naive(&problem, &start, &options);
+                let tag = format!(
+                    "problem {problem_index} (G={g}, E={}, K={k}), {name}, {weights:?}",
+                    problem.num_edges()
+                );
+                assert_eq!(refined.labels(), &expected[..], "{tag}: labels");
+                assert_eq!(moves, expected_moves, "{tag}: moves");
+                let cost = discrete_cost(&problem, &refined, weights, EXPONENT);
+                let expected_cost = NaiveRefine::new(&problem, &expected, weights).cost();
+                assert_eq!(
+                    cost.to_bits(),
+                    expected_cost.to_bits(),
+                    "{tag}: discrete cost {cost} vs {expected_cost}"
+                );
+            }
+        }
+    }
 }
 
 /// Every labelling in `0..K^G` as a label vector, lowest gate fastest.
