@@ -17,9 +17,9 @@ use sfq_report::convergence::convergence_table;
 use sfq_report::table::Table;
 
 fn main() {
-    // (a) Descent trace on KSA8, reconstructed from the telemetry stream
-    // rather than the coarse cost_history, so every column of the paper's
-    // convergence discussion is plottable from one run.
+    // (a) Descent trace on KSA8, reconstructed from the telemetry stream,
+    // so every column of the paper's convergence discussion is plottable
+    // from one run.
     let run = load_circuit(Benchmark::Ksa8, 5);
     let mut options = SolverOptions::reproduction();
     options.restarts = 1;

@@ -9,7 +9,7 @@
 //! first `K_res` whose realized `B_max` fits under the cap.
 
 use crate::metrics::PartitionMetrics;
-use crate::problem::{PartitionProblem, ProblemError};
+use crate::problem::PartitionProblem;
 use crate::solver::{Solver, SolverOptions};
 
 /// Result of a successful [`BiasLimitPlanner::plan`].
@@ -37,6 +37,9 @@ impl BiasLimitOutcome {
     }
 }
 
+/// How far above `K_LB` a sweep may go.
+const MAX_EXTRA_PLANES: usize = 64;
+
 /// Searches for the smallest workable plane count under a `B_max` cap.
 ///
 /// # Example
@@ -57,7 +60,6 @@ impl BiasLimitOutcome {
 pub struct BiasLimitPlanner {
     limit_ma: f64,
     options: SolverOptions,
-    max_extra_planes: usize,
     galloping: bool,
     fallback: Option<SolverOptions>,
 }
@@ -73,16 +75,9 @@ impl BiasLimitPlanner {
         BiasLimitPlanner {
             limit_ma,
             options,
-            max_extra_planes: 64,
             galloping: false,
             fallback: None,
         }
-    }
-
-    /// Bounds how far above `K_LB` the sweep may go (default 64).
-    pub fn with_max_extra_planes(mut self, extra: usize) -> Self {
-        self.max_extra_planes = extra;
-        self
     }
 
     /// Enables galloping: when `K` is infeasible, jump straight to
@@ -119,9 +114,9 @@ impl BiasLimitPlanner {
     /// Sweeps `K` from `K_LB` upward until the realized `B_max` fits.
     ///
     /// The plane count of `problem` itself is ignored; only its gates and
-    /// connections matter. Returns `None` if no `K` within
-    /// `K_LB + max_extra_planes` fits — which can only happen when a single
-    /// gate's bias already exceeds the cap.
+    /// connections matter. Returns `None` if no `K` within `K_LB + 64`
+    /// fits — which can only happen when a single gate's bias already
+    /// exceeds the cap.
     pub fn plan(&self, problem: &PartitionProblem) -> Option<BiasLimitOutcome> {
         let max_gate_bias = problem.bias().iter().copied().fold(0.0, f64::max);
         if max_gate_bias > self.limit_ma {
@@ -142,7 +137,7 @@ impl BiasLimitPlanner {
     ) -> Option<BiasLimitOutcome> {
         let k_lb = self.k_lower_bound(problem);
         let mut k = k_lb;
-        while k <= k_lb + self.max_extra_planes {
+        while k <= k_lb + MAX_EXTRA_PLANES {
             if k > problem.num_gates() {
                 return None; // Cannot split finer than one gate per plane.
             }
@@ -171,19 +166,6 @@ impl BiasLimitPlanner {
         }
         None
     }
-}
-
-/// Convenience wrapper: plan with the default solver options.
-///
-/// # Errors
-///
-/// Propagates [`ProblemError`] from problem re-sizing; returns
-/// `Ok(None)` when no feasible plane count exists.
-pub fn plan_with_limit(
-    problem: &PartitionProblem,
-    limit_ma: f64,
-) -> Result<Option<BiasLimitOutcome>, ProblemError> {
-    Ok(BiasLimitPlanner::new(limit_ma, SolverOptions::default()).plan(problem))
 }
 
 #[cfg(test)]
@@ -262,11 +244,10 @@ mod tests {
 
     #[test]
     fn fallback_marks_outcome() {
-        // Primary budget of 0 extra planes at an infeasible K forces the
-        // fallback (identical options, bigger relevance in production).
+        // A paper-exact primary may run out of planes before it fits the
+        // cap, and the refining fallback then completes the plan.
         let p = chain(30, 1.0);
         let planner = BiasLimitPlanner::new(7.0, SolverOptions::paper_exact())
-            .with_max_extra_planes(40)
             .with_fallback(SolverOptions::default());
         let outcome = planner.plan(&p).expect("fallback saves the plan");
         assert!(outcome.metrics.b_max <= 7.0);
@@ -275,12 +256,5 @@ mod tests {
         if outcome.used_fallback {
             assert!(outcome.k_result >= outcome.k_lower_bound);
         }
-    }
-
-    #[test]
-    fn convenience_wrapper_runs() {
-        let p = chain(10, 1.0);
-        let outcome = plan_with_limit(&p, 4.0).unwrap().expect("feasible");
-        assert!(outcome.metrics.b_max <= 4.0);
     }
 }

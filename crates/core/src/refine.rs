@@ -14,8 +14,12 @@
 //! gate, sweeping until a full pass makes no improving move or
 //! `max_passes` is reached. This is the classic Fiduccia–Mattheyses-style
 //! polish adapted to the paper's ordered-plane, distance-weighted
-//! objective; the solver enables it by default and the `ablations` bench
-//! quantifies its contribution.
+//! objective, and the only discrete polish in the crate: the solver runs it
+//! at every level of its V-cycle by default, and the `ablations` bench
+//! quantifies its contribution. The public API is [`discrete_cost`],
+//! [`refine`] and [`RefineOptions`]; the solver polishes through the
+//! crate-internal `refine_on`, which also polls an [`Interrupt`] and takes
+//! the gates the coarser level settled.
 //!
 //! Pricing a gate's best move costs `O(deg(i)·K)`: neighbors come from the
 //! engine's CSR adjacency (one contiguous slice per gate, built once per
@@ -90,7 +94,7 @@ use crate::problem::PartitionProblem;
 /// (one atomic load, maybe one clock read) is invisible in profile.
 const POLL_STRIDE: usize = 128;
 
-/// A move (or a swap) is applied only when its gain is below this.
+/// A move is applied only when its gain is below this.
 const IMPROVING_GAIN: f64 = -1e-15;
 
 /// `256ε = 512u`: the certificate's margin per `c·L²/(K·N)` of each balance
@@ -147,26 +151,6 @@ fn check_dims(problem: &PartitionProblem, partition: &Partition) {
 /// Greedily improves `partition` by single-gate moves; returns the refined
 /// partition and the number of moves applied.
 ///
-/// # Panics
-///
-/// Panics if the partition does not match the problem's dimensions.
-pub fn refine(
-    problem: &PartitionProblem,
-    partition: &Partition,
-    options: &RefineOptions,
-) -> (Partition, usize) {
-    let (partition, moves, _) =
-        refine_interruptible(problem, partition, options, &Interrupt::none());
-    (partition, moves)
-}
-
-/// Like [`refine`] but polling `interrupt` between passes and every
-/// [`POLL_STRIDE`] gate visits within a pass. On interruption the sweep
-/// stops immediately and the partition refined *so far* is returned
-/// together with the [`StopCause`]; every applied move is still a strict
-/// improvement, so a truncated refinement is always at least as good as its
-/// input.
-///
 /// A pass visits only the gates of the visit set, and a clean gate leaves
 /// the set once certified against the caps on the plane loads' spreads
 /// (see the module docs); the result is the same as with every gate priced
@@ -175,22 +159,21 @@ pub fn refine(
 /// # Panics
 ///
 /// Panics if the partition does not match the problem's dimensions.
-pub fn refine_interruptible(
+pub fn refine(
     problem: &PartitionProblem,
     partition: &Partition,
     options: &RefineOptions,
-    interrupt: &Interrupt,
-) -> (Partition, usize, Option<StopCause>) {
+) -> (Partition, usize) {
     let csr = Csr::new(problem);
     let polished = refine_on(
         problem,
         &csr,
         partition,
         options,
-        interrupt,
+        &Interrupt::none(),
         &GateSet::default(),
     );
-    (polished.partition, polished.tally.moves, polished.stopped)
+    (polished.partition, polished.tally.moves)
 }
 
 /// What a polish of one level returns.
@@ -201,15 +184,20 @@ pub(crate) struct Polished {
     /// The interrupt cause, if one cut the polish short.
     pub(crate) stopped: Option<StopCause>,
     /// The gates that ended clean and interior, which the next finer level
-    /// can take over clean (see the module docs); empty after a swap
-    /// polish.
+    /// can take over clean (see the module docs).
     pub(crate) settled: GateSet,
 }
 
-/// [`refine_interruptible`] over a prebuilt adjacency; `csr` must be
+/// [`refine`] over a prebuilt adjacency; `csr` must be
 /// `Csr::new(problem)`. The gates of `handed_down` (an empty set, or one
 /// bit per gate of `problem`) must be interior under `partition`: each
 /// starts clean, with the floor pricing would record.
+///
+/// `interrupt` is polled between passes and every [`POLL_STRIDE`] gate
+/// visits within a pass. On interruption the sweep stops at once and the
+/// partition refined *so far* is returned with the [`StopCause`]; every
+/// applied move is a strict improvement, so a truncated polish is never
+/// worse than its input.
 pub(crate) fn refine_on(
     problem: &PartitionProblem,
     csr: &Csr,
@@ -229,9 +217,8 @@ pub(crate) fn refine_on(
     }
 }
 
-/// What a polish's [`single_moves`] calls did: the moves they applied (a
-/// swap polish adds two per swap), the passes they began, the gates they
-/// visited and the visits they priced with
+/// What a polish's [`single_moves`] did: the moves it applied, the passes
+/// it began, the gates it visited and the visits it priced with
 /// [`MoveState::best_move_and_floor`] (the other visits were clean gates
 /// that could not move).
 #[derive(Debug, Default, Clone, Copy)]
@@ -240,15 +227,6 @@ pub(crate) struct Tally {
     pub(crate) passes: usize,
     pub(crate) visits: usize,
     pub(crate) priced: usize,
-}
-
-impl Tally {
-    fn add(&mut self, other: Tally) {
-        self.moves += other.moves;
-        self.passes += other.passes;
-        self.visits += other.visits;
-        self.priced += other.priced;
-    }
 }
 
 /// A set of gates, one bit per gate.
@@ -456,7 +434,7 @@ impl Sweep {
     }
 }
 
-/// The single-move sweeps of [`refine_interruptible`] over `state`: up to
+/// The single-move sweeps of [`refine_on`] over `state`: up to
 /// `max_passes` passes, each offering the gates of the visit set, in index
 /// order, their best moves. Returns the tally and the interrupt cause, if
 /// one fired; the interrupt is polled before each pass and every
@@ -534,161 +512,6 @@ fn single_moves(
         }
     }
     (tally, None)
-}
-
-/// Like [`refine`] but additionally attempting *pair swaps* across every cut
-/// edge once the single-move pass converges. Swapping two gates between
-/// their planes preserves gate counts and (for similar cells) bias/area
-/// almost exactly, so it escapes the balance-locked local optima where any
-/// single move would unbalance the planes. Returns the refined partition and
-/// the total number of applied moves (single moves + 2 per swap).
-///
-/// # Panics
-///
-/// Panics if the partition does not match the problem's dimensions.
-pub fn refine_with_swaps(
-    problem: &PartitionProblem,
-    partition: &Partition,
-    options: &RefineOptions,
-) -> (Partition, usize) {
-    let (partition, moves, _) =
-        refine_with_swaps_interruptible(problem, partition, options, &Interrupt::none());
-    (partition, moves)
-}
-
-/// Like [`refine_with_swaps`] but polling `interrupt` between passes (and
-/// inside every single-move sweep, as [`refine_interruptible`] does). See
-/// [`refine_interruptible`] for the truncation contract.
-///
-/// The adjacency is built once per call; each pass re-derives only the
-/// `O(G + K)` labels and plane loads of its move states.
-///
-/// # Panics
-///
-/// Panics if the partition does not match the problem's dimensions.
-pub fn refine_with_swaps_interruptible(
-    problem: &PartitionProblem,
-    partition: &Partition,
-    options: &RefineOptions,
-    interrupt: &Interrupt,
-) -> (Partition, usize, Option<StopCause>) {
-    let polished = refine_with_swaps_on(problem, &Csr::new(problem), partition, options, interrupt);
-    (polished.partition, polished.tally.moves, polished.stopped)
-}
-
-/// [`refine_with_swaps_interruptible`] over a prebuilt adjacency; `csr` must
-/// be `Csr::new(problem)`. Each single-move sweep has a visit set of its
-/// own, and the polish hands no gates down.
-pub(crate) fn refine_with_swaps_on(
-    problem: &PartitionProblem,
-    csr: &Csr,
-    partition: &Partition,
-    options: &RefineOptions,
-    interrupt: &Interrupt,
-) -> Polished {
-    let new_state = |partition: &Partition, weights: CostWeights| {
-        MoveState::new(problem, csr, partition, weights, options.exponent)
-    };
-    let single_moves = |state: &mut MoveState<'_>| {
-        let mut sweep = Sweep::new(state, &GateSet::default());
-        single_moves(state, &mut sweep, options.max_passes, interrupt)
-    };
-    let polished = |partition, tally, stopped| Polished {
-        partition,
-        tally,
-        stopped,
-        settled: GateSet::default(),
-    };
-    let mut state = new_state(partition, options.weights);
-    let (mut tally, mut stopped) = single_moves(&mut state);
-    let mut current = state.into_partition();
-    if stopped.is_some() {
-        return polished(current, tally, stopped);
-    }
-    let connectivity_only = CostWeights {
-        c2: 0.0,
-        c3: 0.0,
-        ..options.weights
-    };
-    'passes: for _ in 0..options.max_passes {
-        if let Some(cause) = interrupt.poll() {
-            stopped = Some(cause);
-            break;
-        }
-        // Candidate generation: where would each gate go if only
-        // connectivity mattered? Gates wishing to cross the same boundary
-        // in opposite directions are swap partners.
-        let mut f1_view = new_state(&current, connectivity_only);
-        // BTreeMap, not HashMap: `pairs` below is built by iterating this
-        // map, and swap order decides which trades win — hash order would
-        // make the refined partition differ run to run (clippy.toml).
-        let mut wishes: std::collections::BTreeMap<(u32, u32), Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for gate in 0..problem.num_gates() {
-            if let Some((target, gain)) = f1_view.best_move(gate) {
-                if gain < IMPROVING_GAIN {
-                    wishes
-                        .entry((f1_view.labels[gate], target))
-                        .or_default()
-                        .push(gate);
-                }
-            }
-        }
-
-        let mut state = new_state(&current, options.weights);
-        let mut improved = false;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (&(p, q), forward) in &wishes {
-            if p >= q {
-                continue; // each unordered plane pair handled once
-            }
-            if let Some(backward) = wishes.get(&(q, p)) {
-                pairs.extend(forward.iter().zip(backward).map(|(&u, &v)| (u, v)));
-            }
-        }
-        for (index, (u, v)) in pairs.into_iter().enumerate() {
-            if index % POLL_STRIDE == 0 && index > 0 {
-                if let Some(cause) = interrupt.poll() {
-                    stopped = Some(cause);
-                    current = state.into_partition();
-                    break 'passes;
-                }
-            }
-            let pu = state.labels[u];
-            let pv = state.labels[v];
-            if pu == pv {
-                continue; // an earlier swap already moved one of them
-            }
-            // Trial: move u into v's plane, then v into u's old plane; the
-            // second gain is evaluated *after* the first move, so the pair
-            // gain is exact.
-            let g1 = state.move_gain(u, pv);
-            state.apply(u, pv);
-            let g2 = state.move_gain(v, pu);
-            if g1 + g2 < IMPROVING_GAIN {
-                state.apply(v, pu);
-                tally.moves += 2;
-                improved = true;
-            } else {
-                state.apply(u, pu); // revert
-            }
-        }
-        if !improved {
-            current = state.into_partition();
-            break;
-        }
-        // Swaps may open new single-move improvements. The polish starts
-        // from freshly summed plane loads, as a fresh refine would.
-        let mut polish = new_state(&state.into_partition(), options.weights);
-        let (more, cause) = single_moves(&mut polish);
-        current = polish.into_partition();
-        tally.add(more);
-        if cause.is_some() {
-            stopped = cause;
-            break;
-        }
-    }
-    polished(current, tally, stopped)
 }
 
 /// The discrete objective's bookkeeping for one labelling: per-plane loads,
@@ -989,8 +812,8 @@ pub(crate) struct MoveState<'a> {
     csr: &'a Csr,
     labels: Vec<u32>,
     objective: Objective,
-    /// Scratch for [`MoveState::best_move`]: the raw `F₁` delta of moving
-    /// the current gate to each plane (`K` entries).
+    /// Scratch for [`MoveState::best_move_and_floor`]: the raw `F₁` delta
+    /// of moving the current gate to each plane (`K` entries).
     f1_delta: Vec<f64>,
 }
 
@@ -1042,22 +865,17 @@ impl<'a> MoveState<'a> {
         self.objective.gain(&leaving, target, d_f1)
     }
 
-    /// Best (most negative gain) target plane for `gate`, if any differs;
-    /// ties go to the lowest plane.
+    /// Best (most negative gain) target plane for `gate`, if any differs
+    /// (ties go to the lowest plane), together with the gate's `F₁` floor,
+    /// the smallest weighted `F₁` term `c₁·ΔF₁/N₁` over its targets (`+∞`
+    /// when no target differs), and whether every neighbor sits on the
+    /// gate's plane: both by-products of the same sweep.
     ///
     /// One sweep over the neighbors reads each label once and accumulates
     /// every target's raw `F₁` delta side by side. Each target's delta sees
     /// the same additions in the same neighbor order as in
     /// [`Self::move_gain`], so the returned gain equals
     /// `move_gain(gate, target)` bit for bit.
-    pub(crate) fn best_move(&mut self, gate: usize) -> Option<(u32, f64)> {
-        self.best_move_and_floor(gate).0
-    }
-
-    /// [`Self::best_move`] together with the gate's `F₁` floor, the smallest
-    /// weighted `F₁` term `c₁·ΔF₁/N₁` over its targets (`+∞` when no target
-    /// differs), and whether every neighbor sits on the gate's plane: both
-    /// by-products of the same sweep.
     ///
     /// The running minima are kept with selects rather than branches: which
     /// target wins varies from gate to gate, so a branch on it would
@@ -1291,7 +1109,7 @@ mod tests {
             ] {
                 let mut state = MoveState::new(&p, &csr, &part, weights, 4.0);
                 for gate in 0..n as usize {
-                    let (target, gain) = state.best_move(gate).expect("K >= 2");
+                    let (target, gain) = state.best_move_and_floor(gate).0.expect("K >= 2");
                     let expect = state.move_gain(gate, target);
                     assert_eq!(
                         gain.to_bits(),
@@ -1354,66 +1172,6 @@ mod tests {
             tally.passes
         );
         assert!(tally.visits <= 197_400, "{} visits", tally.visits);
-    }
-
-    #[test]
-    fn swaps_escape_balance_locked_optima() {
-        // Two planes, four unit gates; heavy edges a-y and x-b cross planes.
-        // Any single move unbalances 3-1 (blocked by a heavy balance
-        // weight), but swapping x and y fixes both cuts at zero balance
-        // cost.
-        let p = PartitionProblem::new(
-            vec![1.0; 4],
-            vec![10.0; 4],
-            vec![(0, 3), (0, 3), (1, 2), (1, 2)], // a=0, x=1, b=2, y=3
-            2,
-        )
-        .unwrap();
-        let start = Partition::from_labels(vec![0, 0, 1, 1], 2).unwrap();
-        let opts = RefineOptions {
-            weights: CostWeights {
-                c2: 50.0,
-                c3: 50.0,
-                ..CostWeights::default()
-            },
-            ..RefineOptions::default()
-        };
-        let (single_only, _) = refine(&p, &start, &opts);
-        assert_eq!(single_only, start, "single moves are balance-blocked here");
-        let (swapped, moves) = refine_with_swaps(&p, &start, &opts);
-        assert!(moves >= 2);
-        let m = crate::metrics::PartitionMetrics::evaluate(&p, &swapped);
-        assert_eq!(m.cut_size(), 0, "swap resolves both cut edges");
-        assert_eq!(m.i_comp_ma, 0.0, "balance preserved");
-    }
-
-    #[test]
-    fn swaps_never_worsen() {
-        use rand::Rng;
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        for _ in 0..8 {
-            let n = rng.random_range(8..40) as u32;
-            let k = rng.random_range(2..5);
-            let mut edges = Vec::new();
-            for i in 1..n {
-                edges.push((rng.random_range(0..i), i));
-            }
-            let p = PartitionProblem::new(
-                (0..n).map(|_| rng.random_range(0.2..2.0)).collect(),
-                (0..n).map(|_| rng.random_range(1.0..9.0)).collect(),
-                edges,
-                k,
-            )
-            .unwrap();
-            let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
-            let start = Partition::from_labels(labels, k).unwrap();
-            let w = CostWeights::default();
-            let before = discrete_cost(&p, &start, w, 4.0);
-            let (out, _) = refine_with_swaps(&p, &start, &RefineOptions::default());
-            let after = discrete_cost(&p, &out, w, 4.0);
-            assert!(after <= before + 1e-12);
-        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!    Set to 0 to match the paper exactly.
 //! 3. **Restarts + discrete polish.** Non-convex descent from a random start
 //!    benefits from [`SolverOptions::restarts`] independent runs (scored by
-//!    the discrete objective) and a final [`refine`](crate::refine) pass.
+//!    the discrete objective) and a final pass of the single-move polish of
+//!    [`refine`](crate::refine), the only polish a solve runs.
 //! 4. **The V-cycle.** With the polish on and more than 120 gates (and
 //!    more than `4·K`), the solve first coarsens the problem by heavy-edge
 //!    matching, level by level, as in Karypis–Kumar multilevel K-way
@@ -79,9 +80,7 @@ use crate::float;
 use crate::grad::GradientOptions;
 use crate::lanes;
 use crate::problem::PartitionProblem;
-use crate::refine::{
-    discrete_cost, refine_on, refine_with_swaps_on, GateSet, Polished, RefineOptions, Tally,
-};
+use crate::refine::{discrete_cost, refine_on, GateSet, Polished, RefineOptions, Tally};
 use crate::telemetry::{
     IterationEvent, NoopObserver, RecoveryEvent, RefineEvent, RestartEndEvent, RestartObserver,
     SolveEndEvent, SolveObserver, SolveStartEvent, UncoarsenEvent,
@@ -223,10 +222,6 @@ pub struct SolverOptions {
     /// the solve as a V-cycle (see the module docs); off, the descent runs
     /// on the input problem, as the paper's Algorithm 1 does.
     pub refine: bool,
-    /// Additionally attempt cross-plane pair swaps during the polish
-    /// ([`refine_with_swaps`](crate::refine::refine_with_swaps)) — escapes
-    /// balance-locked optima at a modest extra cost.
-    pub swap_refine: bool,
     /// Run restarts on parallel threads.
     pub parallel: bool,
     /// Wall-clock deadline for the whole solve (all restarts), in
@@ -261,7 +256,6 @@ impl Default for SolverOptions {
             init_spread: 0.5,
             paper_gradients: false,
             refine: true,
-            swap_refine: false,
             parallel: false,
             deadline_ms: None,
             iteration_budget: None,
@@ -358,13 +352,13 @@ impl SolverOptions {
     }
 }
 
-/// Result of [`Solver::solve`].
+/// Result of [`Solver::solve`]. The relaxed cost of each descent iteration
+/// reaches an observer as an iteration event (a trace's `iter` record, see
+/// [`crate::telemetry`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveResult {
     /// The winning hard partition.
     pub partition: Partition,
-    /// Relaxed-cost trace of the winning restart (one entry per iteration).
-    pub cost_history: Vec<f64>,
     /// Descent iterations used by the winning restart (on the coarsest
     /// level under the V-cycle).
     pub iterations: usize,
@@ -734,7 +728,6 @@ impl Solver {
             });
             return SolveResult {
                 partition: snapped,
-                cost_history: Vec::new(),
                 iterations: 0,
                 stop_reason,
                 discrete_cost: dc,
@@ -779,7 +772,6 @@ impl Solver {
         let mut w_prev = w.clone();
         let mut prev_step = vec![0.0; w.padded_len()];
 
-        let mut history = Vec::new();
         let mut learning_rate = 0.0f64;
         let mut cost_old = f64::INFINITY;
         let budget_limited = iter_cap < opts.max_iterations;
@@ -846,9 +838,8 @@ impl Solver {
                 }
             }
             let cost_new = breakdown.total;
-            history.push(cost_new);
             iterations = iter + 1;
-            // One iteration event per `cost_history` entry. The three break
+            // One iteration event per completed iteration. The three break
             // paths below stop *before* applying a step, so they report a
             // zero learning rate and clip count.
             fn stopped_event<'a>(
@@ -992,7 +983,6 @@ impl Solver {
         });
         SolveResult {
             partition,
-            cost_history: history,
             iterations,
             stop_reason,
             discrete_cost: dc,
@@ -1005,8 +995,8 @@ impl Solver {
     /// The polish of one restart. Refines `snapped`, a labelling of the
     /// hierarchy's coarsest problem (whose adjacency is `csr`), there; then
     /// projects the labels one level finer and refines them again, level by
-    /// level down to `problem`, handing the gates each plain polish settled
-    /// to the next level (see [`crate::refine`]). Calls `on_level` with each
+    /// level down to `problem`, handing the gates each polish settled to
+    /// the next level (see [`crate::refine`]). Calls `on_level` with each
     /// finer level's index, gate count and tally. Once an interrupt has cut
     /// a polish short, the remaining levels are projected only. Returns the
     /// labels of `problem`, the moves of every level and the interrupt
@@ -1025,16 +1015,15 @@ impl Solver {
             exponent: self.options.exponent,
             max_passes: 40,
         };
-        let polish =
-            |level: &PartitionProblem, csr: &Csr, start: &Partition, handed_down: &GateSet| {
-                if self.options.swap_refine {
-                    refine_with_swaps_on(level, csr, start, &options, interrupt)
-                } else {
-                    refine_on(level, csr, start, &options, interrupt, handed_down)
-                }
-            };
         let coarsest = hierarchy.coarsest(problem);
-        let mut polished = polish(coarsest, &csr, snapped, &GateSet::default());
+        let mut polished = refine_on(
+            coarsest,
+            &csr,
+            snapped,
+            &options,
+            interrupt,
+            &GateSet::default(),
+        );
         drop(csr);
         let mut moves = polished.tally.moves;
         for level in (0..hierarchy.depth()).rev() {
@@ -1043,7 +1032,7 @@ impl Solver {
             polished = match polished.stopped {
                 None => {
                     let handed_down = hierarchy.project_set(level, &polished.settled);
-                    polish(finer, csr, &projected, &handed_down)
+                    refine_on(finer, csr, &projected, &options, interrupt, &handed_down)
                 }
                 stopped => Polished {
                     partition: projected,
@@ -1109,6 +1098,7 @@ impl FaultCounter<'_> {
 mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
+    use crate::telemetry::{TraceCollector, TraceEvent};
 
     fn chain(n: u32, k: usize) -> PartitionProblem {
         PartitionProblem::new(
@@ -1118,6 +1108,26 @@ mod tests {
             k,
         )
         .unwrap()
+    }
+
+    /// `try_solve` with a trace attached: the result, and the relaxed cost
+    /// of each iteration of the winning restart, read from its `iter`
+    /// records.
+    fn traced_solve(options: SolverOptions, p: &PartitionProblem) -> (SolveResult, Vec<f64>) {
+        let mut trace = TraceCollector::new();
+        let result = Solver::new(options)
+            .try_solve_observed(p, &mut trace)
+            .expect("solves");
+        let best = result.best_restart as u64;
+        let costs = trace
+            .events()
+            .iter()
+            .filter_map(|event| match *event {
+                TraceEvent::Iteration { restart, total, .. } if restart == best => Some(total),
+                _ => None,
+            })
+            .collect();
+        (result, costs)
     }
 
     /// Two dense clusters joined by one edge — the obvious 2-way partition.
@@ -1164,10 +1174,10 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let p = chain(20, 3);
-        let a = Solver::new(SolverOptions::default()).solve(&p);
-        let b = Solver::new(SolverOptions::default()).solve(&p);
+        let (a, a_costs) = traced_solve(SolverOptions::default(), &p);
+        let (b, b_costs) = traced_solve(SolverOptions::default(), &p);
         assert_eq!(a.partition, b.partition);
-        assert_eq!(a.cost_history, b.cost_history);
+        assert_eq!(a_costs, b_costs);
     }
 
     #[test]
@@ -1176,19 +1186,18 @@ mod tests {
         // Restart-level threading must not change the outcome.
         let mut opts = SolverOptions::tuned(3);
         opts.parallel = false;
-        let seq = Solver::new(opts.clone()).solve(&p);
+        let (seq, seq_costs) = traced_solve(opts.clone(), &p);
         opts.parallel = true;
-        let par = Solver::new(opts).solve(&p);
+        let (par, par_costs) = traced_solve(opts, &p);
         assert_eq!(seq.partition, par.partition);
         assert_eq!(seq.best_restart, par.best_restart);
-        assert_eq!(seq.cost_history, par.cost_history);
+        assert_eq!(seq_costs, par_costs);
     }
 
     #[test]
-    fn cost_history_trends_downward() {
+    fn relaxed_cost_trends_downward() {
         let p = chain(30, 3);
-        let result = Solver::new(SolverOptions::default()).solve(&p);
-        let h = &result.cost_history;
+        let (_, h) = traced_solve(SolverOptions::default(), &p);
         assert!(h.len() >= 2);
         // Compare averages of the first and last quarters (descent is not
         // strictly monotone under the adaptive rate, but must trend down
@@ -1223,18 +1232,6 @@ mod tests {
             result.stop_reason,
             StopReason::Margin | StopReason::MaxIterations | StopReason::StepVanished
         ));
-    }
-
-    #[test]
-    fn swap_refine_never_loses_to_plain_refine() {
-        let p = chain(40, 4);
-        let plain = Solver::new(SolverOptions::default()).solve(&p);
-        let swapped = Solver::new(SolverOptions {
-            swap_refine: true,
-            ..SolverOptions::default()
-        })
-        .solve(&p);
-        assert!(swapped.discrete_cost <= plain.discrete_cost + 1e-12);
     }
 
     #[test]
@@ -1328,24 +1325,20 @@ mod tests {
         let mut opts = SolverOptions::tuned(3);
         opts.parallel = false;
         opts.iteration_budget = Some(opts.max_iterations + 50);
-        let seq = Solver::new(opts.clone()).try_solve(&p).expect("solves");
+        let (seq, seq_costs) = traced_solve(opts.clone(), &p);
         opts.parallel = true;
-        let par = Solver::new(opts.clone()).try_solve(&p).expect("solves");
+        let (par, par_costs) = traced_solve(opts.clone(), &p);
         assert_eq!(seq.partition, par.partition);
         assert_eq!(seq.best_restart, par.best_restart);
-        assert_eq!(seq.cost_history, par.cost_history);
+        assert_eq!(seq_costs, par_costs);
         // Restart 0 runs in full; restart 1 gets 50 iterations; restart 2
         // is skipped entirely. The winner ran under the same arithmetic as
         // an unbudgeted run of the same restart.
-        let unbudgeted = Solver::new(SolverOptions {
-            iteration_budget: None,
-            parallel: false,
-            ..opts
-        })
-        .try_solve(&p)
-        .expect("solves");
+        opts.iteration_budget = None;
+        opts.parallel = false;
+        let (unbudgeted, unbudgeted_costs) = traced_solve(opts, &p);
         if seq.best_restart == unbudgeted.best_restart {
-            assert_eq!(seq.cost_history, unbudgeted.cost_history);
+            assert_eq!(seq_costs, unbudgeted_costs);
         }
     }
 
@@ -1374,10 +1367,10 @@ mod tests {
             }),
             ..SolverOptions::default()
         };
-        let result = Solver::new(opts).try_solve(&p).expect("recovers");
+        let (result, costs) = traced_solve(opts, &p);
         assert_ne!(result.stop_reason, StopReason::NonFinite);
         assert!(result.discrete_cost.is_finite());
-        assert!(result.cost_history.iter().all(|c| c.is_finite()));
+        assert!(costs.iter().all(|c| c.is_finite()));
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub struct SolveStartEvent {
     pub parallel: bool,
 }
 
-/// Emitted once per completed descent iteration — exactly one event per
-/// entry the winning restart contributes to
-/// [`SolveResult::cost_history`](crate::SolveResult::cost_history).
+/// Emitted once per completed descent iteration — exactly
+/// [`RestartEndEvent::iterations`] events per restart; an iteration that
+/// diverges beyond recovery emits none.
 #[derive(Debug, Clone, Copy)]
 pub struct IterationEvent<'a> {
     /// Iteration index within the restart (0-based).

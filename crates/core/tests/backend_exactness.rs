@@ -74,7 +74,7 @@ fn assert_engine_matches_oracle(problem: &PartitionProblem, seed: u64, tag: &str
 }
 
 /// Solver level: end-to-end solves that differ only in restart threading
-/// must produce identical results — labels, history, and discrete cost.
+/// must produce identical results — labels, iterations, and discrete cost.
 fn assert_solves_bit_identical(problem: &PartitionProblem, max_iterations: usize, tag: &str) {
     let opts = |parallel| SolverOptions {
         max_iterations,
@@ -86,7 +86,7 @@ fn assert_solves_bit_identical(problem: &PartitionProblem, max_iterations: usize
     let threaded = Solver::new(opts(true)).solve(problem);
     assert_eq!(
         serial, threaded,
-        "{tag}: serial and parallel restarts diverged (partition/history/cost)"
+        "{tag}: serial and parallel restarts diverged (partition/iterations/cost)"
     );
 }
 

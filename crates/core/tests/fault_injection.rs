@@ -4,7 +4,10 @@
 //! the same fault plan reproduces the same result bit for bit, with serial
 //! and with parallel restarts.
 
-use sfq_partition::{FaultInjection, PartitionProblem, Solver, SolverOptions, StopReason};
+use sfq_partition::telemetry::{TraceCollector, TraceEvent};
+use sfq_partition::{
+    FaultInjection, PartitionProblem, SolveError, SolveResult, Solver, SolverOptions, StopReason,
+};
 
 fn chain(n: u32, k: usize) -> PartitionProblem {
     PartitionProblem::new(
@@ -25,14 +28,34 @@ fn base_options() -> SolverOptions {
     }
 }
 
-fn assert_finite_and_valid(result: &sfq_partition::SolveResult, gates: usize, k: usize) {
+/// `try_solve` with a trace attached: the result, and the relaxed cost of
+/// each iteration of the winning restart, read from its `iter` records.
+fn try_solve_traced(
+    options: SolverOptions,
+    p: &PartitionProblem,
+) -> Result<(SolveResult, Vec<f64>), SolveError> {
+    let mut trace = TraceCollector::new();
+    let result = Solver::new(options).try_solve_observed(p, &mut trace)?;
+    let best = result.best_restart as u64;
+    let costs = trace
+        .events()
+        .iter()
+        .filter_map(|event| match *event {
+            TraceEvent::Iteration { restart, total, .. } if restart == best => Some(total),
+            _ => None,
+        })
+        .collect();
+    Ok((result, costs))
+}
+
+fn assert_finite_and_valid(result: &SolveResult, costs: &[f64], gates: usize, k: usize) {
     assert_eq!(result.partition.num_gates(), gates);
     assert_eq!(result.partition.num_planes(), k);
     assert!(result.partition.labels().iter().all(|&l| (l as usize) < k));
     assert!(result.discrete_cost.is_finite());
     assert!(
-        result.cost_history.iter().all(|c| c.is_finite()),
-        "history must only record finite (possibly recovered) costs"
+        costs.iter().all(|c| c.is_finite()),
+        "iterations must only record finite (possibly recovered) costs"
     );
 }
 
@@ -47,13 +70,13 @@ fn single_nan_recovers_at_any_iteration() {
             }),
             ..base_options()
         };
-        let result = Solver::new(opts).try_solve(&p).expect("recovers");
+        let (result, costs) = try_solve_traced(opts, &p).expect("recovers");
         assert_ne!(
             result.stop_reason,
             StopReason::NonFinite,
             "inject_at={inject_at}"
         );
-        assert_finite_and_valid(&result, 30, 3);
+        assert_finite_and_valid(&result, &costs, 30, 3);
     }
 }
 
@@ -74,9 +97,9 @@ fn single_inf_and_nan_gradient_recover_too() {
             fault_injection: Some(plan.clone()),
             ..base_options()
         };
-        let result = Solver::new(opts).try_solve(&p).expect("recovers");
+        let (result, costs) = try_solve_traced(opts, &p).expect("recovers");
         assert_ne!(result.stop_reason, StopReason::NonFinite, "plan={plan:?}");
-        assert_finite_and_valid(&result, 30, 3);
+        assert_finite_and_valid(&result, &costs, 30, 3);
     }
 }
 
@@ -92,10 +115,10 @@ fn injection_at_iteration_zero_is_terminal_but_still_finite() {
         }),
         ..base_options()
     };
-    let result = Solver::new(opts).try_solve(&p).expect("fallback exists");
+    let (result, costs) = try_solve_traced(opts, &p).expect("fallback exists");
     assert_eq!(result.stop_reason, StopReason::NonFinite);
     assert_eq!(result.diverged_restarts, 1);
-    assert_finite_and_valid(&result, 30, 3);
+    assert_finite_and_valid(&result, &costs, 30, 3);
 }
 
 #[test]
@@ -108,8 +131,8 @@ fn recovery_is_deterministic() {
         }),
         ..base_options()
     };
-    let a = Solver::new(opts.clone()).try_solve(&p).unwrap();
-    let b = Solver::new(opts).try_solve(&p).unwrap();
+    let a = try_solve_traced(opts.clone(), &p).unwrap();
+    let b = try_solve_traced(opts, &p).unwrap();
     assert_eq!(a, b);
 }
 
@@ -127,9 +150,9 @@ fn poisoned_restart_loses_selection_in_serial_and_parallel() {
             }),
             ..SolverOptions::default()
         };
-        let result = Solver::new(opts).try_solve(&p).expect("two clean restarts");
+        let (result, costs) = try_solve_traced(opts, &p).expect("two clean restarts");
         assert_ne!(result.best_restart, 1, "parallel={parallel}");
         assert_eq!(result.diverged_restarts, 1, "parallel={parallel}");
-        assert_finite_and_valid(&result, 30, 3);
+        assert_finite_and_valid(&result, &costs, 30, 3);
     }
 }

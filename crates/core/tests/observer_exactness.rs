@@ -130,7 +130,7 @@ fn assert_observed_matches_detached(problem: &PartitionProblem, opts: SolverOpti
     let observed = solver.solve_observed(problem, &mut trace);
     assert_eq!(
         detached, observed,
-        "{tag}: observer perturbed the solve (partition/history/cost must be bit-identical)"
+        "{tag}: observer perturbed the solve (partition/iterations/cost must be bit-identical)"
     );
     assert_trace_consistent(trace.events(), &observed);
 

@@ -1,7 +1,7 @@
 //! Refine checked against oracles that share no code with it.
 //!
 //! `NaiveRefine` is a second, deliberately plain implementation of the
-//! single-move sweep and of the swap phase. It builds its own neighbor
+//! single-move sweep. It builds its own neighbor
 //! lists from the edge list, keeps its own plane loads, and prices every
 //! gate on every pass, with the gain written out in the operation order
 //! the library documents (`c₁·(ΔF₁/N₁) + c₂·ΔF₂ + c₃·ΔF₃`, each raw `ΔF₁`
@@ -14,11 +14,9 @@
 //! and checks its output against from-scratch `discrete_cost` evaluations:
 //! never worse than the input, and no single move improves it.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfq_partition::refine::{discrete_cost, refine, refine_with_swaps, RefineOptions};
+use sfq_partition::refine::{discrete_cost, refine, RefineOptions};
 use sfq_partition::{CostWeights, Partition, PartitionProblem};
 
 /// The distance exponent `p` every test here uses (the paper's 4). Plane
@@ -207,66 +205,6 @@ fn naive_refine(
     (state.labels, moves)
 }
 
-/// The oracle's `refine_with_swaps`: single moves, then rounds of
-/// connectivity-driven swap candidates, trial swaps and a fresh polish.
-fn naive_refine_with_swaps(
-    problem: &PartitionProblem,
-    start: &[u32],
-    options: &RefineOptions,
-) -> (Vec<u32>, usize) {
-    let weights = options.weights;
-    let (mut current, mut moves) = naive_refine(problem, start, options);
-    let connectivity_only = CostWeights {
-        c2: 0.0,
-        c3: 0.0,
-        ..weights
-    };
-    for _ in 0..options.max_passes {
-        let view = NaiveRefine::new(problem, &current, connectivity_only);
-        let mut wishes: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-        for (gate, &from) in current.iter().enumerate() {
-            let (target, gain) = view.best_move(gate);
-            if gain < -1e-15 {
-                wishes.entry((from, target)).or_default().push(gate);
-            }
-        }
-        let mut pairs = Vec::new();
-        for (&(p, q), forward) in &wishes {
-            if p < q {
-                if let Some(backward) = wishes.get(&(q, p)) {
-                    pairs.extend(forward.iter().copied().zip(backward.iter().copied()));
-                }
-            }
-        }
-        let mut state = NaiveRefine::new(problem, &current, weights);
-        let mut improved = false;
-        for (u, v) in pairs {
-            let (pu, pv) = (state.labels[u], state.labels[v]);
-            if pu == pv {
-                continue;
-            }
-            let g1 = state.gain(u, pv);
-            state.apply(u, pv);
-            let g2 = state.gain(v, pu);
-            if g1 + g2 < -1e-15 {
-                state.apply(v, pu);
-                moves += 2;
-                improved = true;
-            } else {
-                state.apply(u, pu);
-            }
-        }
-        if !improved {
-            current = state.labels;
-            break;
-        }
-        let (polished, more) = naive_refine(problem, &state.labels, options);
-        current = polished;
-        moves += more;
-    }
-    (current, moves)
-}
-
 /// A random problem: `G` in 2..=300, `K` in 2..=9, parallel edges in both
 /// directions, self-loops (which construction drops), isolated gates, and
 /// loads drawn either freely or from a few "cell types", so that balance
@@ -326,10 +264,28 @@ fn random_problem_of(rng: &mut StdRng, g: usize) -> PartitionProblem {
     PartitionProblem::new(bias, area, edges, k).expect("valid random problem")
 }
 
-/// A library refine entry point.
-type Library = fn(&PartitionProblem, &Partition, &RefineOptions) -> (Partition, usize);
-/// Its oracle: labels in, labels and moves out.
-type Naive = fn(&PartitionProblem, &[u32], &RefineOptions) -> (Vec<u32>, usize);
+/// Refines `start` with the library and with the oracle, which must agree
+/// on every label, the move count and every bit of the discrete cost.
+fn assert_refine_matches_the_oracle(
+    problem: &PartitionProblem,
+    start: &[u32],
+    options: &RefineOptions,
+    tag: &str,
+) {
+    let partition =
+        Partition::from_labels(start.to_vec(), problem.num_planes()).expect("labels in range");
+    let (refined, moves) = refine(problem, &partition, options);
+    let (expected, expected_moves) = naive_refine(problem, start, options);
+    assert_eq!(refined.labels(), &expected[..], "{tag}: labels");
+    assert_eq!(moves, expected_moves, "{tag}: moves");
+    let cost = discrete_cost(problem, &refined, options.weights, EXPONENT);
+    let expected_cost = NaiveRefine::new(problem, &expected, options.weights).cost();
+    assert_eq!(
+        cost.to_bits(),
+        expected_cost.to_bits(),
+        "{tag}: discrete cost {cost} vs {expected_cost}"
+    );
+}
 
 /// Default weights, connectivity only, heavy balance and balance only.
 fn weight_sets() -> [CostWeights; 4] {
@@ -353,16 +309,12 @@ fn weight_sets() -> [CostWeights; 4] {
 #[test]
 fn refine_matches_the_naive_oracle() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0f0e_ac1e);
-    // Cases where the swap phase changed the outcome: the oracle must cover
-    // the swap path, not only the single moves that precede it.
-    let mut swaps_fired = 0;
     for problem_index in 0..240 {
         let problem = random_problem(&mut rng);
         let k = problem.num_planes();
         let start: Vec<u32> = (0..problem.num_gates())
             .map(|_| rng.random_range(0..k as u32))
             .collect();
-        let partition = Partition::from_labels(start.clone(), k).expect("labels in range");
         let max_passes = if rng.random_bool(0.25) {
             rng.random_range(1..5)
         } else {
@@ -374,44 +326,15 @@ fn refine_matches_the_naive_oracle() {
                 exponent: EXPONENT,
                 max_passes,
             };
-            let oracles: [(&str, Library, Naive); 2] = [
-                ("refine", refine, naive_refine),
-                (
-                    "refine_with_swaps",
-                    refine_with_swaps,
-                    naive_refine_with_swaps,
-                ),
-            ];
-            let mut outcomes = Vec::with_capacity(2);
-            for (name, library, naive) in oracles {
-                let (refined, moves) = library(&problem, &partition, &options);
-                let (expected, expected_moves) = naive(&problem, &start, &options);
-                let tag = format!(
-                    "problem {problem_index} (G={}, E={}, K={k}), {name}, {weights:?}, \
-                     max_passes {max_passes}",
-                    problem.num_gates(),
-                    problem.num_edges()
-                );
-                assert_eq!(refined.labels(), &expected[..], "{tag}: labels");
-                assert_eq!(moves, expected_moves, "{tag}: moves");
-                let cost = discrete_cost(&problem, &refined, weights, EXPONENT);
-                let expected_cost = NaiveRefine::new(&problem, &expected, weights).cost();
-                assert_eq!(
-                    cost.to_bits(),
-                    expected_cost.to_bits(),
-                    "{tag}: discrete cost {cost} vs {expected_cost}"
-                );
-                outcomes.push(moves);
-            }
-            if outcomes[0] != outcomes[1] {
-                swaps_fired += 1;
-            }
+            let tag = format!(
+                "problem {problem_index} (G={}, E={}, K={k}), {weights:?}, \
+                 max_passes {max_passes}",
+                problem.num_gates(),
+                problem.num_edges()
+            );
+            assert_refine_matches_the_oracle(&problem, &start, &options, &tag);
         }
     }
-    assert!(
-        swaps_fired >= 100,
-        "swaps fired in only {swaps_fired} cases"
-    );
 }
 
 /// Near-balanced starts: a converged `refine` of a random labelling with
@@ -444,32 +367,11 @@ fn refine_matches_the_naive_oracle_from_near_balanced_starts() {
             for _ in 0..rng.random_range(1..4) {
                 start[rng.random_range(0..g)] = rng.random_range(0..k as u32);
             }
-            let partition = Partition::from_labels(start.clone(), k).expect("labels in range");
-            let oracles: [(&str, Library, Naive); 2] = [
-                ("refine", refine, naive_refine),
-                (
-                    "refine_with_swaps",
-                    refine_with_swaps,
-                    naive_refine_with_swaps,
-                ),
-            ];
-            for (name, library, naive) in oracles {
-                let (refined, moves) = library(&problem, &partition, &options);
-                let (expected, expected_moves) = naive(&problem, &start, &options);
-                let tag = format!(
-                    "problem {problem_index} (G={g}, E={}, K={k}), {name}, {weights:?}",
-                    problem.num_edges()
-                );
-                assert_eq!(refined.labels(), &expected[..], "{tag}: labels");
-                assert_eq!(moves, expected_moves, "{tag}: moves");
-                let cost = discrete_cost(&problem, &refined, weights, EXPONENT);
-                let expected_cost = NaiveRefine::new(&problem, &expected, weights).cost();
-                assert_eq!(
-                    cost.to_bits(),
-                    expected_cost.to_bits(),
-                    "{tag}: discrete cost {cost} vs {expected_cost}"
-                );
-            }
+            let tag = format!(
+                "problem {problem_index} (G={g}, E={}, K={k}), {weights:?}",
+                problem.num_edges()
+            );
+            assert_refine_matches_the_oracle(&problem, &start, &options, &tag);
         }
     }
 }

@@ -119,32 +119,25 @@ fn non_finite_stop_under_terminal_poisoning() {
 #[test]
 fn expired_deadline_never_overruns_refinement() {
     // Regression: the deadline used to be polled only at iteration
-    // boundaries, so a deadline'd run would still pay for a full (swap)
+    // boundaries, so a deadline'd run would still pay for a full
     // refinement sweep per restart. With refine enabled and an
     // already-expired deadline, zero refinement moves may be applied and
     // the stop reason must say so.
     let p = chain(200, 4);
-    for swap_refine in [false, true] {
-        let opts = SolverOptions {
-            deadline_ms: Some(0),
-            refine: true,
-            swap_refine,
-            restarts: 3,
-            ..SolverOptions::default()
-        };
-        let result = Solver::new(opts).try_solve(&p).unwrap();
-        assert_eq!(
-            result.stop_reason,
-            StopReason::BudgetExhausted,
-            "swap_refine={swap_refine}"
-        );
-        assert_eq!(result.iterations, 0, "swap_refine={swap_refine}");
-        assert_eq!(
-            result.refine_moves, 0,
-            "refinement ran past an expired deadline (swap_refine={swap_refine})"
-        );
-        assert_valid(&result, 200, 4);
-    }
+    let opts = SolverOptions {
+        deadline_ms: Some(0),
+        refine: true,
+        restarts: 3,
+        ..SolverOptions::default()
+    };
+    let result = Solver::new(opts).try_solve(&p).unwrap();
+    assert_eq!(result.stop_reason, StopReason::BudgetExhausted);
+    assert_eq!(result.iterations, 0);
+    assert_eq!(
+        result.refine_moves, 0,
+        "refinement ran past an expired deadline"
+    );
+    assert_valid(&result, 200, 4);
 }
 
 #[test]

@@ -234,9 +234,6 @@ fn parse_options(overrides: Option<&Json>) -> Result<SolverOptions, String> {
             }
             "margin" => options.margin = v.as_f64().ok_or("options: `margin` must be a number")?,
             "refine" => options.refine = v.as_bool().ok_or("options: `refine` must be a bool")?,
-            "swap_refine" => {
-                options.swap_refine = v.as_bool().ok_or("options: `swap_refine` must be a bool")?;
-            }
             "parallel" => {
                 options.parallel = v.as_bool().ok_or("options: `parallel` must be a bool")?;
             }
@@ -356,9 +353,6 @@ fn write_solve(out: &mut String, solve: &SolveRequest) {
     }
     if o.refine != defaults.refine {
         push(format!("\"refine\":{}", o.refine));
-    }
-    if o.swap_refine != defaults.swap_refine {
-        push(format!("\"swap_refine\":{}", o.swap_refine));
     }
     if o.parallel != defaults.parallel {
         push(format!("\"parallel\":{}", o.parallel));
@@ -972,7 +966,7 @@ mod tests {
         solve.options.seed = 7;
         solve.options.restarts = 3;
         solve.options.margin = -1.0;
-        solve.options.swap_refine = true;
+        solve.options.refine = false;
         solve.options.parallel = true;
         solve.options.fault_injection = Some(FaultInjection {
             nan_cost_at: vec![3, 9],
@@ -1048,13 +1042,15 @@ mod tests {
     #[test]
     fn unknown_option_keys_are_rejected() {
         // `fused` and `kernel_backend` chose between evaluators that no
-        // longer exist, and `intra_parallel` between two ways to run one
-        // engine's sweeps, so they are refused like any other unknown key.
+        // longer exist, `intra_parallel` between two ways to run one
+        // engine's sweeps and `swap_refine` between two polishes, so they
+        // are refused like any other unknown key.
         for (key, value) in [
             ("warp", "1"),
             ("fused", "true"),
             ("kernel_backend", "\"scalar\""),
             ("intra_parallel", "true"),
+            ("swap_refine", "true"),
         ] {
             let line = format!(
                 "{{\"op\":\"solve\",\"id\":\"x\",\"problem\":{{\"bias\":[1],\"area\":[1],\"planes\":1}},\"options\":{{\"{key}\":{value}}}}}"

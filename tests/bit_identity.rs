@@ -11,11 +11,11 @@
 //!
 //! With refinement on, the solve is a V-cycle: eight descent iterations on
 //! the coarsest level of a heavy-edge coarsening, then refine at every
-//! level on the way back. The plain and the `swap_refine` polish are pinned
-//! separately, and so is the swap polish with `c₂ = c₃ = 10`. With
-//! refinement off the solve is the paper's flat Algorithm 1 on the whole
-//! problem; its digests are pinned too and must never move, since the
-//! reproduction columns of the paper's tables run that path.
+//! level on the way back. That solve is pinned with the default weights
+//! and with `c₂ = c₃ = 10`. With refinement off the solve is the paper's
+//! flat Algorithm 1 on the whole problem; its digests are pinned too and
+//! must never move, since the reproduction columns of the paper's tables
+//! run that path.
 //!
 //! The full-size shape, `ScaleTier::S1m` at K = 5 under the same budget, is
 //! pinned both ways. It takes seconds in release and much longer in debug,
@@ -50,12 +50,11 @@ fn digest(result: &SolveResult) -> u64 {
     fnv1a(hash, &(result.refine_moves as u64).to_le_bytes())
 }
 
-fn solve_s10k_k5(weights: CostWeights, swap_refine: bool) -> SolveResult {
+fn solve_s10k_k5(weights: CostWeights) -> SolveResult {
     solve_budgeted(
         ScaleTier::S10k,
         SolverOptions {
             weights,
-            swap_refine,
             ..SolverOptions::default()
         },
     )
@@ -95,28 +94,21 @@ fn assert_pinned(result: &SolveResult, expected: u64) {
 
 #[test]
 fn s10k_k5_budgeted_solve_is_pinned() {
-    let result = solve_s10k_k5(CostWeights::default(), false);
+    let result = solve_s10k_k5(CostWeights::default());
     assert_eq!(result.iterations, 8);
     assert_pinned(&result, 0x20f3_c470_ec12_3e9a);
 }
 
 #[test]
-fn s10k_k5_budgeted_swap_refine_solve_is_pinned() {
-    let result = solve_s10k_k5(CostWeights::default(), true);
-    assert_eq!(result.iterations, 8);
-    assert_pinned(&result, 0x3d58_8b7b_3758_8422);
-}
-
-#[test]
-fn s10k_k5_heavy_balance_swap_refine_solve_is_pinned() {
+fn s10k_k5_heavy_balance_solve_is_pinned() {
     let heavy = CostWeights {
         c2: 10.0,
         c3: 10.0,
         ..CostWeights::default()
     };
-    let result = solve_s10k_k5(heavy, true);
-    assert_eq!(result.refine_moves, 772);
-    assert_pinned(&result, 0x4e67_f773_8314_24f5);
+    let result = solve_s10k_k5(heavy);
+    assert_eq!((result.iterations, result.refine_moves), (8, 708));
+    assert_pinned(&result, 0x7fa5_a000_5f34_6a09);
 }
 
 #[test]

@@ -7,9 +7,10 @@ use current_recycling::def::{parse_def, write_def};
 use current_recycling::partition::engine::{CostEngine, EngineOptions};
 use current_recycling::partition::grad::{Gradient, GradientOptions};
 use current_recycling::partition::refine::{discrete_cost, refine, RefineOptions};
+use current_recycling::partition::telemetry::{TraceCollector, TraceEvent};
 use current_recycling::partition::{
-    baselines, CostModel, CostWeights, Partition, PartitionMetrics, PartitionProblem, Solver,
-    SolverOptions, WeightMatrix,
+    baselines, CostModel, CostWeights, Partition, PartitionMetrics, PartitionProblem, SolveResult,
+    Solver, SolverOptions, WeightMatrix,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,6 +32,23 @@ fn arb_problem() -> impl Strategy<Value = PartitionProblem> {
         }
         PartitionProblem::new(bias, area, edges, k).expect("constructed valid")
     })
+}
+
+/// A solve with a trace attached: the result, and the relaxed cost of each
+/// iteration of the winning restart, read from its `iter` records.
+fn traced_solve(options: SolverOptions, problem: &PartitionProblem) -> (SolveResult, Vec<f64>) {
+    let mut trace = TraceCollector::new();
+    let result = Solver::new(options).solve_observed(problem, &mut trace);
+    let best = result.best_restart as u64;
+    let costs = trace
+        .events()
+        .iter()
+        .filter_map(|event| match *event {
+            TraceEvent::Iteration { restart, total, .. } if restart == best => Some(total),
+            _ => None,
+        })
+        .collect();
+    (result, costs)
 }
 
 proptest! {
@@ -158,24 +176,18 @@ proptest! {
     fn solver_backends_agree_end_to_end(problem in arb_problem()) {
         // Whole solves (descent, snap, refine) must not depend on how the
         // work is threaded: serial and parallel restarts give identical
-        // partitions and cost histories, bit for bit.
-        let opts = SolverOptions {
+        // partitions and relaxed costs per iteration, bit for bit.
+        let mut opts = SolverOptions {
             max_iterations: 120,
             restarts: 2,
+            parallel: false,
             ..SolverOptions::default()
         };
-        let serial = Solver::new(SolverOptions {
-            parallel: false,
-            ..opts.clone()
-        })
-        .solve(&problem);
-        let threaded = Solver::new(SolverOptions {
-            parallel: true,
-            ..opts
-        })
-        .solve(&problem);
+        let (serial, serial_costs) = traced_solve(opts.clone(), &problem);
+        opts.parallel = true;
+        let (threaded, threaded_costs) = traced_solve(opts, &problem);
         prop_assert_eq!(serial.partition.labels(), threaded.partition.labels());
-        prop_assert_eq!(serial.cost_history, threaded.cost_history);
+        prop_assert_eq!(serial_costs, threaded_costs);
         prop_assert_eq!(serial.discrete_cost, threaded.discrete_cost);
     }
 
@@ -194,8 +206,8 @@ proptest! {
         // The projected descent must keep every w in [0,1]; verified through
         // the solver's public invariants: snap produces valid labels and the
         // relaxed cost at the end is finite.
-        let result = Solver::new(SolverOptions::default()).solve(&problem);
-        for &cost in &result.cost_history {
+        let (_, costs) = traced_solve(SolverOptions::default(), &problem);
+        for &cost in &costs {
             prop_assert!(cost.is_finite());
         }
     }
