@@ -92,6 +92,11 @@ impl Partition {
         &self.labels
     }
 
+    /// Consumes the partition, keeping its labels.
+    pub(crate) fn into_labels(self) -> Vec<u32> {
+        self.labels
+    }
+
     /// Moves gate `i` to plane `p` (0-based).
     ///
     /// # Panics

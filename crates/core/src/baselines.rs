@@ -159,9 +159,14 @@ pub fn simulated_annealing(
     let k = problem.num_planes();
     let start = round_robin_levelized(problem);
     let csr = crate::engine::Csr::new(problem);
-    let mut state =
-        crate::refine::MoveState::new(problem, &csr, &start, options.weights, options.exponent);
-    let mut best_cost = state.total_cost();
+    let mut state = crate::refine::MoveState::new(
+        crate::refine::Loads::of(problem),
+        &csr,
+        start.labels().to_vec(),
+        options.weights,
+        options.exponent,
+    );
+    let mut best_cost = state.total_cost(problem.edges());
     let mut best = start;
 
     let mut temperature = options.initial_temperature;
@@ -183,7 +188,7 @@ pub fn simulated_annealing(
         // Re-evaluate exactly once per temperature step (cheaper and more
         // robust than accumulating per-move deltas) and snapshot if this is
         // the best state seen.
-        let cost = state.total_cost();
+        let cost = state.total_cost(problem.edges());
         if cost < best_cost {
             best_cost = cost;
             best = state.snapshot_partition();

@@ -45,6 +45,8 @@
 //! bit-equal to the reference's at every problem size: both add the plane
 //! loads in gate order and both call the same `cost::variance`.
 
+use std::borrow::Cow;
+
 use crate::cost::{variance, CostBreakdown, CostModel, CostWeights};
 use crate::grad::GradientOptions;
 use crate::kernel;
@@ -105,23 +107,39 @@ impl Csr {
             2 * e <= u32::MAX as usize,
             "CSR offsets require 2·E ≤ u32::MAX"
         );
-        let mut offsets = vec![0u32; g + 1];
+        let mut degrees = vec![0u32; g + 1];
         for &(u, v) in problem.edges() {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
+            degrees[u as usize + 1] += 1;
+            degrees[v as usize + 1] += 1;
         }
+        Csr::from_degrees(degrees, problem.edges())
+    }
+
+    /// The adjacency of `edges` from the degrees already counted in them:
+    /// `degrees[gate + 1]` holds gate `gate`'s, and `degrees[0]` is 0. The
+    /// buffer becomes the offsets, and it serves as the fill cursor too.
+    pub(crate) fn from_degrees(mut degrees: Vec<u32>, edges: &[(u32, u32)]) -> Self {
+        let g = degrees.len() - 1;
+        debug_assert!(g < (1usize << 31) && 2 * edges.len() <= u32::MAX as usize);
+        // Prefix sums: `degrees[i]` becomes gate i's first slot, and the
+        // fill advances it to gate i's end, which is gate i + 1's first;
+        // shifting by one place restores the starts.
         for i in 0..g {
-            offsets[i + 1] += offsets[i];
+            degrees[i + 1] += degrees[i];
         }
-        let mut cursor: Vec<u32> = offsets[..g].to_vec();
-        let mut neighbors = vec![0u32; 2 * e];
-        for &(u, v) in problem.edges() {
-            neighbors[cursor[u as usize] as usize] = v | SRC_BIT;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
+        let mut neighbors = vec![0u32; 2 * edges.len()];
+        for &(u, v) in edges {
+            neighbors[degrees[u as usize] as usize] = v | SRC_BIT;
+            degrees[u as usize] += 1;
+            neighbors[degrees[v as usize] as usize] = u;
+            degrees[v as usize] += 1;
         }
-        Csr { offsets, neighbors }
+        degrees.copy_within(0..g, 1);
+        degrees[0] = 0;
+        Csr {
+            offsets: degrees,
+            neighbors,
+        }
     }
 
     /// Gate `gate`'s packed neighbor words (mask [`SRC_BIT`] to get the
@@ -167,8 +185,9 @@ pub struct CostEngine<'a> {
     options: EngineOptions,
     /// Padded row stride of the weight matrix (multiple of [`LANE`]).
     stride: usize,
-    /// CSR edge adjacency for the edge gather.
-    csr: Csr,
+    /// CSR edge adjacency for the edge gather: the engine's own, or a
+    /// V-cycle level's, which every restart borrows.
+    csr: Cow<'a, Csr>,
     labels: Vec<f64>,
     row_sums: Vec<f64>,
     force: Vec<f64>,
@@ -405,12 +424,25 @@ impl<'a> CostEngine<'a> {
         exponent: f64,
         options: EngineOptions,
     ) -> Self {
+        let csr = Cow::Owned(Csr::new(problem));
+        CostEngine::with_csr(problem, csr, weights, exponent, options)
+    }
+
+    /// [`CostEngine::new`] over a prebuilt adjacency; `csr` must be
+    /// `Csr::new(problem)`.
+    pub(crate) fn with_csr(
+        problem: &'a PartitionProblem,
+        csr: Cow<'a, Csr>,
+        weights: CostWeights,
+        exponent: f64,
+        options: EngineOptions,
+    ) -> Self {
+        debug_assert_eq!(csr.offsets.len(), problem.num_gates() + 1);
         let model = CostModel::with_exponent(problem, weights, exponent);
         let g = problem.num_gates();
         let k = problem.num_planes();
         let stride = lanes::padded(k);
         debug_assert_eq!(stride % LANE, 0);
-        let csr = Csr::new(problem);
         let plane_coeff: Vec<f64> = (0..stride).map(|j| (j + 1) as f64).collect();
         let mask: Vec<f64> = (0..stride).map(|j| if j < k { 1.0 } else { 0.0 }).collect();
         CostEngine {
@@ -432,7 +464,7 @@ impl<'a> CostEngine<'a> {
 
     /// Consumes the engine, keeping only its CSR adjacency: refine reads the
     /// same one, so the solver hands it over instead of building it again.
-    pub(crate) fn into_csr(self) -> Csr {
+    pub(crate) fn into_csr(self) -> Cow<'a, Csr> {
         self.csr
     }
 

@@ -92,7 +92,8 @@ impl std::error::Error for ProblemError {}
 ///
 /// Self-loop edges are dropped at construction (a gate is always co-planar
 /// with itself). Parallel edges are kept: each physical driver→sink arc pays
-/// its own coupler chain, exactly as in the paper's `E`.
+/// its own coupler chain, exactly as in the paper's `E`. The totals `B_cir`
+/// and `A_cir` are summed once, at construction.
 ///
 /// # Example
 ///
@@ -110,6 +111,9 @@ pub struct PartitionProblem {
     area: Vec<f64>,
     edges: Vec<(u32, u32)>,
     k: usize,
+    /// `Σ bias` and `Σ area`, summed in gate order.
+    total_bias: f64,
+    total_area: f64,
     /// Optional mapping from gate index back to the source netlist cell.
     gate_cells: Option<Vec<CellId>>,
 }
@@ -155,6 +159,8 @@ impl PartitionProblem {
         let mut edges = edges;
         edges.retain(|&(u, v)| u != v);
         Ok(PartitionProblem {
+            total_bias: bias.iter().sum(),
+            total_area: area.iter().sum(),
             bias,
             area,
             edges,
@@ -299,12 +305,12 @@ impl PartitionProblem {
 
     /// Total bias current `B_cir` in mA.
     pub fn total_bias(&self) -> f64 {
-        self.bias.iter().sum()
+        self.total_bias
     }
 
     /// Total area `A_cir` in µm².
     pub fn total_area(&self) -> f64 {
-        self.area.iter().sum()
+        self.total_area
     }
 
     /// Netlist cell behind gate `i`, if the problem was built from a netlist.
@@ -378,6 +384,29 @@ mod tests {
         assert_eq!(p.total_bias(), 3.5);
         assert_eq!(p.total_area(), 15.0);
         assert_eq!(p.num_planes(), 3);
+    }
+
+    /// The cached totals are the sums `new` would take afresh, bit for bit,
+    /// on seeded random problems and on their `with_planes` copies.
+    #[test]
+    fn cached_totals_equal_a_fresh_sum() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x70_7a15);
+        for trial in 0..200 {
+            let n = rng.random_range(1..300usize);
+            let scale = 10f64.powi(rng.random_range(-3..7));
+            let mut load =
+                || -> Vec<f64> { (0..n).map(|_| scale * rng.random_range(0.0..1.0)).collect() };
+            let (bias, area) = (load(), load());
+            let fresh = |values: &[f64]| values.iter().sum::<f64>().to_bits();
+            let (bias_sum, area_sum) = (fresh(&bias), fresh(&area));
+            let k = rng.random_range(2..9);
+            let p = PartitionProblem::new(bias, area, vec![], k).unwrap();
+            for q in [p.with_planes(k + 1).unwrap(), p] {
+                assert_eq!(q.total_bias().to_bits(), bias_sum, "trial {trial}");
+                assert_eq!(q.total_area().to_bits(), area_sum, "trial {trial}");
+            }
+        }
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //! quantifies its contribution. The public API is [`discrete_cost`],
 //! [`refine`] and [`RefineOptions`]; the solver polishes through the
 //! crate-internal `refine_on`, which also polls an [`Interrupt`] and takes
-//! the gates the coarser level settled.
+//! the gates the coarser level settled. `refine_on` reads a level through
+//! a borrowed view, its `Loads` (per-gate bias and area, their totals, the
+//! edge and plane counts) and its CSR, so a V-cycle level that keeps no
+//! edge list polishes as a whole problem does.
 //!
 //! Pricing a gate's best move costs `O(deg(i)·K)`: neighbors come from the
 //! engine's CSR adjacency (one contiguous slice per gate, built once per
-//! call, or handed over by the solver's engine), and edge distances from a
+//! call, or read from the V-cycle's level), and edge distances from a
 //! K×K table of `|a − b|^p`, so the sweep reads each neighbor's label once
 //! and prices all `K − 1` targets from it.
 //!
@@ -81,6 +84,13 @@
 //! gate starts the finer polish clean, with the floor pricing would record,
 //! and outside the visit set if certified: a finer level prices only the
 //! gates the coarser level could not settle.
+//!
+//! The polishes of one V-cycle share their per-gate buffers: the labels
+//! travel by value from level to level, projected in place, and one
+//! [`Sweep`] sized for the finest level holds the floors and bitsets. The
+//! hand-down is applied while the finer level's sweep is built, reading
+//! the coarser level's clean and interior bits where its polish left them,
+//! so no projected set is built and nothing is cloned.
 
 use crate::assign::Partition;
 use crate::budget::{Interrupt, StopCause};
@@ -140,7 +150,8 @@ pub fn discrete_cost(
 ) -> f64 {
     check_dims(problem, partition);
     let labels = partition.labels();
-    Objective::new(problem, labels, weights, exponent).total_cost(problem, labels)
+    Objective::new(&Loads::of(problem), labels, weights, exponent)
+        .total_cost(problem.edges(), labels)
 }
 
 fn check_dims(problem: &PartitionProblem, partition: &Partition) {
@@ -164,16 +175,49 @@ pub fn refine(
     partition: &Partition,
     options: &RefineOptions,
 ) -> (Partition, usize) {
+    check_dims(problem, partition);
     let csr = Csr::new(problem);
     let polished = refine_on(
-        problem,
+        Loads::of(problem),
         &csr,
-        partition,
+        partition.labels().to_vec(),
         options,
         &Interrupt::none(),
-        &GateSet::default(),
+        &mut Sweep::with_capacity(problem.num_gates()),
+        None,
     );
     (polished.partition, polished.tally.moves)
+}
+
+/// The gates of one level as the discrete objective reads them: each
+/// gate's bias and area, their totals `B_cir` and `A_cir`, and the level's
+/// edge and plane counts. A view of a [`PartitionProblem`], or of a V-cycle
+/// level that keeps no edge list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Loads<'a> {
+    pub(crate) bias: &'a [f64],
+    pub(crate) area: &'a [f64],
+    pub(crate) total_bias: f64,
+    pub(crate) total_area: f64,
+    pub(crate) num_edges: usize,
+    pub(crate) num_planes: usize,
+}
+
+impl<'a> Loads<'a> {
+    pub(crate) fn of(problem: &'a PartitionProblem) -> Self {
+        Loads {
+            bias: problem.bias(),
+            area: problem.area(),
+            total_bias: problem.total_bias(),
+            total_area: problem.total_area(),
+            num_edges: problem.num_edges(),
+            num_planes: problem.num_planes(),
+        }
+    }
+
+    pub(crate) fn num_gates(&self) -> usize {
+        self.bias.len()
+    }
 }
 
 /// What a polish of one level returns.
@@ -183,15 +227,14 @@ pub(crate) struct Polished {
     pub(crate) tally: Tally,
     /// The interrupt cause, if one cut the polish short.
     pub(crate) stopped: Option<StopCause>,
-    /// The gates that ended clean and interior, which the next finer level
-    /// can take over clean (see the module docs).
-    pub(crate) settled: GateSet,
 }
 
-/// [`refine`] over a prebuilt adjacency; `csr` must be
-/// `Csr::new(problem)`. The gates of `handed_down` (an empty set, or one
-/// bit per gate of `problem`) must be interior under `partition`: each
-/// starts clean, with the floor pricing would record.
+/// [`refine`] of `labels` on a level, through its `loads` and adjacency
+/// `csr`, in `sweep`'s buffers. With `handed_down`, the map from this
+/// level's gates onto the coarser level's, `sweep` must be as that level's
+/// polish left it and `labels` projected from its result: the gates whose
+/// coarse gate ended clean and interior start clean, with the floor pricing
+/// would record (see the module docs).
 ///
 /// `interrupt` is polled between passes and every [`POLL_STRIDE`] gate
 /// visits within a pass. On interruption the sweep stops at once and the
@@ -199,21 +242,21 @@ pub(crate) struct Polished {
 /// applied move is a strict improvement, so a truncated polish is never
 /// worse than its input.
 pub(crate) fn refine_on(
-    problem: &PartitionProblem,
+    loads: Loads<'_>,
     csr: &Csr,
-    partition: &Partition,
+    labels: Vec<u32>,
     options: &RefineOptions,
     interrupt: &Interrupt,
-    handed_down: &GateSet,
+    sweep: &mut Sweep,
+    handed_down: Option<&[u32]>,
 ) -> Polished {
-    let mut state = MoveState::new(problem, csr, partition, options.weights, options.exponent);
-    let mut sweep = Sweep::new(&state, handed_down);
-    let (tally, stopped) = single_moves(&mut state, &mut sweep, options.max_passes, interrupt);
+    let mut state = MoveState::new(loads, csr, labels, options.weights, options.exponent);
+    sweep.begin(&state, handed_down);
+    let (tally, stopped) = single_moves(&mut state, sweep, options.max_passes, interrupt);
     Polished {
         partition: state.into_partition(),
         tally,
         stopped,
-        settled: sweep.settled(),
     }
 }
 
@@ -230,8 +273,8 @@ pub(crate) struct Tally {
 }
 
 /// A set of gates, one bit per gate.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GateSet {
+#[derive(Debug)]
+struct GateSet {
     /// Gate `g` is bit `g % 64` of word `g / 64`; the bits past `len` stay
     /// clear.
     words: Vec<u64>,
@@ -239,12 +282,24 @@ pub(crate) struct GateSet {
 }
 
 impl GateSet {
-    /// The empty set over gates `0..len`.
-    pub(crate) fn empty(len: usize) -> Self {
+    /// An empty set over no gates, with room for `len` of them.
+    fn with_capacity(len: usize) -> Self {
         GateSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
+            words: Vec::with_capacity(len.div_ceil(64)),
+            len: 0,
         }
+    }
+
+    /// Makes the set one over gates `0..len`. The members it keeps are
+    /// unspecified, so callers write every word next.
+    fn resize(&mut self, len: usize) {
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
+    /// Removes every gate.
+    fn clear(&mut self) {
+        self.words.fill(0);
     }
 
     /// Adds every gate of `0..len`.
@@ -255,18 +310,13 @@ impl GateSet {
         }
     }
 
-    /// Whether no gate is a member.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.iter().all(|&word| word == 0)
-    }
-
     #[inline]
-    pub(crate) fn contains(&self, gate: usize) -> bool {
+    fn contains(&self, gate: usize) -> bool {
         self.words[gate / 64] & (1 << (gate % 64)) != 0
     }
 
     #[inline]
-    pub(crate) fn insert(&mut self, gate: usize) {
+    fn insert(&mut self, gate: usize) {
         self.words[gate / 64] |= 1 << (gate % 64);
     }
 
@@ -322,10 +372,12 @@ struct Certificate {
 /// Lower and upper bounds on the plane loads, of the bias and of the area.
 type LoadRanges = [(f64, f64); 2];
 
-/// The per-gate state of one [`single_moves`] call: three bits and an `F₁`
-/// floor per gate, and the certificate's caps.
+/// The per-gate state of a [`single_moves`] call: three bits and an `F₁`
+/// floor per gate, and the certificate's caps. The polishes of a V-cycle
+/// share one, sized for the finest level: each level's polish starts from
+/// the state the coarser level's left (see [`Sweep::begin`]).
 #[derive(Debug)]
-struct Sweep {
+pub(crate) struct Sweep {
     /// The gates the passes still visit.
     visit: GateSet,
     /// Gates that have not moved, and whose neighbors have not moved,
@@ -334,7 +386,8 @@ struct Sweep {
     /// Gates whose every neighbor sat on their plane when they were last
     /// priced or handed down.
     interior: GateSet,
-    /// Each clean gate's `F₁` floor.
+    /// Each clean gate's `F₁` floor; a dirty gate's is stale and never
+    /// read.
     floor: Vec<f64>,
     certificate: Certificate,
     /// Bounds on the plane loads: exact at the last fill, then widened by
@@ -344,41 +397,75 @@ struct Sweep {
 }
 
 impl Sweep {
-    /// Every gate in the visit set and dirty, except the `handed_down` ones
-    /// (see [`refine_on`]): clean and interior, with the floor pricing
-    /// would record, and out of the set if certified.
-    fn new(state: &MoveState<'_>, handed_down: &GateSet) -> Self {
-        let n = state.num_gates();
-        let ranges = state.objective.load_ranges();
-        let mut sweep = Sweep {
-            visit: GateSet::empty(n),
-            clean: GateSet::empty(n),
-            interior: GateSet::empty(n),
-            floor: vec![0.0; n],
-            certificate: state.objective.certificate(&ranges),
-            ranges,
-        };
-        sweep.visit.insert_all();
-        if handed_down.is_empty() {
-            return sweep;
+    /// Empty buffers with room for the polish of `gates` gates, or of a
+    /// V-cycle whose finest level has as many.
+    pub(crate) fn with_capacity(gates: usize) -> Self {
+        Sweep {
+            visit: GateSet::with_capacity(gates),
+            clean: GateSet::with_capacity(gates),
+            interior: GateSet::with_capacity(gates),
+            floor: Vec::with_capacity(gates),
+            // `begin` sets both; a NaN margin certifies nothing meanwhile.
+            certificate: Certificate {
+                bias_cap: 0.0,
+                area_cap: 0.0,
+                bias_weight: 0.0,
+                area_weight: 0.0,
+                margin: f64::NAN,
+            },
+            ranges: [(0.0, 0.0); 2],
         }
-        debug_assert_eq!(handed_down.len, n, "a handed-down set has a bit per gate");
-        sweep.clean.clone_from(handed_down);
-        sweep.interior.clone_from(handed_down);
+    }
+
+    /// Readies the sweep for a polish of `state`'s level: every gate in the
+    /// visit set and dirty, except with `handed_down` (see [`refine_on`]).
+    /// Then a gate whose coarse gate `handed_down[gate]` ended the coarser
+    /// polish clean and interior starts clean and interior, with the floor
+    /// pricing would record, and out of the set if certified.
+    ///
+    /// The coarser polish's bits are read where it left them, in the same
+    /// buffers: the coarse gate of a fine gate never has a larger index
+    /// (see [`crate::coarsen`]), so filling whole words from the last down
+    /// reads every coarse bit before its word is overwritten.
+    fn begin(&mut self, state: &MoveState<'_>, handed_down: Option<&[u32]>) {
+        let n = state.num_gates();
+        self.ranges = state.objective.load_ranges();
+        self.certificate = state.objective.certificate(&self.ranges);
+        self.floor.resize(n, 0.0);
+        for set in [&mut self.visit, &mut self.clean, &mut self.interior] {
+            set.resize(n);
+        }
+        let Some(map) = handed_down else {
+            self.visit.insert_all();
+            self.clean.clear();
+            self.interior.clear();
+            return;
+        };
+        debug_assert_eq!(map.len(), n, "a map has an entry per fine gate");
         let mut floors = InteriorFloors::new(&state.objective);
         let offsets = &state.csr.offsets;
-        let Sweep {
-            visit,
-            floor,
-            certificate,
-            ..
-        } = &mut sweep;
-        visit.remove_where(handed_down, |gate| {
-            let degree = (offsets[gate + 1] - offsets[gate]) as usize;
-            floor[gate] = floors.get(&state.objective, state.labels[gate] as usize, degree);
-            state.certified(gate, floor[gate], certificate)
-        });
-        sweep
+        for index in (0..n.div_ceil(64)).rev() {
+            let first = index * 64;
+            let (mut settled, mut visit) = (0u64, 0u64);
+            for (bit, gate) in (first..n.min(first + 64)).enumerate() {
+                visit |= 1 << bit;
+                let coarse = map[gate] as usize;
+                debug_assert!(coarse <= gate, "coarse gates are numbered in fine order");
+                if !(self.clean.contains(coarse) && self.interior.contains(coarse)) {
+                    continue;
+                }
+                settled |= 1 << bit;
+                let degree = (offsets[gate + 1] - offsets[gate]) as usize;
+                let floor = floors.get(&state.objective, state.labels[gate] as usize, degree);
+                self.floor[gate] = floor;
+                if state.certified(gate, floor, &self.certificate) {
+                    visit &= !(1 << bit);
+                }
+            }
+            self.visit.words[index] = visit;
+            self.clean.words[index] = settled;
+            self.interior.words[index] = settled;
+        }
     }
 
     /// Whether the spreads are still within the caps after a move from
@@ -417,21 +504,6 @@ impl Sweep {
             state.certified(gate, self.floor[gate], &self.certificate)
         });
     }
-
-    /// The gates that are clean and interior now.
-    fn settled(&self) -> GateSet {
-        let words = self
-            .clean
-            .words
-            .iter()
-            .zip(&self.interior.words)
-            .map(|(&clean, &interior)| clean & interior)
-            .collect();
-        GateSet {
-            words,
-            len: self.clean.len,
-        }
-    }
 }
 
 /// The single-move sweeps of [`refine_on`] over `state`: up to
@@ -447,7 +519,7 @@ impl Sweep {
 /// visit prices the gate in full. Applying a move dirties the mover and
 /// each of its neighbors and puts them in the set, and a move that takes a
 /// spread past its cap refills the set. The per-gate state (three bits and
-/// an `F₁` floor) is allocated once per call, in `sweep`.
+/// an `F₁` floor) lives in `sweep`, so the passes allocate nothing.
 fn single_moves(
     state: &mut MoveState<'_>,
     sweep: &mut Sweep,
@@ -538,13 +610,8 @@ struct Objective {
 }
 
 impl Objective {
-    fn new(
-        problem: &PartitionProblem,
-        labels: &[u32],
-        weights: CostWeights,
-        exponent: f64,
-    ) -> Self {
-        let k = problem.num_planes();
+    fn new(loads: &Loads<'_>, labels: &[u32], weights: CostWeights, exponent: f64) -> Self {
+        let k = loads.num_planes;
         let mut dist = Vec::with_capacity(k * k);
         for a in 0..k as i64 {
             for b in 0..k as i64 {
@@ -556,12 +623,12 @@ impl Objective {
         }
         let mut plane_bias = vec![0.0; k];
         let mut plane_area = vec![0.0; k];
-        for ((&p, &b), &a) in labels.iter().zip(problem.bias()).zip(problem.area()) {
+        for ((&p, &b), &a) in labels.iter().zip(loads.bias).zip(loads.area) {
             plane_bias[p as usize] += b;
             plane_area[p as usize] += a;
         }
         let kf = k as f64;
-        let (bias_total, area_total) = (problem.total_bias(), problem.total_area());
+        let (bias_total, area_total) = (loads.total_bias, loads.total_area);
         let b_mean = bias_total / kf;
         let a_mean = area_total / kf;
         let nz = |x: f64| if x > 0.0 { x } else { 1.0 };
@@ -571,7 +638,7 @@ impl Objective {
             dist,
             plane_bias,
             plane_area,
-            n1: nz(problem.num_edges() as f64 * (kf - 1.0).powf(exponent)),
+            n1: nz(loads.num_edges as f64 * (kf - 1.0).powf(exponent)),
             n2: nz((kf - 1.0) * b_mean * b_mean),
             n3: nz((kf - 1.0) * a_mean * a_mean),
             b_mean,
@@ -589,11 +656,11 @@ impl Objective {
         &self.dist[at..at + self.k]
     }
 
-    /// `F_d` of `labels`, whose plane loads this objective holds. `F₁`
-    /// accumulates in edge-list order.
-    fn total_cost(&self, problem: &PartitionProblem, labels: &[u32]) -> f64 {
+    /// `F_d` of `labels`, whose plane loads this objective holds, over the
+    /// level's edge list `edges`. `F₁` accumulates in edge-list order.
+    fn total_cost(&self, edges: &[(u32, u32)], labels: &[u32]) -> f64 {
         let mut f1 = 0.0;
-        for &(u, v) in problem.edges() {
+        for &(u, v) in edges {
             f1 += self.dist_row(labels[u as usize])[labels[v as usize] as usize];
         }
         f1 /= self.n1;
@@ -615,9 +682,9 @@ impl Objective {
 
     /// The target-independent half of moving `gate` off plane `from`.
     #[inline]
-    fn leaving(&self, problem: &PartitionProblem, gate: usize, from: usize) -> Leaving {
-        let b = problem.bias()[gate];
-        let a = problem.area()[gate];
+    fn leaving(&self, loads: &Loads<'_>, gate: usize, from: usize) -> Leaving {
+        let b = loads.bias[gate];
+        let a = loads.area[gate];
         let bp = self.plane_bias[from];
         let ap = self.plane_area[from];
         Leaving {
@@ -665,9 +732,9 @@ impl Objective {
     }
 
     /// Moves `gate`'s bias and area from plane `from` to `target`.
-    fn apply(&mut self, problem: &PartitionProblem, gate: usize, from: usize, target: usize) {
-        let b = problem.bias()[gate];
-        let a = problem.area()[gate];
+    fn apply(&mut self, loads: &Loads<'_>, gate: usize, from: usize, target: usize) {
+        let b = loads.bias[gate];
+        let a = loads.area[gate];
         self.plane_bias[from] -= b;
         self.plane_area[from] -= a;
         self.plane_bias[target] += b;
@@ -806,7 +873,7 @@ struct Leaving {
 
 /// Incremental move evaluation state (shared with the annealing baseline).
 pub(crate) struct MoveState<'a> {
-    problem: &'a PartitionProblem,
+    loads: Loads<'a>,
     /// Incident neighbors; parallel edges appear once per copy, matching
     /// their cost.
     csr: &'a Csr,
@@ -818,24 +885,24 @@ pub(crate) struct MoveState<'a> {
 }
 
 impl<'a> MoveState<'a> {
-    /// A move state for `partition`; `csr` must be `Csr::new(problem)`.
+    /// A move state for `labels` (one plane below `loads.num_planes` per
+    /// gate) on the level `loads` and `csr` describe.
     pub(crate) fn new(
-        problem: &'a PartitionProblem,
+        loads: Loads<'a>,
         csr: &'a Csr,
-        partition: &Partition,
+        labels: Vec<u32>,
         weights: CostWeights,
         exponent: f64,
     ) -> Self {
-        check_dims(problem, partition);
-        debug_assert_eq!(csr.offsets.len(), problem.num_gates() + 1);
-        let labels = partition.labels().to_vec();
-        let objective = Objective::new(problem, &labels, weights, exponent);
+        assert_eq!(labels.len(), loads.num_gates());
+        debug_assert_eq!(csr.offsets.len(), loads.num_gates() + 1);
+        let objective = Objective::new(&loads, &labels, weights, exponent);
         MoveState {
-            problem,
+            loads,
             csr,
             labels,
             objective,
-            f1_delta: vec![0.0; problem.num_planes()],
+            f1_delta: vec![0.0; loads.num_planes],
         }
     }
 
@@ -843,8 +910,9 @@ impl<'a> MoveState<'a> {
         self.labels.len()
     }
 
-    pub(crate) fn total_cost(&self) -> f64 {
-        self.objective.total_cost(self.problem, &self.labels)
+    /// `F_d` of the current labels; `edges` is the level's edge list.
+    pub(crate) fn total_cost(&self, edges: &[(u32, u32)]) -> f64 {
+        self.objective.total_cost(edges, &self.labels)
     }
 
     /// Cost delta of moving `gate` to plane `target`.
@@ -861,7 +929,7 @@ impl<'a> MoveState<'a> {
                 .dist_row(self.labels[(nbr & !SRC_BIT) as usize]);
             d_f1 += row[target] - row[from];
         }
-        let leaving = self.objective.leaving(self.problem, gate, from);
+        let leaving = self.objective.leaving(&self.loads, gate, from);
         self.objective.gain(&leaving, target, d_f1)
     }
 
@@ -893,7 +961,7 @@ impl<'a> MoveState<'a> {
                 *delta += there - here;
             }
         }
-        let leaving = self.objective.leaving(self.problem, gate, from);
+        let leaving = self.objective.leaving(&self.loads, gate, from);
         let mut best_target = usize::MAX;
         let mut best_gain = f64::INFINITY;
         let mut floor = f64::INFINITY;
@@ -920,8 +988,8 @@ impl<'a> MoveState<'a> {
     /// clean with `floor`, cannot move at any plane loads whose spreads
     /// stay within `certificate`'s caps. `O(1)`; reads no neighbor.
     fn certified(&self, gate: usize, floor: f64, certificate: &Certificate) -> bool {
-        let b = self.problem.bias()[gate];
-        let a = self.problem.area()[gate];
+        let b = self.loads.bias[gate];
+        let a = self.loads.area[gate];
         let Certificate {
             bias_cap,
             area_cap,
@@ -942,7 +1010,7 @@ impl<'a> MoveState<'a> {
     /// neighbor.
     pub(crate) fn cannot_improve(&self, gate: usize, floor: f64) -> bool {
         let from = self.labels[gate] as usize;
-        let leaving = self.objective.leaving(self.problem, gate, from);
+        let leaving = self.objective.leaving(&self.loads, gate, from);
         (0..self.objective.k).all(|target| {
             target == from || self.objective.plus_balance(&leaving, target, floor) >= IMPROVING_GAIN
         })
@@ -951,7 +1019,7 @@ impl<'a> MoveState<'a> {
     pub(crate) fn apply(&mut self, gate: usize, target: u32) {
         let from = self.labels[gate] as usize;
         self.objective
-            .apply(self.problem, gate, from, target as usize);
+            .apply(&self.loads, gate, from, target as usize);
         self.labels[gate] = target;
     }
 
@@ -1052,8 +1120,14 @@ mod tests {
         let p = chain(6, 3);
         let part = Partition::from_labels(vec![0, 1, 2, 0, 1, 2], 3).unwrap();
         let csr = Csr::new(&p);
-        let state = MoveState::new(&p, &csr, &part, CostWeights::default(), 4.0);
-        let base = state.total_cost();
+        let state = MoveState::new(
+            Loads::of(&p),
+            &csr,
+            part.labels().to_vec(),
+            CostWeights::default(),
+            4.0,
+        );
+        let base = state.total_cost(p.edges());
         for gate in 0..6usize {
             for target in 0..3u32 {
                 let mut moved = part.clone();
@@ -1097,7 +1171,6 @@ mod tests {
             )
             .unwrap();
             let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
-            let part = Partition::from_labels(labels, k).unwrap();
             let csr = Csr::new(&p);
             for weights in [
                 CostWeights::default(),
@@ -1107,7 +1180,7 @@ mod tests {
                     ..CostWeights::default()
                 },
             ] {
-                let mut state = MoveState::new(&p, &csr, &part, weights, 4.0);
+                let mut state = MoveState::new(Loads::of(&p), &csr, labels.clone(), weights, 4.0);
                 for gate in 0..n as usize {
                     let (target, gain) = state.best_move_and_floor(gate).0.expect("K >= 2");
                     let expect = state.move_gain(gate, target);
@@ -1149,8 +1222,15 @@ mod tests {
         .partition;
         let csr = Csr::new(&p);
         let options = RefineOptions::default();
-        let mut state = MoveState::new(&p, &csr, &snapped, options.weights, options.exponent);
-        let mut sweep = Sweep::new(&state, &GateSet::default());
+        let mut state = MoveState::new(
+            Loads::of(&p),
+            &csr,
+            snapped.into_labels(),
+            options.weights,
+            options.exponent,
+        );
+        let mut sweep = Sweep::with_capacity(p.num_gates());
+        sweep.begin(&state, None);
         let (tally, stopped) = single_moves(
             &mut state,
             &mut sweep,
@@ -1220,6 +1300,26 @@ mod tests {
         PartitionProblem::new(bias, area, edges, k).unwrap()
     }
 
+    /// `F_d` of `labels` on a level that may keep no edge list: `F₁` over
+    /// the CSR's source entries.
+    fn level_cost(
+        loads: Loads<'_>,
+        csr: &Csr,
+        labels: &[u32],
+        weights: CostWeights,
+        exponent: f64,
+    ) -> f64 {
+        let edges: Vec<(u32, u32)> = (0..labels.len() as u32)
+            .flat_map(|u| {
+                csr.neighbors_of(u as usize)
+                    .iter()
+                    .filter(|&&word| word & SRC_BIT != 0)
+                    .map(move |&word| (u, word & !SRC_BIT))
+            })
+            .collect();
+        Objective::new(&loads, labels, weights, exponent).total_cost(&edges, labels)
+    }
+
     /// Handing settled gates down the V-cycle changes no result: on 200
     /// seeded random problems above the coarsening floor, every level of a
     /// [`Hierarchy`](crate::coarsen::Hierarchy) is polished from the same
@@ -1265,23 +1365,40 @@ mod tests {
             let labels = (0..coarsest.num_gates())
                 .map(|_| rng.random_range(0..k as u32))
                 .collect();
-            let start = Partition::from_labels(labels, k).unwrap();
+            let mut sweep = Sweep::with_capacity(p.num_gates());
             let mut polished = refine_on(
-                coarsest,
-                &Csr::new(coarsest),
-                &start,
+                Loads::of(coarsest),
+                h.coarsest_csr().unwrap(),
+                labels,
                 &options,
                 &none,
-                &GateSet::default(),
+                &mut sweep,
+                None,
             );
             let mut saved = false;
             for level in (0..h.depth()).rev() {
                 let (finer, csr) = h.finer(level, &p);
-                let projected = h.project(level, &polished.partition);
-                let handed_down = h.project_set(level, &polished.settled);
-                let with = refine_on(finer, csr, &projected, &options, &none, &handed_down);
-                let without =
-                    refine_on(finer, csr, &projected, &options, &none, &GateSet::default());
+                let mut projected = polished.partition.into_labels();
+                h.project(level, &mut projected);
+                let mut fresh = Sweep::with_capacity(finer.num_gates());
+                let without = refine_on(
+                    finer,
+                    csr,
+                    projected.clone(),
+                    &options,
+                    &none,
+                    &mut fresh,
+                    None,
+                );
+                let with = refine_on(
+                    finer,
+                    csr,
+                    projected,
+                    &options,
+                    &none,
+                    &mut sweep,
+                    Some(h.map_of(level)),
+                );
                 let tag = format!("problem {index} (G={gates}, K={k}, {weights:?}) level {level}");
                 assert_eq!(with.partition, without.partition, "{tag}: labels");
                 assert_eq!(
@@ -1289,7 +1406,9 @@ mod tests {
                     (without.tally.moves, without.tally.passes),
                     "{tag}: moves and passes"
                 );
-                let cost = |partition| discrete_cost(finer, partition, weights, options.exponent);
+                let cost = |partition: &Partition| {
+                    level_cost(finer, csr, partition.labels(), weights, options.exponent)
+                };
                 assert_eq!(
                     cost(&with.partition).to_bits(),
                     cost(&without.partition).to_bits(),
@@ -1343,8 +1462,7 @@ mod tests {
             };
             let csr = Csr::new(&p);
             let labels = (0..gates).map(|_| rng.random_range(0..k as u32)).collect();
-            let partition = Partition::from_labels(labels, k).unwrap();
-            let mut state = MoveState::new(&p, &csr, &partition, weights, 4.0);
+            let mut state = MoveState::new(Loads::of(&p), &csr, labels, weights, 4.0);
             // Caps from loads about the means with spreads of up to a
             // quarter of the totals.
             let bias_mean = p.total_bias() / k as f64;

@@ -67,6 +67,8 @@
 //! options and the problem up front and reports failures as
 //! [`SolveError`](crate::SolveError) values.
 
+use std::borrow::Cow;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,7 +82,7 @@ use crate::float;
 use crate::grad::GradientOptions;
 use crate::lanes;
 use crate::problem::PartitionProblem;
-use crate::refine::{discrete_cost, refine_on, GateSet, Polished, RefineOptions, Tally};
+use crate::refine::{discrete_cost, refine_on, Loads, Polished, RefineOptions, Sweep, Tally};
 use crate::telemetry::{
     IterationEvent, NoopObserver, RecoveryEvent, RefineEvent, RestartEndEvent, RestartObserver,
     SolveEndEvent, SolveObserver, SolveStartEvent, UncoarsenEvent,
@@ -742,8 +744,14 @@ impl Solver {
         } else {
             GradientOptions::exact()
         };
-        let mut engine = CostEngine::new(
+        // A V-cycle's coarsest level has its adjacency already; a flat run
+        // builds the problem's.
+        let csr = hierarchy
+            .coarsest_csr()
+            .map_or_else(|| Cow::Owned(Csr::new(coarsest)), Cow::Borrowed);
+        let mut engine = CostEngine::with_csr(
             coarsest,
+            csr,
             opts.weights,
             opts.exponent,
             EngineOptions {
@@ -946,8 +954,8 @@ impl Solver {
             self.polish_levels(
                 problem,
                 hierarchy,
-                csr,
-                &snapped,
+                &csr,
+                snapped,
                 interrupt,
                 |level, gates, tally| {
                     observer.on_uncoarsen(&UncoarsenEvent {
@@ -996,17 +1004,18 @@ impl Solver {
     /// hierarchy's coarsest problem (whose adjacency is `csr`), there; then
     /// projects the labels one level finer and refines them again, level by
     /// level down to `problem`, handing the gates each polish settled to
-    /// the next level (see [`crate::refine`]). Calls `on_level` with each
-    /// finer level's index, gate count and tally. Once an interrupt has cut
-    /// a polish short, the remaining levels are projected only. Returns the
-    /// labels of `problem`, the moves of every level and the interrupt
-    /// cause.
+    /// the next level (see [`crate::refine`]). The labels and the sweep's
+    /// buffers are allocated once, at `problem`'s size, and every level
+    /// reuses them. Calls `on_level` with each finer level's index, gate
+    /// count and tally. Once an interrupt has cut a polish short, the
+    /// remaining levels are projected only. Returns the labels of
+    /// `problem`, the moves of every level and the interrupt cause.
     fn polish_levels(
         &self,
         problem: &PartitionProblem,
         hierarchy: &Hierarchy,
-        csr: Csr,
-        snapped: &Partition,
+        csr: &Csr,
+        snapped: Partition,
         interrupt: &Interrupt,
         mut on_level: impl FnMut(usize, usize, &Tally),
     ) -> (Partition, usize, Option<StopCause>) {
@@ -1015,30 +1024,32 @@ impl Solver {
             exponent: self.options.exponent,
             max_passes: 40,
         };
-        let coarsest = hierarchy.coarsest(problem);
-        let mut polished = refine_on(
-            coarsest,
-            &csr,
-            snapped,
-            &options,
-            interrupt,
-            &GateSet::default(),
-        );
-        drop(csr);
+        let planes = snapped.num_planes();
+        let mut labels = snapped.into_labels();
+        labels.reserve_exact(problem.num_gates() - labels.len());
+        let mut sweep = Sweep::with_capacity(problem.num_gates());
+        let coarsest = Loads::of(hierarchy.coarsest(problem));
+        let mut polished = refine_on(coarsest, csr, labels, &options, interrupt, &mut sweep, None);
         let mut moves = polished.tally.moves;
         for level in (0..hierarchy.depth()).rev() {
             let (finer, csr) = hierarchy.finer(level, problem);
-            let projected = hierarchy.project(level, &polished.partition);
+            let mut labels = polished.partition.into_labels();
+            hierarchy.project(level, &mut labels);
             polished = match polished.stopped {
-                None => {
-                    let handed_down = hierarchy.project_set(level, &polished.settled);
-                    refine_on(finer, csr, &projected, &options, interrupt, &handed_down)
-                }
+                None => refine_on(
+                    finer,
+                    csr,
+                    labels,
+                    &options,
+                    interrupt,
+                    &mut sweep,
+                    Some(hierarchy.map_of(level)),
+                ),
                 stopped => Polished {
-                    partition: projected,
+                    partition: Partition::from_labels(labels, planes)
+                        .unwrap_or_else(|_| unreachable!("projected labels stay in range")),
                     tally: Tally::default(),
                     stopped,
-                    settled: GateSet::default(),
                 },
             };
             on_level(level, finer.num_gates(), &polished.tally);
@@ -1445,8 +1456,8 @@ mod tests {
         let (partition, _, stopped) = solver.polish_levels(
             &p,
             &hierarchy,
-            Csr::new(coarsest),
-            &snapped,
+            hierarchy.coarsest_csr().expect("S1M coarsens"),
+            snapped,
             &Interrupt::none(),
             |level, _, tally| {
                 if level == 0 {
@@ -1464,5 +1475,27 @@ mod tests {
         );
         assert!(100 * tally.priced <= g);
         assert!(20 * tally.visits <= tally.passes * g);
+    }
+
+    /// What the V-cycle's levels hold at the 10⁶-gate tier, on the seed-7
+    /// S1M input of sfqbench's `s1m_k5`: each level its map, loads and CSR,
+    /// and only the coarsest an edge list too, the problem the descent
+    /// runs on. The bytes of the ten levels and the input's CSR are pinned;
+    /// when every level kept its problem's edge list they were 89 750 720,
+    /// 18 439 552 of them edge lists. Release only, as above.
+    #[test]
+    #[ignore = "S1M: run in release"]
+    fn s1m_hierarchy_keeps_one_edge_list() {
+        use sfq_circuits::scale::{scale_problem, ScaleSpec};
+        let generated = scale_problem(&ScaleSpec::new("S1M", 1_000_000, 7));
+        let p = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5).unwrap();
+        let hierarchy = Hierarchy::build(&p, &Interrupt::none(), |_| {});
+        let (levels, input_csr) = hierarchy.held_bytes();
+        let edge_lists: Vec<bool> = levels.iter().map(|&(_, edges)| edges).collect();
+        let mut expect = vec![false; 10];
+        expect[9] = true;
+        assert_eq!(edge_lists, expect);
+        let held = input_csr + levels.iter().map(|&(bytes, _)| bytes).sum::<usize>();
+        assert_eq!(held, 71_416_576);
     }
 }

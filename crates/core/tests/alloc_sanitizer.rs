@@ -13,14 +13,26 @@
 //! slipped in (fix the code) or A1's known-safe list grew a hole (fix the
 //! lint).
 //!
+//! Last, it pins the peak memory of a V-cycle solve: the most bytes live
+//! at once while `Solver::solve` runs on a budgeted 10⁵-gate scale
+//! circuit at K = 5 (the path sfqbench's `s1m_k5` takes, at a tenth of its
+//! size), above what was live before the call. The allocation sequence of
+//! a one-restart serial solve is deterministic, so the figure repeats
+//! exactly; a change that holds more while solving fails it. It read
+//! 10 888 364 B when every level kept its edge list and each polish copied
+//! its labels and settled set, and reads [`SOLVE_PEAK_BYTES`] now: the
+//! hierarchy (7.15 MB) and the level-0 polish's labels, floors and bitsets.
+//!
 //! This test runs **without the libtest harness** (`harness = false` in
 //! `Cargo.toml`): the harness's main thread lazily allocates its
 //! channel-blocking context the first time it parks waiting for a test,
 //! and whether that one-off allocation lands inside the measured window is
 //! a scheduling race. Harness-free, the process owns every thread it
 //! measures — just `main`. The counting
-//! wrapper defers to the system allocator; counts are call counts, not
-//! bytes, so arena reuse cannot mask a regression.
+//! wrapper defers to the system allocator. The allocation checks count
+//! calls, not bytes, so arena reuse cannot mask a regression; the peak
+//! check counts the bytes requested, not the pages the system allocator
+//! maps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfq_circuits::registry::{generate, Benchmark};
+use sfq_circuits::scale::{scale_problem, ScaleSpec};
 use sfq_partition::engine::{CostEngine, EngineOptions};
 use sfq_partition::refine::{refine, RefineOptions};
 use sfq_partition::{CostWeights, PartitionProblem, Solver, SolverOptions, WeightMatrix};
@@ -37,6 +50,19 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and the most of them live at once
+/// since [`reset_peak`].
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::SeqCst) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::SeqCst);
+}
 
 // SAFETY: every method forwards verbatim to `System` after bumping an
 // atomic counter, so the allocator contract is exactly `System`'s.
@@ -44,12 +70,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same layout handed straight to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     // SAFETY: same layout handed straight to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -57,12 +85,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: pointer/layout/new_size forwarded untouched to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grow(new_size);
+        shrink(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 
     // SAFETY: pointer/layout forwarded untouched to `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCS.fetch_add(1, Ordering::Relaxed);
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -75,6 +106,17 @@ fn checkpoint() -> (u64, u64) {
         ALLOCS.load(Ordering::SeqCst),
         DEALLOCS.load(Ordering::SeqCst),
     )
+}
+
+/// The most bytes live at once during the budgeted S100K solve, above its
+/// input (see the module docs).
+const SOLVE_PEAK_BYTES: u64 = 8_393_012;
+
+/// Restarts the peak at the bytes live now, and returns them.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Ordering::SeqCst);
+    PEAK.store(live, Ordering::SeqCst);
+    live
 }
 
 fn problem(bench: Benchmark, k: usize) -> PartitionProblem {
@@ -184,5 +226,25 @@ fn main() {
         "alloc sanitizer: C1908 k=30 refine: {one_pass} allocations for 1 pass \
          ({one_pass_moves} moves) and for up to 40 passes ({many_passes_moves} moves)"
     );
+
+    // Peak memory of a budgeted V-cycle solve, above its input.
+    let generated = scale_problem(&ScaleSpec::new("S100K", 100_000, 7));
+    let p = PartitionProblem::new(generated.bias, generated.area, generated.edges, 5)
+        .expect("scale problems are valid");
+    let solver = Solver::new(SolverOptions {
+        seed: 7,
+        iteration_budget: Some(8),
+        ..SolverOptions::default()
+    });
+    let before = reset_peak();
+    let solved = solver.solve(&p);
+    let peak = PEAK.load(Ordering::SeqCst) - before;
+    drop(solved);
+    assert!(
+        peak <= SOLVE_PEAK_BYTES,
+        "S100K k=5 budgeted solve peaked {peak} B above its input, over the \
+         {SOLVE_PEAK_BYTES} B pinned"
+    );
+    println!("alloc sanitizer: S100K k=5 budgeted solve peaks {peak} B above its input");
     println!("alloc sanitizer: ok");
 }
