@@ -28,15 +28,20 @@
 //! engine's CSR adjacency (one contiguous slice per gate, built once per
 //! call, or read from the V-cycle's level), and edge distances from a
 //! K×K table of `|a − b|^p`, so the sweep reads each neighbor's label once
-//! and prices all `K − 1` targets from it.
+//! and prices all `K − 1` targets from it. The targets are then priced in
+//! passes over the `K` raw deltas, in place: weighted `F₁` terms, the
+//! floor (below), gains, and the first smallest gain.
 //!
-//! Most visits skip that sweep in `O(K)`. A gate is *clean* while neither
-//! it nor any neighbor has moved since it was last priced; its raw `F₁`
-//! deltas then repeat bit for bit, so the smallest weighted `F₁` term
-//! recorded at that pricing (its *floor*) plus each target's balance terms
-//! at the current plane loads bounds each target's gain from below,
-//! exactly, since rounded addition is monotone. A clean gate whose every
-//! bound clears the improvement threshold cannot move and is not priced.
+//! Most visits skip that sweep. A gate is *clean* while neither it nor any
+//! neighbor has moved since it was last priced; its raw `F₁` deltas then
+//! repeat bit for bit, so the smallest weighted `F₁` term recorded at that
+//! pricing (its *floor*) plus each target's balance terms at the current
+//! plane loads bounds each target's gain from below, exactly, since
+//! rounded addition is monotone. A clean gate whose every bound clears the
+//! improvement threshold cannot move and is not priced. A visit first
+//! tries that in `O(1)`, with the certificate below under the caps the
+//! current loads meet with no room to spare, and only then target by
+//! target in `O(K)`.
 //!
 //! Most gates are not visited at all. A pass visits the gates of a *visit
 //! set*, one bit per gate, in index order. A clean gate leaves the set once
@@ -53,17 +58,26 @@
 //! changes `K·N₂·F₂` by exactly `2b(b + B_t − B_f) ≥ 2b(b − X_B)`, and
 //! `K·N₃·F₃` likewise, so with `c₂, c₃ ≥ 0` (otherwise nothing is
 //! certified) the left side without `margin` bounds every target's gain in
-//! real arithmetic. `margin` bounds how far the floating-point gain and
-//! the certificate can round away from it, with `ε = 2⁻⁵²`, `u = ε/2` and
-//! `L` twice the total load, which bounds every plane load, mean, gate
-//! load and cap. In `Objective::plus_balance` each of the four squared
-//! deviations of a balance numerator is off by less than `39u·L²` (two
-//! roundings before squaring, one after) and the numerator's three
-//! additions by less than `81u·L²`: `237u·L²` in all. The divisions,
-//! weight products and additions of the gain and of the certificate round
-//! by at most `8u` of the balance terms, each under `4c·L²/(K·N)`. Then a
-//! certified gate's computed gain is at least
-//! `margin − 269u·(c₂·L_B²/(K·N₂) + c₃·L_A²/(K·N₃)) > 0`.
+//! real arithmetic. That holds for any caps that bound `B_f − B_t` and
+//! `A_f − A_t` for every target `t ≠ f`: a visit's `O(1)` test takes
+//! `X_B = B_f − min_{t≠f} B_t` and `X_A` likewise, from the lightest and
+//! second-lightest plane loads, which the polish keeps exact. `margin`
+//! bounds how far the floating-point gain and the certificate can round
+//! away from it, with `ε = 2⁻⁵²`, `u = ε/2` and `L` twice the total load,
+//! which bounds every plane load, mean, gate load and cap. In
+//! `Objective::plus_balance` each of the four squared deviations of a
+//! balance numerator is off by less than `39u·L²` (two roundings before
+//! squaring, one after) and the numerator's three additions by less than
+//! `81u·L²`: `237u·L²` in all. The divisions, weight products and
+//! additions of the gain and of the certificate round by at most `8u` of
+//! the balance terms, each under `4c·L²/(K·N)`. A cap bounds `B_f − B_t`
+//! only up to the rounding of one subtraction of two plane loads, the
+//! spread compared with a visit set's cap or the current-load cap's own
+//! difference: at most `u·L`, which moves each balance term of the
+//! certificate by under `u·c·L²/(K·N)`. Then a certified gate's computed
+//! gain is at least `margin − 270u·(c₂·L_B²/(K·N₂) + c₃·L_A²/(K·N₃)) > 0`.
+//! A negative `c₂` or `c₃` makes `margin` NaN: no certificate holds, and
+//! every clean visit runs the `O(K)` test.
 //!
 //! A gate is certified when it is priced and does not move, and a clean
 //! gate when it is handed down (below) or the set is refilled. A move puts
@@ -108,7 +122,7 @@ const POLL_STRIDE: usize = 128;
 const IMPROVING_GAIN: f64 = -1e-15;
 
 /// `256ε = 512u`: the certificate's margin per `c·L²/(K·N)` of each balance
-/// term, almost twice the `269u` its rounding can reach (see the module
+/// term, almost twice the `270u` its rounding can reach (see the module
 /// docs).
 const MARGIN_ROUNDING: f64 = 256.0 * f64::EPSILON;
 
@@ -263,13 +277,15 @@ pub(crate) fn refine_on(
 /// What a polish's [`single_moves`] did: the moves it applied, the passes
 /// it began, the gates it visited and the visits it priced with
 /// [`MoveState::best_move_and_floor`] (the other visits were clean gates
-/// that could not move).
+/// that could not move), and how many of those other visits the `O(1)`
+/// test of [`MoveState::cannot_improve`] settled.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Tally {
     pub(crate) moves: usize,
     pub(crate) passes: usize,
     pub(crate) visits: usize,
     pub(crate) priced: usize,
+    pub(crate) bounded: usize,
 }
 
 /// A set of gates, one bit per gate.
@@ -372,10 +388,63 @@ struct Certificate {
 /// Lower and upper bounds on the plane loads, of the bias and of the area.
 type LoadRanges = [(f64, f64); 2];
 
+/// The lightest plane of one kind of load, its load and the
+/// second-lightest load: from these, `min_{t≠f}` of the loads in `O(1)`.
+#[derive(Debug, Clone, Copy)]
+struct Lightest {
+    plane: usize,
+    load: f64,
+    next: f64,
+}
+
+impl Lightest {
+    /// Of `loads`, scanned in plane order: a tie for the lightest goes to
+    /// the lowest plane, and `next` then equals `load`.
+    fn of(loads: &[f64]) -> Self {
+        let mut lightest = Lightest {
+            plane: 0,
+            load: f64::INFINITY,
+            next: f64::INFINITY,
+        };
+        for (plane, &load) in loads.iter().enumerate() {
+            if load < lightest.load {
+                lightest = Lightest {
+                    plane,
+                    load,
+                    next: lightest.load,
+                };
+            } else if load < lightest.next {
+                lightest.next = load;
+            }
+        }
+        lightest
+    }
+
+    /// The lightest load of a plane other than `plane`.
+    #[inline]
+    fn other_than(&self, plane: usize) -> f64 {
+        if plane == self.plane {
+            self.next
+        } else {
+            self.load
+        }
+    }
+}
+
+/// How [`MoveState::cannot_improve`] showed that a clean gate cannot move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settled {
+    /// By the certificate under the current loads' caps, in `O(1)`.
+    Bounded,
+    /// Target by target, in `O(K)`.
+    Checked,
+}
+
 /// The per-gate state of a [`single_moves`] call: three bits and an `F₁`
-/// floor per gate, and the certificate's caps. The polishes of a V-cycle
-/// share one, sized for the finest level: each level's polish starts from
-/// the state the coarser level's left (see [`Sweep::begin`]).
+/// floor per gate, the certificate's caps and the lightest plane loads.
+/// The polishes of a V-cycle share one, sized for the finest level: each
+/// level's polish starts from the state the coarser level's left (see
+/// [`Sweep::begin`]).
 #[derive(Debug)]
 pub(crate) struct Sweep {
     /// The gates the passes still visit.
@@ -394,6 +463,9 @@ pub(crate) struct Sweep {
     /// each move, so that `high − low` bounds a spread without a scan of
     /// the planes.
     ranges: LoadRanges,
+    /// The lightest plane loads, of the bias and of the area: exact,
+    /// rescanned after every move.
+    lightest: [Lightest; 2],
 }
 
 impl Sweep {
@@ -405,7 +477,7 @@ impl Sweep {
             clean: GateSet::with_capacity(gates),
             interior: GateSet::with_capacity(gates),
             floor: Vec::with_capacity(gates),
-            // `begin` sets both; a NaN margin certifies nothing meanwhile.
+            // `begin` sets these; a NaN margin certifies nothing meanwhile.
             certificate: Certificate {
                 bias_cap: 0.0,
                 area_cap: 0.0,
@@ -414,6 +486,7 @@ impl Sweep {
                 margin: f64::NAN,
             },
             ranges: [(0.0, 0.0); 2],
+            lightest: [Lightest::of(&[]); 2],
         }
     }
 
@@ -431,6 +504,7 @@ impl Sweep {
         let n = state.num_gates();
         self.ranges = state.objective.load_ranges();
         self.certificate = state.objective.certificate(&self.ranges);
+        self.lightest = state.objective.lightest();
         self.floor.resize(n, 0.0);
         for set in [&mut self.visit, &mut self.clean, &mut self.interior] {
             set.resize(n);
@@ -517,9 +591,10 @@ impl Sweep {
 /// handed down and, for every clean gate, when the set is refilled: a
 /// visit skips it if [`MoveState::cannot_improve`] holds. Every other
 /// visit prices the gate in full. Applying a move dirties the mover and
-/// each of its neighbors and puts them in the set, and a move that takes a
-/// spread past its cap refills the set. The per-gate state (three bits and
-/// an `F₁` floor) lives in `sweep`, so the passes allocate nothing.
+/// each of its neighbors and puts them in the set, rescans the lightest
+/// plane loads, and refills the set if it takes a spread past its cap.
+/// The per-gate state (three bits and an `F₁` floor) lives in `sweep`, so
+/// the passes allocate nothing.
 fn single_moves(
     state: &mut MoveState<'_>,
     sweep: &mut Sweep,
@@ -543,9 +618,16 @@ fn single_moves(
                 }
             }
             // A clean gate in the set has failed its certificate under the
-            // current caps: when it was priced, handed down or refilled.
-            if sweep.clean.contains(gate) && state.cannot_improve(gate, sweep.floor[gate]) {
-                continue;
+            // visit set's caps: when it was priced, handed down or refilled.
+            if sweep.clean.contains(gate) {
+                let floor = sweep.floor[gate];
+                let certificate = &sweep.certificate;
+                if let Some(settled) =
+                    state.cannot_improve(gate, floor, certificate, &sweep.lightest)
+                {
+                    tally.bounded += usize::from(settled == Settled::Bounded);
+                    continue;
+                }
             }
             tally.priced += 1;
             let (best, floor, interior) = state.best_move_and_floor(gate);
@@ -554,6 +636,7 @@ fn single_moves(
                 Some((target, gain)) if gain < IMPROVING_GAIN => {
                     let from = state.labels[gate] as usize;
                     state.apply(gate, target);
+                    sweep.lightest = state.objective.lightest();
                     sweep.clean.remove(gate);
                     for &nbr in state.csr.neighbors_of(gate) {
                         let nbr = (nbr & !SRC_BIT) as usize;
@@ -701,7 +784,12 @@ impl Objective {
     /// the raw (unnormalized) `F₁` delta of its incident edges.
     #[inline]
     fn gain(&self, leaving: &Leaving, target: usize, d_f1: f64) -> f64 {
-        self.plus_balance(leaving, target, self.f1_term(d_f1))
+        self.plus_balance(
+            leaving,
+            self.plane_bias[target],
+            self.plane_area[target],
+            self.f1_term(d_f1),
+        )
     }
 
     /// The weighted `F₁` term `c₁·ΔF₁/N₁` of a raw `F₁` delta.
@@ -711,19 +799,17 @@ impl Objective {
     }
 
     /// `f1_term + c₂·ΔF₂ + c₃·ΔF₃`, added in that order, for moving the gate
-    /// `leaving` describes to `target` at the current plane loads. Rounded
-    /// addition is monotone in each argument, so a smaller `f1_term` never
-    /// yields a larger result: the clean-gate bound and the gain share this
-    /// one expression.
+    /// `leaving` describes to a target plane whose current loads are `bq`
+    /// and `aq`. Rounded addition is monotone in each argument, so a
+    /// smaller `f1_term` never yields a larger result: the clean-gate bound
+    /// and the gain share this one expression.
     #[inline]
-    fn plus_balance(&self, leaving: &Leaving, target: usize, f1_term: f64) -> f64 {
+    fn plus_balance(&self, leaving: &Leaving, bq: f64, aq: f64, f1_term: f64) -> f64 {
         let kf = self.k as f64;
-        let bq = self.plane_bias[target];
         let d_f2 = (leaving.bias_after + (bq + leaving.b - self.b_mean).powi(2)
             - leaving.bias_before
             - (bq - self.b_mean).powi(2))
             / (kf * self.n2);
-        let aq = self.plane_area[target];
         let d_f3 = (leaving.area_after + (aq + leaving.a - self.a_mean).powi(2)
             - leaving.area_before
             - (aq - self.a_mean).powi(2))
@@ -752,6 +838,14 @@ impl Objective {
                 })
         };
         [range(&self.plane_bias), range(&self.plane_area)]
+    }
+
+    /// The lightest plane loads, of the bias and of the area.
+    fn lightest(&self) -> [Lightest; 2] {
+        [
+            Lightest::of(&self.plane_bias),
+            Lightest::of(&self.plane_area),
+        ]
     }
 
     /// The certificate under caps of twice the spreads of `ranges`.
@@ -945,9 +1039,13 @@ impl<'a> MoveState<'a> {
     /// [`Self::move_gain`], so the returned gain equals
     /// `move_gain(gate, target)` bit for bit.
     ///
-    /// The running minima are kept with selects rather than branches: which
-    /// target wins varies from gate to gate, so a branch on it would
-    /// mispredict.
+    /// The `K` deltas are then priced in place, one pass per step, so that
+    /// the divisions of the first and third run side by side: each delta
+    /// becomes its weighted `F₁` term, the floor is taken over the terms,
+    /// each term becomes its target's gain, and the first smallest gain is
+    /// found. The running minima are kept with selects rather than
+    /// branches: which target wins varies from gate to gate, so a branch on
+    /// it would mispredict.
     pub(crate) fn best_move_and_floor(&mut self, gate: usize) -> (Option<(u32, f64)>, f64, bool) {
         let from = self.labels[gate] as usize;
         self.f1_delta.fill(0.0);
@@ -961,20 +1059,32 @@ impl<'a> MoveState<'a> {
                 *delta += there - here;
             }
         }
-        let leaving = self.objective.leaving(&self.loads, gate, from);
+        let objective = &self.objective;
+        for term in &mut self.f1_delta {
+            *term = objective.f1_term(*term);
+        }
+        let mut floor = f64::INFINITY;
+        for (target, &term) in self.f1_delta.iter().enumerate() {
+            let lower = target != from && term < floor;
+            floor = if lower { term } else { floor };
+        }
+        let leaving = objective.leaving(&self.loads, gate, from);
+        for ((term, &bq), &aq) in self
+            .f1_delta
+            .iter_mut()
+            .zip(&objective.plane_bias)
+            .zip(&objective.plane_area)
+        {
+            *term = objective.plus_balance(&leaving, bq, aq, *term);
+        }
         let mut best_target = usize::MAX;
         let mut best_gain = f64::INFINITY;
-        let mut floor = f64::INFINITY;
-        for (target, &d_f1) in self.f1_delta.iter().enumerate() {
-            let f1_term = self.objective.f1_term(d_f1);
-            let gain = self.objective.plus_balance(&leaving, target, f1_term);
+        for (target, &gain) in self.f1_delta.iter().enumerate() {
             // The first target other than `from` always takes the lead; a
             // later one only on a strictly smaller gain.
             let better = target != from && (best_target == usize::MAX || gain < best_gain);
             best_target = if better { target } else { best_target };
             best_gain = if better { gain } else { best_gain };
-            let lower = target != from && f1_term < floor;
-            floor = if lower { f1_term } else { floor };
         }
         let best = if best_target == usize::MAX {
             None
@@ -985,8 +1095,10 @@ impl<'a> MoveState<'a> {
     }
 
     /// True when the certificate (see the module docs) shows that `gate`,
-    /// clean with `floor`, cannot move at any plane loads whose spreads
-    /// stay within `certificate`'s caps. `O(1)`; reads no neighbor.
+    /// clean with `floor`, cannot move at any plane loads under which the
+    /// gate's plane outweighs each other plane by at most `certificate`'s
+    /// caps, as it does at any loads whose spreads stay within them.
+    /// `O(1)`; reads no neighbor.
     fn certified(&self, gate: usize, floor: f64, certificate: &Certificate) -> bool {
         let b = self.loads.bias[gate];
         let a = self.loads.area[gate];
@@ -1000,20 +1112,56 @@ impl<'a> MoveState<'a> {
         floor + bias_weight * (b * (b - bias_cap)) + area_weight * (a * (a - area_cap)) >= margin
     }
 
-    /// True when no move of `gate` can have a gain below the improvement
-    /// threshold, given `floor`, the gate's `F₁` floor from its last
-    /// pricing, and given that neither it nor any neighbor has moved since.
+    /// How the gate was shown unable to move with a gain below the
+    /// improvement threshold, if it was, given `floor`, the gate's `F₁`
+    /// floor from its last pricing, and given that neither it nor any
+    /// neighbor has moved since.
     ///
-    /// Each target's `F₁` term then repeats bit for bit and is at least
-    /// `floor`, so `plus_balance(floor)` at the current plane loads is at
-    /// most the target's gain, with no rounding margin. `O(K)`; reads no
-    /// neighbor.
-    pub(crate) fn cannot_improve(&self, gate: usize, floor: f64) -> bool {
+    /// First in `O(1)`: the certificate with `certificate`'s constants,
+    /// under the caps `B_f − min_{t≠f} B_t` and `A_f − min_{t≠f} A_t` of the
+    /// current plane loads, read from `lightest` (see the module docs). If
+    /// that fails, target by target with [`Self::every_bound_clears`].
+    /// Reads no neighbor.
+    fn cannot_improve(
+        &self,
+        gate: usize,
+        floor: f64,
+        certificate: &Certificate,
+        lightest: &[Lightest; 2],
+    ) -> Option<Settled> {
         let from = self.labels[gate] as usize;
-        let leaving = self.objective.leaving(&self.loads, gate, from);
-        (0..self.objective.k).all(|target| {
-            target == from || self.objective.plus_balance(&leaving, target, floor) >= IMPROVING_GAIN
-        })
+        let [bias, area] = lightest;
+        let current = Certificate {
+            bias_cap: self.objective.plane_bias[from] - bias.other_than(from),
+            area_cap: self.objective.plane_area[from] - area.other_than(from),
+            ..*certificate
+        };
+        if self.certified(gate, floor, &current) {
+            Some(Settled::Bounded)
+        } else if self.every_bound_clears(gate, floor) {
+            Some(Settled::Checked)
+        } else {
+            None
+        }
+    }
+
+    /// True when every target's bound `plus_balance(floor)` at the current
+    /// plane loads clears the improvement threshold. Given what
+    /// [`Self::cannot_improve`] is given, each target's `F₁` term repeats
+    /// bit for bit and is at least `floor`, so the bound is at most the
+    /// target's gain, with no rounding margin. `O(K)`.
+    fn every_bound_clears(&self, gate: usize, floor: f64) -> bool {
+        let from = self.labels[gate] as usize;
+        let objective = &self.objective;
+        let leaving = objective.leaving(&self.loads, gate, from);
+        objective
+            .plane_bias
+            .iter()
+            .zip(&objective.plane_area)
+            .enumerate()
+            .all(|(target, (&bq, &aq))| {
+                target == from || objective.plus_balance(&leaving, bq, aq, floor) >= IMPROVING_GAIN
+            })
     }
 
     pub(crate) fn apply(&mut self, gate: usize, target: u32) {
@@ -1428,7 +1576,7 @@ mod tests {
     /// The certificate holds at its caps. On seeded random gates, with
     /// weights up to `c₂ = c₃ = 10⁶` and loads over six decades, a clean
     /// gate whose floor the certificate only just accepts must pass
-    /// [`MoveState::cannot_improve`] at plane loads where it sits on the
+    /// [`MoveState::every_bound_clears`] at plane loads where it sits on the
     /// heaviest plane and a target on the lightest, both spreads as wide as
     /// the caps allow: there its exact gain is the certificate's bound, so
     /// its rounding is all that separates the two. Halving a cap in the
@@ -1527,11 +1675,161 @@ mod tests {
             }
             checked += 1;
             assert!(
-                state.cannot_improve(gate, floor),
+                state.every_bound_clears(gate, floor),
                 "trial {trial}: K={k}, {weights:?}, floor {floor}, caps {:?}",
                 (certificate.bias_cap, certificate.area_cap)
             );
         }
         assert!(checked > 2000, "only {checked} trials reached the caps");
+    }
+
+    /// The `O(1)` test of [`MoveState::cannot_improve`] is sound: on seeded
+    /// random plane loads, with `K` up to 64, gate loads over six decades,
+    /// spreads from 10⁻⁶ of the mean up to the mean, `c₁ = 0` or 1 and
+    /// `c₂`, `c₃` up to 10⁶, at the smallest floor the test accepts, every
+    /// target's exact bound `plus_balance(floor)` must clear the
+    /// improvement threshold. The draws put the gate on the lightest plane
+    /// (so the cap reads the second-lightest load) and tie planes for the
+    /// lightest. Where one target is the lightest other plane in bias and in
+    /// area, its bound there must also be within twice the margin of zero,
+    /// so the test is no looser than its rounding. A negative `c₂` or `c₃`
+    /// must leave the test unable to fire. Dropping the margin fails the
+    /// first check; reading the lightest load when the gate sits on the
+    /// lightest plane fails the second.
+    #[test]
+    fn the_current_load_test_is_sound() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0c0a_d5e7);
+        let (mut sound, mut tight, mut on_lightest, mut tied, mut refused) = (0, 0, 0, 0, 0);
+        for trial in 0..4000 {
+            let k = rng.random_range(2..65);
+            let gates = k * rng.random_range(1..9);
+            let bias_scale = 10f64.powi(rng.random_range(-3..4));
+            let area_scale = 10f64.powi(rng.random_range(-1..5));
+            let p = PartitionProblem::new(
+                (0..gates)
+                    .map(|_| bias_scale * rng.random_range(0.05..1.0))
+                    .collect(),
+                (0..gates)
+                    .map(|_| area_scale * rng.random_range(0.05..1.0))
+                    .collect(),
+                vec![],
+                k,
+            )
+            .unwrap();
+            let heavy = [0.0, 1.0, 50.0, 1e6, -1.0];
+            let weights = CostWeights {
+                c1: [0.0, 1.0][rng.random_range(0..2)],
+                c2: heavy[rng.random_range(0..5)],
+                c3: heavy[rng.random_range(0..5)],
+                ..CostWeights::default()
+            };
+            let csr = Csr::new(&p);
+            let labels = (0..gates).map(|_| rng.random_range(0..k as u32)).collect();
+            let mut state = MoveState::new(Loads::of(&p), &csr, labels, weights, 4.0);
+            // Each plane's loads off the means by a share of the spread, in
+            // the same plane order for the area as for the bias or not.
+            let spread = 10f64.powf(rng.random_range(-6.0..0.0));
+            let mut shares: Vec<f64> = (0..k).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let lowest = (0..k).fold(0, |low, plane| {
+                if shares[plane] < shares[low] {
+                    plane
+                } else {
+                    low
+                }
+            });
+            let tie = rng.random_bool(0.25);
+            if tie {
+                shares[(lowest + rng.random_range(1..k)) % k] = shares[lowest];
+            }
+            let area_shares = if rng.random_bool(0.5) {
+                shares.clone()
+            } else {
+                (0..k).map(|_| rng.random_range(-1.0..1.0)).collect()
+            };
+            let bias_mean = p.total_bias() / k as f64;
+            let area_mean = p.total_area() / k as f64;
+            for plane in 0..k {
+                state.objective.plane_bias[plane] = bias_mean * (1.0 + spread * shares[plane]);
+                state.objective.plane_area[plane] = area_mean * (1.0 + spread * area_shares[plane]);
+            }
+            let gate = rng.random_range(0..gates);
+            if rng.random_bool(0.3) {
+                // Onto a lightest bias plane, the first of a tie or not.
+                let lightest: Vec<usize> = (0..k)
+                    .filter(|&plane| crate::float::exactly(shares[plane], shares[lowest]))
+                    .collect();
+                state.labels[gate] = lightest[rng.random_range(0..lightest.len())] as u32;
+            }
+            let from = state.labels[gate] as usize;
+            on_lightest += usize::from(crate::float::exactly(shares[from], shares[lowest]));
+            tied += usize::from(tie);
+            let lightest = state.objective.lightest();
+            let certificate = state.objective.certificate(&state.objective.load_ranges());
+            let bounded = |floor: f64| {
+                state.cannot_improve(gate, floor, &certificate, &lightest) == Some(Settled::Bounded)
+            };
+            if weights.c2 < 0.0 || weights.c3 < 0.0 {
+                assert!(!bounded(1e12), "trial {trial}: {weights:?} fired");
+                refused += 1;
+                continue;
+            }
+            // The smallest floor the test accepts, by bisection.
+            let (mut low, mut high) = (-1e12, 1e12);
+            assert!(bounded(high), "trial {trial}: no floor accepted");
+            for _ in 0..200 {
+                let mid = 0.5 * (low + high);
+                if bounded(mid) {
+                    high = mid;
+                } else {
+                    low = mid;
+                }
+            }
+            let floor = high;
+            let leaving = state.objective.leaving(&state.loads, gate, from);
+            let objective = &state.objective;
+            let bound = |target: usize| {
+                objective.plus_balance(
+                    &leaving,
+                    objective.plane_bias[target],
+                    objective.plane_area[target],
+                    floor,
+                )
+            };
+            let tag = format!("trial {trial}: K={k}, {weights:?}, gate on {from}, floor {floor}");
+            sound += 1;
+            for target in (0..k).filter(|&target| target != from) {
+                assert!(
+                    bound(target) >= IMPROVING_GAIN,
+                    "{tag}: target {target} reads {}",
+                    bound(target)
+                );
+            }
+            // A target lightest among the other planes in both loads, or
+            // in the one whose weight is zero, by a scan of its own.
+            let lightest_other = |loads: &[f64], weight: f64, target: usize| {
+                crate::float::exactly(weight, 0.0)
+                    || (0..k).all(|other| other == from || loads[target] <= loads[other])
+            };
+            let tight_target = (0..k).find(|&target| {
+                target != from
+                    && lightest_other(&objective.plane_bias, weights.c2, target)
+                    && lightest_other(&objective.plane_area, weights.c3, target)
+            });
+            if let Some(target) = tight_target {
+                tight += 1;
+                assert!(
+                    bound(target) <= 2.0 * certificate.margin,
+                    "{tag}: target {target} reads {}, margin {}",
+                    bound(target),
+                    certificate.margin
+                );
+            }
+        }
+        assert!(
+            sound > 2000 && tight > 1000 && on_lightest > 1000 && tied > 800 && refused > 1000,
+            "{sound} sound, {tight} tight, {on_lightest} on the lightest plane, {tied} tied, \
+             {refused} refused"
+        );
     }
 }

@@ -1477,6 +1477,82 @@ mod tests {
         assert!(20 * tally.visits <= tally.passes * g);
     }
 
+    /// Exact work counts of a deep-K V-cycle polish: the seed-7 default
+    /// solve of C1908 at K = 30, replayed level by level from its coarse
+    /// snap as above. Every level visits every gate on every pass (the
+    /// visit set certifies nothing at this depth), and each level's moves,
+    /// passes, visits and gates priced are pinned. Of the visits that skip
+    /// pricing, the `O(1)` test of `cannot_improve` must settle at least
+    /// 90 %; it fails if that test silently stops firing.
+    #[test]
+    fn c1908_k30_polish_settles_most_clean_visits_in_constant_time() {
+        use sfq_circuits::registry::{generate, Benchmark};
+        let p = PartitionProblem::from_netlist(&generate(Benchmark::C1908), 30).unwrap();
+        let options = SolverOptions {
+            seed: 7,
+            ..SolverOptions::default()
+        };
+        let none = Interrupt::none();
+        let hierarchy = Hierarchy::build(&p, &none, |_| {});
+        let coarsest = hierarchy.coarsest(&p);
+        let csr = hierarchy.coarsest_csr().expect("C1908 coarsens at K = 30");
+        let snapped = Solver::new(SolverOptions {
+            refine: false,
+            ..options.clone()
+        })
+        .solve(coarsest)
+        .partition;
+        let refine_options = RefineOptions {
+            weights: options.weights,
+            exponent: options.exponent,
+            max_passes: 40,
+        };
+        // The coarsest level's polish, which `polish_levels` reports to no
+        // callback.
+        let mut tallies = vec![(
+            coarsest.num_gates(),
+            refine_on(
+                Loads::of(coarsest),
+                csr,
+                snapped.labels().to_vec(),
+                &refine_options,
+                &none,
+                &mut Sweep::with_capacity(coarsest.num_gates()),
+                None,
+            )
+            .tally,
+        )];
+        let solver = Solver::new(options);
+        let (partition, _, stopped) =
+            solver.polish_levels(&p, &hierarchy, csr, snapped, &none, |_, gates, tally| {
+                tallies.push((gates, *tally));
+            });
+        assert!(stopped.is_none());
+        assert_eq!(partition, solver.solve(&p).partition);
+        let counts: Vec<_> = tallies
+            .iter()
+            .map(|&(gates, t)| (gates, t.moves, t.passes, t.visits, t.priced))
+            .collect();
+        assert_eq!(
+            counts,
+            [
+                (66, 97, 7, 462, 428),
+                (123, 78, 5, 615, 491),
+                (237, 103, 5, 1_185, 864),
+                (455, 227, 8, 3_640, 1_549),
+                (872, 195, 8, 6_976, 2_059),
+                (1_695, 408, 6, 10_170, 3_759),
+            ]
+        );
+        let skipped: usize = tallies.iter().map(|(_, t)| t.visits - t.priced).sum();
+        let bounded: usize = tallies.iter().map(|(_, t)| t.bounded).sum();
+        assert_eq!(skipped, 13_898);
+        assert!(
+            10 * bounded >= 9 * skipped,
+            "the O(1) test settled {bounded} of {skipped} skipped visits"
+        );
+    }
+
     /// What the V-cycle's levels hold at the 10⁶-gate tier, on the seed-7
     /// S1M input of sfqbench's `s1m_k5`: each level its map, loads and CSR,
     /// and only the coarsest an edge list too, the problem the descent

@@ -215,12 +215,12 @@ fn random_problem(rng: &mut StdRng) -> PartitionProblem {
     } else {
         rng.random_range(2..301)
     };
-    random_problem_of(rng, g)
+    let k = rng.random_range(2..10);
+    random_problem_of(rng, g, k)
 }
 
-/// [`random_problem`] with `g` gates.
-fn random_problem_of(rng: &mut StdRng, g: usize) -> PartitionProblem {
-    let k = rng.random_range(2..10);
+/// [`random_problem`] with `g` gates and `k` planes.
+fn random_problem_of(rng: &mut StdRng, g: usize, k: usize) -> PartitionProblem {
     let isolated: Vec<bool> = (0..g).map(|_| rng.random_bool(0.1)).collect();
     let mut edges = Vec::new();
     for i in 1..g {
@@ -348,8 +348,63 @@ fn refine_matches_the_naive_oracle_from_near_balanced_starts() {
     let mut rng = StdRng::seed_from_u64(0xba1a_2ced);
     for problem_index in 0..120 {
         let g = rng.random_range(2..1501);
-        let problem = random_problem_of(&mut rng, g);
-        let k = problem.num_planes();
+        let k = rng.random_range(2..10);
+        let problem = random_problem_of(&mut rng, g, k);
+        for weights in weight_sets() {
+            let options = RefineOptions {
+                weights,
+                exponent: EXPONENT,
+                max_passes: 40,
+            };
+            let start = near_balanced_start(&mut rng, &problem, &options);
+            let tag = format!(
+                "problem {problem_index} (G={g}, E={}, K={k}), {weights:?}",
+                problem.num_edges()
+            );
+            assert_refine_matches_the_oracle(&problem, &start, &options, &tag);
+        }
+    }
+}
+
+/// A converged `refine` of a random labelling with one to three gates
+/// moved.
+fn near_balanced_start(
+    rng: &mut StdRng,
+    problem: &PartitionProblem,
+    options: &RefineOptions,
+) -> Vec<u32> {
+    let (g, k) = (problem.num_gates(), problem.num_planes());
+    let random: Vec<u32> = (0..g).map(|_| rng.random_range(0..k as u32)).collect();
+    let converged = refine(
+        problem,
+        &Partition::from_labels(random, k).expect("labels in range"),
+        options,
+    )
+    .0;
+    let mut start = converged.labels().to_vec();
+    for _ in 0..rng.random_range(1..4) {
+        start[rng.random_range(0..g)] = rng.random_range(0..k as u32);
+    }
+    start
+}
+
+/// Deep K, the paper's Table III regime: `K` in {16, 30, 60} and up to 2000
+/// gates, from random and near-balanced starts, under the four weight sets.
+/// There the visit set certifies few gates, and most clean visits are
+/// settled by `cannot_improve`'s test at the current plane loads.
+#[test]
+fn refine_matches_the_naive_oracle_at_deep_k() {
+    let mut rng = StdRng::seed_from_u64(0xdee9_0f0e);
+    for problem_index in 0..12 {
+        let k = [16, 30, 60][problem_index % 3];
+        // 2000 gates at each K, then log-uniform in K..=2000, which keeps
+        // the debug run short.
+        let g = if problem_index < 3 {
+            2000
+        } else {
+            (k as f64 * (2000.0 / k as f64).powf(rng.random_range(0.0..1.0))).round() as usize
+        };
+        let problem = random_problem_of(&mut rng, g, k);
         for weights in weight_sets() {
             let options = RefineOptions {
                 weights,
@@ -357,21 +412,14 @@ fn refine_matches_the_naive_oracle_from_near_balanced_starts() {
                 max_passes: 40,
             };
             let random: Vec<u32> = (0..g).map(|_| rng.random_range(0..k as u32)).collect();
-            let converged = refine(
-                &problem,
-                &Partition::from_labels(random, k).expect("labels in range"),
-                &options,
-            )
-            .0;
-            let mut start = converged.labels().to_vec();
-            for _ in 0..rng.random_range(1..4) {
-                start[rng.random_range(0..g)] = rng.random_range(0..k as u32);
+            let near = near_balanced_start(&mut rng, &problem, &options);
+            for (kind, start) in [("random", random), ("near-balanced", near)] {
+                let tag = format!(
+                    "problem {problem_index} (G={g}, E={}, K={k}), {weights:?}, {kind} start",
+                    problem.num_edges()
+                );
+                assert_refine_matches_the_oracle(&problem, &start, &options, &tag);
             }
-            let tag = format!(
-                "problem {problem_index} (G={g}, E={}, K={k}), {weights:?}",
-                problem.num_edges()
-            );
-            assert_refine_matches_the_oracle(&problem, &start, &options, &tag);
         }
     }
 }
